@@ -27,29 +27,18 @@ ceiling, measured at 4 nodes / 10 GbE by ``repro.insight.baseline``:
   of re-simulating.  Any edit under ``src/repro`` moves the source
   fingerprint and invalidates every cached row.
 
-The host-throughput baseline
-----------------------------
+The host-activity baseline
+--------------------------
 
 ``BENCH_seed.json`` guards the *simulated* numbers; the committed
 ``BENCH_HOST.json`` guards the *simulator's own* event accounting.
 ``python -m repro profile --bench`` measures a fixed workload set with a
-``repro.hostprof.HostProfiler`` attached and records two kinds of fields:
-deterministic counts (events dispatched, process switches, fabric flow
-rounds, MPI hops, telemetry spans/samples, heap/flow high-water marks)
-that ``repro profile --check`` compares **exactly** — an unintended
-change to the event flow fails CI — and advisory wall-clock throughput
-(sim-s per wall-s, events/s, sweep runs-per-minute) recorded for
-trend-watching but never gated, since wall time is machine-dependent.
-
-Since schema 2 the document carries each workload twice: ``counts``
-measures the ground-truth DES and ``fast_counts`` the same run dispatched
-onto the ``repro.fastpath`` analytical engine.  Both sections are
-hard-gated exactly — the ``fast_counts`` fastpath-hit counters
-(``fastpath_grants``/``fastpath_transfers``) are the CI proof that the
-engine still engages, and its lower ``events`` total the proof that it
-still skips scheduling work.  The advisory block grows the matching
-fast-mode fields (``fast_wall_seconds``, ``fast_sim_seconds_per_wall_second``,
-``fast_events_per_wall_second``, ``fast_speedup``), again never gated.
+``repro.hostprof.HostProfiler`` attached and records (schema 3) only
+deterministic counts: events dispatched, process switches, fabric flow
+rounds, MPI hops, telemetry spans/samples, and heap/flow high-water
+marks.  ``repro profile --check`` compares them **exactly**, so an
+unintended change to the event flow fails CI.  Wall time is not recorded
+there; bare repeated wall-time numbers come from ``benchmarks/perf``.
 Re-run ``--bench`` and commit the diff when a PR intentionally changes
 how many events a workload schedules.  See ``docs/TELEMETRY.md`` ("Host
 profiling").

@@ -21,7 +21,6 @@ round trip exactly, so a warm-started run is bit-identical to a cold one.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -133,32 +132,13 @@ def _snapshot(spec: RunSpec, run: ExperimentRun) -> ExperimentRun:
     )
 
 
-def _resolve_fast_path(fast_path: bool | None) -> bool:
-    """Tri-state dispatch: explicit flag wins, else the environment.
-
-    ``REPRO_FAST_PATH=1`` flips the *default* on for every run in the
-    process (sweep workers inherit it), which is safe because the engine
-    still self-gates on static eligibility and results are byte-identical
-    by contract; an explicit ``fast_path`` argument always wins.
-    """
-    if fast_path is not None:
-        return fast_path
-    return os.environ.get("REPRO_FAST_PATH", "0") == "1"
-
-
-def _simulate(
-    spec: RunSpec,
-    workload: Workload,
-    telemetry: Any,
-    fast_path: bool | None = None,
-) -> ExperimentRun:
+def _simulate(spec: RunSpec, workload: Workload, telemetry: Any) -> ExperimentRun:
     """One cold measurement of *spec* (no caches involved)."""
     cluster = build_cluster(spec)
     rpn = spec.ranks_per_node
     tracer = Tracer(cluster.node_count * rpn) if spec.traced else None
     result = workload.run_on(
-        cluster, ranks_per_node=rpn, tracer=tracer, telemetry=telemetry,
-        fast_path=_resolve_fast_path(fast_path),
+        cluster, ranks_per_node=rpn, tracer=tracer, telemetry=telemetry
     )
     return ExperimentRun(
         workload=workload,
@@ -170,9 +150,7 @@ def _simulate(
     )
 
 
-def _run_cached(
-    spec: RunSpec, workload: Workload, fast_path: bool | None = None
-) -> ExperimentRun:
+def _run_cached(spec: RunSpec, workload: Workload) -> ExperimentRun:
     """Serve *spec* through both cache tiers, simulating on a full miss."""
     from repro.campaign.serialize import (
         UncacheableRunError,
@@ -194,7 +172,7 @@ def _run_cached(
             _cache[spec.key] = (spec, run)
             return _snapshot(spec, run)
         _stats["disk_misses"] += 1
-    run = _simulate(spec, workload, None, fast_path)
+    run = _simulate(spec, workload, None)
     _cache[spec.key] = (spec, run)
     if store is not None and spec.revivable:
         try:
@@ -208,23 +186,18 @@ def run_spec(
     spec: RunSpec,
     use_cache: bool = True,
     telemetry: Any = None,
-    fast_path: bool | None = None,
 ) -> ExperimentRun:
     """Run a normalized :class:`RunSpec` (the campaign workers' entry point).
 
     The workload is rebuilt from the spec's canonical kwargs, so the spec
     must be revivable (specs normalized from plain values always are).
-
-    ``fast_path`` dispatches the run onto the analytical fast-path engine
-    when eligible (``None`` defers to ``REPRO_FAST_PATH``); results are
-    byte-identical either way, so cache entries are shared between modes.
     """
     workload = build_workload(spec.name, spec.constructor_kwargs())
     if telemetry is not None and getattr(telemetry, "enabled", False):
-        return _simulate(spec, workload, telemetry, fast_path)
+        return _simulate(spec, workload, telemetry)
     if not use_cache:
-        return _simulate(spec, workload, None, fast_path)
-    return _run_cached(spec, workload, fast_path)
+        return _simulate(spec, workload, None)
+    return _run_cached(spec, workload)
 
 
 def run_workload(
@@ -236,7 +209,6 @@ def run_workload(
     traced: bool = False,
     use_cache: bool = True,
     telemetry: Any = None,
-    fast_path: bool | None = None,
     **workload_kwargs: Any,
 ) -> ExperimentRun:
     """Run benchmark *name* on a cluster and return the measurements.
@@ -261,7 +233,7 @@ def run_workload(
     )
     workload = build_workload(name, workload_kwargs)
     if telemetry is not None and getattr(telemetry, "enabled", False):
-        return _simulate(spec, workload, telemetry, fast_path)
+        return _simulate(spec, workload, telemetry)
     if not use_cache:
-        return _simulate(spec, workload, None, fast_path)
-    return _run_cached(spec, workload, fast_path)
+        return _simulate(spec, workload, None)
+    return _run_cached(spec, workload)

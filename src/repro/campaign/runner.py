@@ -19,7 +19,6 @@ through the existing Prometheus-style writer.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -82,10 +81,6 @@ class CampaignRow:
     #: Binding bandwidth roof (l2 / dram / network); None when the row has
     #: no GPGPU measurements to place.
     binding_level: str | None = None
-    #: Static fast-path eligibility of this spec's topology (recorded for
-    #: every row, including cached and failed ones — it is a pure function
-    #: of the spec, not of what actually ran).
-    fast_path_eligible: bool = False
 
     @property
     def operational_intensity(self) -> float:
@@ -364,16 +359,6 @@ def _binding_for(spec: RunSpec, summary: dict[str, Any]) -> str | None:
     )
 
 
-# Eligibility is a pure function of the spec's topology; memoized so a
-# campaign touching the same shape many times builds the throwaway
-# cluster once (RunSpec is frozen, hence hashable).
-@functools.lru_cache(maxsize=None)
-def _fast_path_eligible(spec: RunSpec) -> bool:
-    from repro.fastpath import decide_spec
-
-    return decide_spec(spec).eligible
-
-
 def _merge_row(
     spec: RunSpec, summary: dict[str, Any], cached: bool,
     outcome: str = "ok", attempts: int = 1, error: str | None = None,
@@ -398,7 +383,6 @@ def _merge_row(
         gpu_dram_bytes=summary.get("gpu_dram_bytes", 0.0),
         gpu_l2_bytes=summary.get("gpu_l2_bytes", 0.0),
         binding_level=_binding_for(spec, summary),
-        fast_path_eligible=_fast_path_eligible(spec),
     )
 
 
@@ -420,7 +404,6 @@ def _failure_row(spec: RunSpec, record: SpecRecord) -> CampaignRow:
         outcome=record.outcome,
         attempts=record.attempts,
         error=record.error,
-        fast_path_eligible=_fast_path_eligible(spec),
     )
 
 
@@ -605,10 +588,6 @@ def run_campaign(
     if host is not None:
         host.register_metrics(registry)
     merged = [rows[spec.digest] for spec in ordered]
-    registry.gauge(
-        "campaign_fastpath_eligible_specs",
-        "specs whose topology admits the analytical fast-path engine",
-    ).set(sum(1 for row in merged if row.fast_path_eligible))
     intensity_gauge = registry.gauge(
         "campaign_roofline_intensity",
         "per-run measured intensity against each bandwidth roof",
@@ -703,11 +682,6 @@ def format_campaign_stats(result: CampaignResult) -> str:
         lines.append(
             f"store: {result.store_repairs} corrupt entries repaired"
         )
-    eligible = sum(1 for row in result.rows if row.fast_path_eligible)
-    lines.append(
-        f"fastpath: {eligible} of {len(result.rows)} specs eligible "
-        f"for the analytical engine"
-    )
     for row in result.rows:
         if row.binding_level is None:
             continue

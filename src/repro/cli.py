@@ -106,21 +106,6 @@ def _write_telemetry(telemetry, args: argparse.Namespace) -> None:
               f"to {args.metrics_out}")
 
 
-def _add_fast_path_arguments(parser: argparse.ArgumentParser) -> None:
-    """Tri-state --fast-path/--no-fast-path (None defers to REPRO_FAST_PATH).
-
-    Results are byte-identical either way by the fast-path contract; the
-    flags exist so CI can run both modes and diff the outputs.
-    """
-    parser.add_argument("--fast-path", dest="fast_path", action="store_true",
-                        default=None,
-                        help="dispatch eligible runs onto the analytical "
-                             "fast-path engine (byte-identical results)")
-    parser.add_argument("--no-fast-path", dest="fast_path",
-                        action="store_false",
-                        help="force the full DES even when REPRO_FAST_PATH=1")
-
-
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="write a Chrome/Perfetto trace-event JSON here")
@@ -144,7 +129,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         traced=args.timeline,
         use_cache=False,
         telemetry=telemetry,
-        fast_path=args.fast_path,
     )
     result = run.result
     print(f"{args.workload} on {run.cluster.spec.name}:")
@@ -226,7 +210,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         traced=True,
         use_cache=False,
         telemetry=telemetry,
-        fast_path=args.fast_path,
     )
     print(f"{args.workload} on {run.cluster.spec.name}: "
           f"{run.result.elapsed_seconds:.4f} s simulated")
@@ -377,13 +360,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     run = profile_workload(
         _require_workload(args.workload), nodes=args.nodes,
-        network=args.network, fast_path=bool(args.fast_path),
+        network=args.network,
     )
     write_hotspots([run])
     wall = run.wall_seconds
     rate = run.sim_seconds / wall if wall > 0 else 0.0
-    mode = "fast path" if run.fast_path else "full DES"
-    print(f"{run.name} (nodes={run.nodes}, {run.network}, {mode}): "
+    print(f"{run.name} (nodes={run.nodes}, {run.network}): "
           f"sim {run.sim_seconds:.6f} s in {wall:.4f} wall s "
           f"({rate:.1f} sim-s/wall-s)")
     print()
@@ -392,13 +374,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import os
-
-    if args.fast_path is not None:
-        # The campaign runs in worker processes; the environment variable
-        # is the channel they inherit the dispatch mode through (results
-        # are byte-identical either way, so cache entries stay shared).
-        os.environ["REPRO_FAST_PATH"] = "1" if args.fast_path else "0"
     from repro.campaign import (
         ChaosSchedule,
         ResultStore,
@@ -634,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="collect a trace and print a Paraver-style timeline")
     run_p.add_argument("--width", type=int, default=100,
                        help="timeline width in characters")
-    _add_fast_path_arguments(run_p)
     _add_telemetry_arguments(run_p)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -695,11 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile_p.add_argument("--network", choices=("1G", "10G"), default="10G")
     profile_p.add_argument("--bench", action="store_true",
                            help="measure the fixed workload set and write "
-                                "the host-throughput baseline")
+                                "the host event-count baseline")
     profile_p.add_argument("--check", action="store_true",
                            help="re-measure and fail when a deterministic "
-                                "count field drifts (wall fields are "
-                                "advisory and never gated)")
+                                "count field drifts")
     profile_p.add_argument("--baseline", default="BENCH_HOST.json",
                            metavar="FILE",
                            help="host baseline JSON to write (or check "
@@ -707,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_p.add_argument("--hotspots-out", default=None, metavar="FILE",
                            help="also write the per-workload hotspot "
                                 "Markdown report here")
-    _add_fast_path_arguments(profile_p)
 
     faults_p = sub.add_parser(
         "faults",
@@ -735,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_p.add_argument("--network", choices=("1G", "10G"), default="10G")
     telemetry_p.add_argument("--system", choices=("tx1", "gtx980", "thunderx"),
                              default="tx1")
-    _add_fast_path_arguments(telemetry_p)
     _add_telemetry_arguments(telemetry_p)
 
     trace_p = sub.add_parser(
@@ -800,7 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--host-trace", default=None, metavar="FILE",
                          help="record host-clock worker timelines and write "
                               "them as a Chrome trace (one lane per worker)")
-    _add_fast_path_arguments(sweep_p)
 
     from repro.lint.cli import add_lint_arguments
 

@@ -204,7 +204,6 @@ class Job:
         retry: RetryPolicy | None = None,
         on_fault: str = "raise",
         telemetry: Any = None,
-        fast_path: bool = False,
     ) -> None:
         if ranks_per_node < 1:
             raise ConfigurationError("ranks_per_node must be >= 1")
@@ -252,17 +251,6 @@ class Job:
         )
         if self._injector is not None:
             self._injector.bind_job(self)
-        # The fast path is opt-in AND gated on static eligibility: when
-        # the analytical shortcut would not be provably byte-identical
-        # (faults, retries, a bindable switch), the run silently stays on
-        # the full DES.  Imported lazily: the engine depends on cluster
-        # topology types, not the other way around.
-        self.fast_path = False
-        if fast_path:
-            from repro.fastpath.engine import install
-
-            decision = install(cluster, injector=self._injector, retry=retry)
-            self.fast_path = decision.eligible
         self._cuda: dict[int, CudaContext] = {}
         for node in cluster.nodes:
             if node.has_gpu:

@@ -1,25 +1,15 @@
-"""Host-throughput measurement: ``repro profile`` and ``BENCH_HOST.json``.
+"""Host-activity measurement: ``repro profile`` and ``BENCH_HOST.json``.
 
 ``BENCH_seed.json`` gates the *performance model* (simulated numbers);
 this module gates the *simulator* — how much activity a fixed workload set
-generates and, advisorily, how fast the host chews through it.  The split
-mirrors the two-clock rule:
-
-* ``counts`` — events, process switches, flow rounds, MPI hops, span
-  emissions, and heap/flow high-water marks per workload, measured on
-  the ground-truth DES.  Functions of the workload alone, hard-gated
-  exactly (any drift means a change altered how much work the kernel
-  does, which is precisely what a perf-oriented PR needs to see).
-* ``fast_counts`` — the same fields measured with the fast-path engine
-  enabled.  Also deterministic and hard-gated: the fast-path-hit
-  counters (``fastpath_grants`` / ``fastpath_transfers``) must stay
-  nonzero for eligible workloads, and the event total must stay below
-  the DES one — a silent eligibility regression shows up here as an
-  exact-count drift.
-* ``advisory`` — wall seconds, sim-seconds per wall-second, events per
-  wall-second (both modes, plus the fast/DES speedup ratio), and sweep
-  runs per minute.  Machine-dependent; recorded for trend-reading,
-  never gated.
+generates.  ``BENCH_HOST.json`` holds only deterministic ``counts``:
+events, process switches, flow rounds, MPI hops, span emissions, and
+heap/flow high-water marks per workload.  They are functions of the
+workload alone and hard-gated exactly (any drift means a change altered
+how much work the kernel does, which is precisely what a perf-oriented
+change needs to see).  Wall time is not recorded here: profiled single-shot
+timings mostly measure the profiler, so bare repeated wall-time numbers
+come from ``benchmarks/perf`` instead.
 
 Runs are always cold (a profiler observes real execution, not a cache
 hit), with a telemetry sink attached so span-emission cost is included in
@@ -34,13 +24,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.hostprof.clock import HostClock, Stopwatch
+from repro.hostprof.clock import HostClock
 from repro.hostprof.profiler import HostProfiler, format_hotspot_table
 
 #: Schema version stamped into every BENCH_HOST.json.
-#: v2 added the hard-gated ``fast_counts`` section and the fast-path
-#: advisory fields.
-HOST_SCHEMA = 2
+#: v3 keeps only the deterministic ``counts`` section.
+HOST_SCHEMA = 3
 
 #: The fixed throughput set: two GPGPU codes plus one NPB CPU code, small
 #: enough to finish in CI seconds but exercising fabric + MPI + telemetry.
@@ -59,8 +48,6 @@ class ProfileRun:
     network: str
     sim_seconds: float
     profiler: HostProfiler
-    #: Whether the run was dispatched onto the fast-path engine.
-    fast_path: bool = False
 
     @property
     def wall_seconds(self) -> float:
@@ -73,7 +60,6 @@ def profile_workload(
     nodes: int = _PROFILE_NODES,
     network: str = _PROFILE_NETWORK,
     clock: HostClock | None = None,
-    fast_path: bool = False,
 ) -> ProfileRun:
     """Run *name* cold with a :class:`HostProfiler` attached.
 
@@ -101,8 +87,7 @@ def profile_workload(
     rpn = spec.ranks_per_node
     with profiler.section("run"):
         result = workload.run_on(
-            cluster, ranks_per_node=rpn, tracer=None, telemetry=telemetry,
-            fast_path=fast_path,
+            cluster, ranks_per_node=rpn, tracer=None, telemetry=telemetry
         )
     profiler.finish()
     return ProfileRun(
@@ -111,7 +96,6 @@ def profile_workload(
         network=network,
         sim_seconds=result.elapsed_seconds,
         profiler=profiler,
-        fast_path=fast_path,
     )
 
 
@@ -121,57 +105,21 @@ def collect_host_baseline(
     network: str = _PROFILE_NETWORK,
     clock: HostClock | None = None,
 ) -> tuple[dict[str, Any], list[ProfileRun]]:
-    """Measure the host-throughput baseline for *workloads*.
+    """Measure the host-activity baseline for *workloads*.
 
     Returns the BENCH_HOST.json document plus the underlying profiled
     runs (the CLI renders the hotspot Markdown report from the latter).
     """
-    total = Stopwatch(clock=clock)
-    counts: dict[str, Any] = {}
-    fast_counts: dict[str, Any] = {}
-    advisory: dict[str, Any] = {}
-    runs: list[ProfileRun] = []
-    for name in workloads:
-        run = profile_workload(name, nodes=nodes, network=network, clock=clock)
-        fast = profile_workload(
-            name, nodes=nodes, network=network, clock=clock, fast_path=True
-        )
-        runs.append(run)
-        runs.append(fast)
-        counts[name] = run.profiler.deterministic_counts()
-        fast_counts[name] = fast.profiler.deterministic_counts()
-        wall = run.wall_seconds
-        fast_wall = fast.wall_seconds
-        advisory[name] = {
-            "wall_seconds": wall,
-            "sim_seconds": run.sim_seconds,
-            "sim_seconds_per_wall_second": (
-                run.sim_seconds / wall if wall > 0 else 0.0
-            ),
-            "events_per_wall_second": (
-                run.profiler.counters["events"] / wall if wall > 0 else 0.0
-            ),
-            "fast_wall_seconds": fast_wall,
-            "fast_sim_seconds_per_wall_second": (
-                fast.sim_seconds / fast_wall if fast_wall > 0 else 0.0
-            ),
-            "fast_events_per_wall_second": (
-                fast.profiler.counters["events"] / fast_wall
-                if fast_wall > 0 else 0.0
-            ),
-            "fast_speedup": wall / fast_wall if fast_wall > 0 else 0.0,
-        }
-    elapsed = total.elapsed()
-    sweep = {
-        "runs_per_minute": len(runs) * 60.0 / elapsed if elapsed > 0 else 0.0,
-    }
+    runs = [
+        profile_workload(name, nodes=nodes, network=network, clock=clock)
+        for name in workloads
+    ]
     document = {
         "schema": HOST_SCHEMA,
         "config": {"nodes": nodes, "network": network},
-        "counts": counts,
-        "fast_counts": fast_counts,
-        "advisory": advisory,
-        "sweep": sweep,
+        "counts": {
+            run.name: run.profiler.deterministic_counts() for run in runs
+        },
     }
     return document, runs
 
@@ -198,7 +146,8 @@ def load_host_baseline(path: str | Path) -> dict[str, Any]:
     if document.get("schema") != HOST_SCHEMA:
         raise ConfigurationError(
             f"host baseline {path} has schema {document.get('schema')!r}, "
-            f"expected {HOST_SCHEMA}"
+            f"expected {HOST_SCHEMA}; regenerate it with "
+            f"`python -m repro profile --bench --baseline {path}`"
         )
     return document
 
@@ -208,35 +157,24 @@ def compare_host_baseline(
 ) -> list[str]:
     """Drifted deterministic count fields, deterministically ordered.
 
-    The ``counts`` (DES) and ``fast_counts`` (fast-path) sections both
-    participate — these are exact-match integers, and the fast section's
-    fastpath-hit counters are the CI gate proving the engine still
-    engages.  The ``advisory`` section is machine-dependent by contract
-    and never compared.
+    Only the ``counts`` section participates: these are exact-match
+    integers.  Any other section is ignored.
     """
     drifts: list[str] = []
-    for section in ("counts", "fast_counts"):
-        base_counts = baseline.get(section, {})
-        curr_counts = current.get(section, {})
-        prefix = "" if section == "counts" else "fast."
-        for workload in sorted(set(base_counts) | set(curr_counts)):
-            base_row = base_counts.get(workload)
-            curr_row = curr_counts.get(workload)
-            if base_row is None or curr_row is None:
-                state = "missing" if curr_row is None else "new"
-                drifts.append(
-                    f"{prefix}{workload}: workload {state} in current "
-                    "measurement"
-                )
-                continue
-            for field in sorted(set(base_row) | set(curr_row)):
-                expected = base_row.get(field)
-                observed = curr_row.get(field)
-                if expected != observed:
-                    drifts.append(
-                        f"{prefix}{workload}.{field}: {expected!r} -> "
-                        f"{observed!r}"
-                    )
+    base_counts = baseline.get("counts", {})
+    curr_counts = current.get("counts", {})
+    for workload in sorted(set(base_counts) | set(curr_counts)):
+        base_row = base_counts.get(workload)
+        curr_row = curr_counts.get(workload)
+        if base_row is None or curr_row is None:
+            state = "missing" if curr_row is None else "new"
+            drifts.append(f"{workload}: workload {state} in current measurement")
+            continue
+        for field in sorted(set(base_row) | set(curr_row)):
+            expected = base_row.get(field)
+            observed = curr_row.get(field)
+            if expected != observed:
+                drifts.append(f"{workload}.{field}: {expected!r} -> {observed!r}")
     return drifts
 
 
@@ -262,11 +200,8 @@ def format_host_report_markdown(runs: list[ProfileRun]) -> str:
         "deterministic for the fixed workload set."
     )
     for run in runs:
-        mode = "fast path" if run.fast_path else "full DES"
         lines.append("")
-        lines.append(
-            f"## {run.name} (nodes={run.nodes}, {run.network}, {mode})"
-        )
+        lines.append(f"## {run.name} (nodes={run.nodes}, {run.network})")
         lines.append("")
         wall = run.wall_seconds
         rate = run.sim_seconds / wall if wall > 0 else 0.0

@@ -54,8 +54,6 @@ class HostProfiler:
             "process_switches": 0,
             "processes": 0,
             "fabric_flow_rounds": 0,
-            "fastpath_grants": 0,
-            "fastpath_transfers": 0,
             "mpi_hops": 0,
             "telemetry_spans": 0,
             "telemetry_samples": 0,
@@ -119,14 +117,6 @@ class HostProfiler:
         """One MPI-layer generator hop (send/recv/collective step)."""
         self.counters["mpi_hops"] += 1
 
-    def fastpath_grant(self) -> None:
-        """A resource slot or store item was granted inline (no event)."""
-        self.counters["fastpath_grants"] += 1
-
-    def fastpath_transfer(self) -> None:
-        """The fabric completed one transfer on the analytical timeline."""
-        self.counters["fastpath_transfers"] += 1
-
     def span_emitted(self) -> None:
         """The telemetry sink finished (allocated) one span record."""
         self.counters["telemetry_spans"] += 1
@@ -180,8 +170,6 @@ class HostProfiler:
              self.wall[MODE_PROCESS]),
             (MODE_OTHER, 0, self.wall[MODE_OTHER]),
             ("network.flow_rounds", self.counters["fabric_flow_rounds"], 0.0),
-            ("fastpath.grants", self.counters["fastpath_grants"], 0.0),
-            ("fastpath.transfers", self.counters["fastpath_transfers"], 0.0),
             ("mpi.hops", self.counters["mpi_hops"], 0.0),
             ("telemetry.spans", self.counters["telemetry_spans"], 0.0),
             ("telemetry.samples", self.counters["telemetry_samples"], 0.0),

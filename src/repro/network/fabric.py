@@ -77,7 +77,6 @@ class Fabric:
         self.loopback_transfers = 0
         self._active_flows = 0
         self._injector: LinkFaultModel | None = None
-        self._fastpath = None
         # Span names repeat for every (src, dst) pair a run ever uses;
         # caching them keeps the hot path free of per-transfer f-strings.
         self._span_names: dict[tuple[int, int], str] = {}
@@ -87,18 +86,7 @@ class Fabric:
     @property
     def active_flows(self) -> int:
         """Flows currently holding NIC slots (the sampler reads this)."""
-        if self._fastpath is not None:
-            return self._fastpath.active_at(self.env.now)
         return self._active_flows
-
-    def enable_fast_path(self, timeline) -> None:
-        """Route wire transfers through an analytical FlowTimeline.
-
-        Only :func:`repro.fastpath.engine.install` calls this, and only
-        after proving the run eligible (constant flow rates, no faults);
-        see the fastpath package for the exactness argument.
-        """
-        self._fastpath = timeline
 
     def _span_name(self, src_id: int, dst_id: int) -> str:
         key = (src_id, dst_id)
@@ -221,46 +209,6 @@ class Fabric:
             self._loopback_bytes_counter.inc(nbytes)
             self._loopback_transfers_counter.inc()
             return TransferRecord(src_id, dst_id, nbytes, start, env.now, 0.0, wire)
-
-        if self._fastpath is not None:
-            # Analytical timeline: eligibility proved the flow rate is the
-            # endpoint rate (fair share never binds, no injector), so the
-            # grant and completion instants are closed-form.  The wake
-            # protocol (see repro.fastpath.flows) parks this process only
-            # when needed to keep same-instant event order identical to
-            # the DES cascade; every accounting step below is the same
-            # code, in the same order, with the same floats.
-            with self._telemetry.async_span(
-                "fabric", self._span_name(src_id, dst_id), "fabric", nbytes=nbytes
-            ) as span:
-                rate = min(src.nic.achievable_rate, dst.nic.achievable_rate)
-                latency = src.nic.latency_one_way + self.switch.latency
-                wire = latency + (nbytes / rate if nbytes else 0.0)
-                flow = self._fastpath.reserve(src_id, dst_id, start, wire)
-                queued = flow.grant - start
-                span.set(queue_seconds=queued, rate=rate)
-                hp = env.host_profiler
-                if hp is not None:
-                    hp.fastpath_transfer()
-                if flow.wake is not None:
-                    yield flow.wake
-                yield env.timeout_at(flow.end)
-                # Release first (tx then rx, waking queued flows), exactly
-                # like the DES finally block, before any further work.
-                self._fastpath.complete(flow)
-                self._check_alive(src)
-                self._check_alive(dst)
-                src.record_send(nbytes)
-                dst.record_receive(nbytes)
-                self.total_bytes += nbytes
-                self.total_transfers += 1
-                self._bytes_counter.inc(nbytes)
-                self._transfers_counter.inc()
-                self._seconds_histogram.observe(env.now - start)
-                self._size_histogram.observe(nbytes)
-            return TransferRecord(
-                src_id, dst_id, nbytes, start, env.now, queued, wire
-            )
 
         with self._telemetry.async_span(
             "fabric", self._span_name(src_id, dst_id), "fabric", nbytes=nbytes

@@ -348,11 +348,6 @@ class Environment:
         # cost and activity counts without touching simulated state, so a run
         # is byte-identical with or without it (see repro.hostprof).
         self.host_profiler = None
-        # Fast-path mode: resources and stores may complete immediately
-        # available grants inline (no queue round-trip) when this is set.
-        # Only the fastpath engine flips it, and only for runs it proved
-        # eligible (see repro.fastpath); results stay byte-identical.
-        self.fast_mode = False
 
     def set_host_profiler(self, profiler) -> None:
         """Attach a host-side profiler observing kernel activity.
@@ -395,19 +390,6 @@ class Environment:
         """The process currently executing, if any."""
         return self._active_process
 
-    @property
-    def quiescent(self) -> bool:
-        """True when no queued event remains at the current instant.
-
-        An event triggered now would be the very next thing the kernel
-        pops — so completing it inline (skipping the queue round-trip)
-        cannot reorder execution.  The fast path consults this before
-        every inline grant; when same-instant events are pending, it falls
-        back to the queue so accumulation order at tied instants stays
-        byte-identical to the full DES.
-        """
-        return not self._queue or self._queue[0][0] > self._now
-
     # -- factories --------------------------------------------------------------
 
     def event(self) -> Event:
@@ -425,41 +407,6 @@ class Environment:
         if self.host_profiler is not None:
             self.host_profiler.process_spawned()
         return Process(self, generator)
-
-    def timeout_at(self, when: float, value: Any = None) -> Event:
-        """An event firing at *absolute* simulated time *when*.
-
-        Unlike ``timeout(when - now)`` this schedules the exact float
-        *when*, with no ``now + (when - now)`` round-trip — the fastpath
-        engine relies on this to land analytical completion times on the
-        same binary64 instants the full DES would produce.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"timeout_at({when}) is in the past (now={self._now})"
-            )
-        ev = Event(self)
-        ev._ok = True
-        ev._value = value
-        ev._triggered = True
-        self._eid += 1
-        heapq.heappush(self._queue, (when, NORMAL, self._eid, ev))
-        return ev
-
-    def processed_event(self, value: Any = None) -> Event:
-        """An already-processed successful event carrying *value*.
-
-        Yielding it costs no queue traffic: :meth:`Process._resume` sees
-        ``callbacks is None`` and feeds the value straight back into the
-        generator.  This is the inline-grant primitive the fast path uses
-        when a resource slot or store item is immediately available.
-        """
-        ev = Event(self)
-        ev._ok = True
-        ev._value = value
-        ev._triggered = True
-        ev.callbacks = None
-        return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all *events* have triggered."""
@@ -492,8 +439,12 @@ class Environment:
         if self._events_counter is not None:
             self._events_counter.inc()
         callbacks = event.callbacks
+        if callbacks is None:
+            # An explicit check, not an assert: ``python -O`` strips asserts
+            # and a doubly scheduled event must still fail inside the
+            # ReproError taxonomy.
+            raise SimulationError(f"{event!r} was scheduled after it was processed")
         event.callbacks = None
-        assert callbacks is not None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:

@@ -82,27 +82,6 @@ class Resource:
     # -- internals --------------------------------------------------------------
 
     def _do_request(self, request: Request) -> None:
-        env = self.env
-        if (
-            env.fast_mode
-            and env.quiescent
-            and not self.queue
-            and len(self.users) < self.capacity
-        ):
-            # Inline grant: the slot is free, nobody is ahead of us, and no
-            # other event is pending at this instant — the DES would pop
-            # our grant next and resume us with nothing in between, so
-            # handing the request back already processed (Process._resume
-            # continues inline) cannot reorder anything.
-            self.users.append(request)
-            request._ok = True
-            request._value = None
-            request._triggered = True
-            request.callbacks = None
-            hp = env.host_profiler
-            if hp is not None:
-                hp.fastpath_grant()
-            return
         self.queue.append(request)
         self._grant()
 
@@ -222,26 +201,7 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Append *item*; fires once there is room."""
-        env = self.env
-        if (
-            env.fast_mode
-            and env.quiescent
-            and not self._putters
-            and len(self.items) < self.capacity
-        ):
-            # Inline put: room exists, FIFO order is preserved (no putter
-            # ahead of us), and no same-instant event is pending — the DES
-            # would pop our grant next, so continuing inline keeps the
-            # exact order: putter resumes first, then any matching getter
-            # wakes through the queue just as a scheduled put would do it.
-            self.items.append(item)
-            if self._getters:
-                self._settle()
-            hp = env.host_profiler
-            if hp is not None:
-                hp.fastpath_grant()
-            return env.processed_event()
-        ev = Event(env)
+        ev = Event(self.env)
         self._putters.append((item, ev))
         self._settle()
         return ev
@@ -252,23 +212,7 @@ class Store:
         *filter* is an optional predicate ``item -> bool`` turning this into a
         SimPy ``FilterStore``-style get.
         """
-        env = self.env
-        if env.fast_mode and env.quiescent and self.items:
-            # Inline get: any item already here is invisible to the waiting
-            # getters (_settle ran when it arrived and none matched), and
-            # with no same-instant event pending the DES would pop our
-            # grant next — so popping the first match now is exactly what
-            # _settle would do for this getter, minus the round-trip.
-            for idx, item in enumerate(self.items):
-                if filter is None or filter(item):
-                    value = self.items.pop(idx)
-                    if self._putters:
-                        self._settle()
-                    hp = env.host_profiler
-                    if hp is not None:
-                        hp.fastpath_grant()
-                    return env.processed_event(value)
-        ev = Event(env)
+        ev = Event(self.env)
         self._getters.append((filter, ev))
         self._settle()
         return ev

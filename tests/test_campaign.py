@@ -20,7 +20,11 @@ from repro.campaign import (
     load_campaign_file,
     run_campaign,
 )
-from repro.campaign.serialize import run_from_payload, run_to_payload
+from repro.campaign.serialize import (
+    run_from_payload,
+    run_to_payload,
+    summarize_payload,
+)
 from repro.cuda.memory_models import MemoryModel
 from repro.errors import ConfigurationError
 
@@ -360,8 +364,8 @@ def _inject_opaque_rank_value(monkeypatch):
 
     real = bench_runner._simulate
 
-    def patched(spec, workload, telemetry, fast_path=None):
-        run = real(spec, workload, telemetry, fast_path)
+    def patched(spec, workload, telemetry):
+        run = real(spec, workload, telemetry)
         run.result.rank_values.append(object())
         return run
 
@@ -555,3 +559,12 @@ def test_concurrent_puts_same_entry_leave_one_valid_winner(tmp_path):
     assert first == payload
     raw = store.entry_path("run", "racedigest").read_bytes()
     assert raw == store.entry_path("run", "racedigest").read_bytes()
+
+
+def test_summarize_payload_round_trips_loopback():
+    spec = RunSpec.normalize("cg", nodes=2)
+    run = run_spec(spec, use_cache=False)
+    payload = run_to_payload(run)
+    summary = summarize_payload(payload)
+    assert summary["network_bytes"] == run.result.network_bytes
+    assert payload["result"]["loopback_bytes"] == run.result.loopback_bytes

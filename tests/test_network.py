@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.bench.runner import run_workload
 from repro.errors import ConfigurationError, NetworkError
 from repro.hardware import catalog
 from repro.network import Fabric, SwitchSpec, iperf, ping_pong
+from repro.telemetry import Telemetry
 from repro.units import gbit_s, to_gbit_s, to_ms, us
 
 from tests.conftest import build_tx1_fabric
@@ -174,3 +176,20 @@ def test_bisection_throttles_oversubscription():
     one_alone = nbytes / nodes[0].nic.achievable_rate
     # Two flows over a bisection equal to one NIC: ~2x slower than parallel.
     assert max(r.end for r in done) >= 1.8 * one_alone
+
+
+def test_loopback_traffic_is_accounted_separately():
+    telemetry = Telemetry(sample_interval=0.0)
+    run = run_workload(
+        "cg", nodes=2, use_cache=False, telemetry=telemetry
+    )
+    result = run.result
+    assert result.loopback_bytes > 0
+    registry = telemetry.registry
+    wire = registry.counter("fabric_bytes_total", unit="bytes").value()
+    loop = registry.counter("fabric_loopback_bytes_total", unit="bytes").value()
+    # The wire-only invariant: fabric_bytes_total mirrors network_bytes
+    # exactly, and loopback traffic lives under its own instrument.
+    assert wire == result.network_bytes
+    assert loop == result.loopback_bytes
+    assert registry.counter("fabric_loopback_transfers_total").value() > 0

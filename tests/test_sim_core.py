@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
 
 
 def test_time_starts_at_zero():
@@ -470,3 +470,52 @@ def test_throw_into_finished_process_rejected():
     env.run()
     with pytest.raises(SimulationError, match="finished"):
         proc.throw(_BoomError("too late"))
+
+
+def test_trigger_from_untriggered_source_raises_naming_both():
+    env = Environment()
+    target = Event(env)
+    source = Event(env)
+    with pytest.raises(SimulationError) as err:
+        target.trigger(source)
+    message = str(err.value)
+    assert "untriggered source" in message
+    assert repr(target) in message and repr(source) in message
+    # The target is untouched and still usable afterwards.
+    assert not target.triggered
+    target.succeed("ok")
+    assert target.value == "ok"
+
+
+def test_trigger_from_triggered_source_copies_state():
+    env = Environment()
+    source = Event(env).succeed(None)
+    target = Event(env)
+    target.trigger(source)
+    # A None value must propagate as a real value, not as "pending":
+    # the state machine is explicit, never inferred from the payload.
+    assert target.triggered
+    assert target.value is None
+
+
+def test_triggered_state_is_explicit_for_none_values():
+    env = Environment()
+    ev = Event(env)
+    assert not ev.triggered
+    ev.succeed(None)
+    assert ev.triggered
+    with pytest.raises(SimulationError):
+        ev.succeed(None)
+    assert Timeout(env, 0.0, None).triggered
+
+
+def test_event_scheduled_twice_raises_simulation_error():
+    env = Environment()
+    ev = Event(env).succeed("once")
+    env.schedule(ev)  # the public scheduler queues it a second time
+    env.step()
+    assert ev.processed
+    # A plain check, not an assert: it must hold under ``python -O`` too.
+    with pytest.raises(SimulationError) as err:
+        env.step()
+    assert repr(ev) in str(err.value)
