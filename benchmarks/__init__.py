@@ -8,8 +8,8 @@ The perf-regression baseline
 
 The tier-1 suite guards *correctness*; the BENCH baseline guards the
 *numbers*.  The repo commits ``BENCH_seed.json`` — per-workload runtime,
-MFLOPS/W, wire bytes, the LB·Ser·Trf factors, and the binding roofline
-ceiling, measured at 4 nodes / 10 GbE by ``repro.insight.baseline``:
+MFLOPS/W, wire bytes, the LB·Ser·Trf factors, the binding roofline
+ceiling, and the activity counts below, measured at 4 nodes / 10 GbE by ``repro.insight.baseline``:
 
 * ``python -m repro bench`` re-measures and (over)writes the baseline.
   Run it — and commit the diff — whenever a PR *intentionally* changes the
@@ -27,19 +27,14 @@ ceiling, measured at 4 nodes / 10 GbE by ``repro.insight.baseline``:
   of re-simulating.  Any edit under ``src/repro`` moves the source
   fingerprint and invalidates every cached row.
 
-The host-activity baseline
---------------------------
+The simulator's own activity
+----------------------------
 
-``BENCH_seed.json`` guards the *simulated* numbers; the committed
-``BENCH_HOST.json`` guards the *simulator's own* event accounting.
-``python -m repro profile --bench`` measures a fixed workload set with a
-``repro.hostprof.HostProfiler`` attached and records (schema 3) only
-deterministic counts: events dispatched, process switches, fabric flow
-rounds, MPI hops, telemetry spans/samples, and heap/flow high-water
-marks.  ``repro profile --check`` compares them **exactly**, so an
-unintended change to the event flow fails CI.  Wall time is not recorded
-there; bare repeated wall-time numbers come from ``benchmarks/perf``.
-Re-run ``--bench`` and commit the diff when a PR intentionally changes
-how many events a workload schedules.  See ``docs/TELEMETRY.md`` ("Host
-profiling").
+Each ``BENCH_seed.json`` row (schema 2) also carries integer activity
+counts read from the same run's telemetry sink: ``events`` dispatched,
+``processes`` started, ``mpi_hops`` (MPI spans), ``fabric_flow_rounds``
+(completed fabric transfers) and ``telemetry_spans``.  ``--check``
+compares these **exactly**, whatever ``--tolerance`` is, so an unintended
+change to the event flow fails CI.  Wall time is not recorded there; bare
+repeated per-layer wall-time numbers come from ``benchmarks/perf``.
 """

@@ -31,9 +31,6 @@ Commands
     instrument summary; ``--trace-out`` writes a Chrome-trace JSON (load it
     at https://ui.perfetto.dev) and ``--metrics-out`` a Prometheus-style
     snapshot.  See ``docs/TELEMETRY.md``.
-``trace``
-    Run one workload traced and print the Paraver-style timeline plus the
-    per-rank utilization summary (the ``run --timeline`` view, standalone).
 ``sweep``
     Run a campaign (workload x nodes x network grid, inline flags or a JSON
     campaign file) sharded over ``--jobs`` worker processes, warm-starting
@@ -226,24 +223,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.bench.runner import run_workload
-    from repro.tracing import render_timeline, utilization_summary
-
-    run = run_workload(
-        args.workload,
-        nodes=args.nodes,
-        network=args.network,
-        system=args.system,
-        traced=True,
-        use_cache=False,
-    )
-    print(render_timeline(run.trace, width=args.width))
-    print()
-    print(utilization_summary(run.trace))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.workload is None:
         # Legacy mode: experiment artifacts (results.json + REPORT.md).
@@ -313,63 +292,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 else collect_baseline(nodes=args.nodes, network=args.network))
     path = write_baseline(args.baseline, baseline)
     print(f"wrote baseline ({len(baseline['metrics'])} workloads) to {path}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.hostprof import format_hotspot_table
-    from repro.hostprof.bench import (
-        collect_host_baseline,
-        compare_host_baseline,
-        format_host_check,
-        format_host_report_markdown,
-        load_host_baseline,
-        profile_workload,
-        write_host_baseline,
-    )
-
-    def write_hotspots(runs) -> None:
-        if args.hotspots_out:
-            with open(args.hotspots_out, "w", encoding="utf-8") as handle:
-                handle.write(format_host_report_markdown(runs))
-            print(f"wrote hotspot report to {args.hotspots_out}",
-                  file=sys.stderr)
-
-    if args.check:
-        baseline = load_host_baseline(args.baseline)
-        config = baseline.get("config", {})
-        current, runs = collect_host_baseline(
-            workloads=tuple(sorted(baseline.get("counts", {}))),
-            nodes=int(config.get("nodes", 4)),
-            network=str(config.get("network", "10G")),
-        )
-        write_hotspots(runs)
-        drifts = compare_host_baseline(baseline, current)
-        print(format_host_check(drifts))
-        return 1 if drifts else 0
-
-    if args.bench:
-        baseline, runs = collect_host_baseline(
-            nodes=args.nodes, network=args.network
-        )
-        path = write_host_baseline(args.baseline, baseline)
-        write_hotspots(runs)
-        print(f"wrote host baseline ({len(baseline['counts'])} workloads) "
-              f"to {path}")
-        return 0
-
-    run = profile_workload(
-        _require_workload(args.workload), nodes=args.nodes,
-        network=args.network,
-    )
-    write_hotspots([run])
-    wall = run.wall_seconds
-    rate = run.sim_seconds / wall if wall > 0 else 0.0
-    print(f"{run.name} (nodes={run.nodes}, {run.network}): "
-          f"sim {run.sim_seconds:.6f} s in {wall:.4f} wall s "
-          f"({rate:.1f} sim-s/wall-s)")
-    print()
-    print(format_hotspot_table(run.profiler))
     return 0
 
 
@@ -659,28 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--nodes", type=int, default=4)
     bench_p.add_argument("--network", choices=("1G", "10G"), default="10G")
 
-    profile_p = sub.add_parser(
-        "profile",
-        help="profile the simulator itself: host wall-time per subsystem",
-    )
-    profile_p.add_argument("workload", nargs="?", default="cloverleaf",
-                           help="workload to profile (see `repro list`)")
-    profile_p.add_argument("--nodes", type=int, default=4)
-    profile_p.add_argument("--network", choices=("1G", "10G"), default="10G")
-    profile_p.add_argument("--bench", action="store_true",
-                           help="measure the fixed workload set and write "
-                                "the host event-count baseline")
-    profile_p.add_argument("--check", action="store_true",
-                           help="re-measure and fail when a deterministic "
-                                "count field drifts")
-    profile_p.add_argument("--baseline", default="BENCH_HOST.json",
-                           metavar="FILE",
-                           help="host baseline JSON to write (or check "
-                                "against)")
-    profile_p.add_argument("--hotspots-out", default=None, metavar="FILE",
-                           help="also write the per-workload hotspot "
-                                "Markdown report here")
-
     faults_p = sub.add_parser(
         "faults",
         help="rerun a benchmark under an injected fault schedule",
@@ -708,19 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_p.add_argument("--system", choices=("tx1", "gtx980", "thunderx"),
                              default="tx1")
     _add_telemetry_arguments(telemetry_p)
-
-    trace_p = sub.add_parser(
-        "trace",
-        help="run one workload traced and print timeline + utilization",
-    )
-    trace_p.add_argument("workload", nargs="?", default="jacobi",
-                         choices=sorted(ALL_NAMES))
-    trace_p.add_argument("--nodes", type=int, default=4)
-    trace_p.add_argument("--network", choices=("1G", "10G"), default="10G")
-    trace_p.add_argument("--system", choices=("tx1", "gtx980", "thunderx"),
-                         default="tx1")
-    trace_p.add_argument("--width", type=int, default=100,
-                         help="timeline width in characters")
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -791,11 +678,9 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "report": _cmd_report,
         "bench": _cmd_bench,
-        "profile": _cmd_profile,
         "lint": _cmd_lint,
         "faults": _cmd_faults,
         "telemetry": _cmd_telemetry,
-        "trace": _cmd_trace,
         "sweep": _cmd_sweep,
     }
     try:

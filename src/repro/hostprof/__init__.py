@@ -1,37 +1,26 @@
-"""Host-side observability for the simulator itself.
+"""Host-side observability for the simulator's campaigns.
 
 Everything else in this tree measures the *simulated* machine on the
-simulated clock; this package measures the *simulator* on the host clock —
-where wall-time goes in the DES kernel, how many events a workload
-generates, and how a campaign's workers spend their hours.  It is the only
-package allowed to read the wall clock (``wallclock-exempt`` /
-``taint-exempt`` in pyproject.toml scope RL001/RL100 to it), and the
-clock-domain lint rule (RL500) keeps the dependency arrow one-way:
-simulation-domain packages never import from here.
+simulated clock; this package reads the *host* clock — how a campaign's
+workers spend their hours.  It is the only package allowed to read the
+wall clock (``wallclock-exempt`` / ``taint-exempt`` in pyproject.toml
+scope RL001/RL100 to it), and the clock-domain lint rule (RL500) keeps the
+dependency arrow one-way: simulation-domain packages never import from
+here.
 
-The benchmark driver lives in :mod:`repro.hostprof.bench` (imported
-lazily by the CLI so ``import repro.hostprof`` stays dependency-light).
+Deterministic activity counts (events, processes, MPI spans, fabric
+transfers) come from the telemetry sink and are gated in
+``BENCH_seed.json``; per-layer host wall time comes from
+``benchmarks/perf --trace``.
 """
 
 from repro.hostprof.campaign import CampaignHostRecorder, write_host_trace
 from repro.hostprof.clock import HostClock, Stopwatch, read_clock
-from repro.hostprof.profiler import (
-    MODE_DISPATCH,
-    MODE_OTHER,
-    MODE_PROCESS,
-    HostProfiler,
-    format_hotspot_table,
-)
 
 __all__ = [
     "CampaignHostRecorder",
     "HostClock",
-    "HostProfiler",
-    "MODE_DISPATCH",
-    "MODE_OTHER",
-    "MODE_PROCESS",
     "Stopwatch",
-    "format_hotspot_table",
     "read_clock",
     "write_host_trace",
 ]

@@ -2,13 +2,17 @@
 
 ``python -m repro bench --baseline BENCH_seed.json`` measures a fixed,
 cheap, deterministic set of headline numbers — per-workload runtime,
-energy efficiency, wire traffic, the binding roofline ceiling, and the
-η = LB · Ser · Trf factors — and writes them as a committed JSON baseline.
+energy efficiency, wire traffic, the binding roofline ceiling, the
+η = LB · Ser · Trf factors, and the simulator's own activity counts (events,
+processes, MPI spans, fabric transfers, telemetry spans) — and writes them
+as a committed JSON baseline.
 ``python -m repro bench --check`` re-measures and exits non-zero on any
 drift beyond tolerance, which turns "did this PR change the performance
 model?" from a human diff into a CI gate.  The simulator is deterministic,
 so the expected drift is exactly zero; the tolerance only absorbs
-cross-platform libm noise.
+cross-platform libm noise in float metrics.  Integer counts compare
+exactly: any drift means a change altered how much work the simulator
+does.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from repro.insight.roofline import place_run
 from repro.telemetry.sink import Telemetry
 
 #: Schema version stamped into every baseline file.
-BASELINE_SCHEMA = 1
+#: v2 adds the integer activity counts to every row.
+BASELINE_SCHEMA = 2
 
 #: The measured set: GPGPU workloads whose ceilings the paper names, plus
 #: one NPB code to keep the CPU path under regression watch.
@@ -77,10 +82,18 @@ def collect_baseline(
             use_cache=False, telemetry=telemetry,
         )
         result = run.result
+        registry = telemetry.registry
         row: dict[str, Any] = {
             "runtime_seconds": result.elapsed_seconds,
             "mflops_per_watt": result.mflops_per_watt(),
             "network_bytes": result.network_bytes,
+            # Deterministic simulator-activity counts from the same run:
+            # how much work the kernel, MPI layer, fabric and sink did.
+            "events": int(registry.get("sim_events_processed_total").value()),
+            "processes": int(registry.get("sim_processes_started_total").value()),
+            "mpi_hops": telemetry.span_counts().get("mpi", 0),
+            "fabric_flow_rounds": int(registry.get("fabric_transfers_total").value()),
+            "telemetry_spans": len(telemetry.spans),
         }
         check = cross_check(telemetry, run.trace, rank_to_node=run.rank_to_node)
         row["load_balance"] = check.replay.load_balance
@@ -122,7 +135,8 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
     if document.get("schema") != BASELINE_SCHEMA:
         raise ConfigurationError(
             f"baseline {path} has schema {document.get('schema')!r}, "
-            f"expected {BASELINE_SCHEMA}"
+            f"expected {BASELINE_SCHEMA}; regenerate it with "
+            f"`python -m repro bench --baseline {path}`"
         )
     return document
 
@@ -152,9 +166,10 @@ def compare_baseline(
 ) -> list[Drift]:
     """Every metric drifting beyond *tolerance*, deterministically ordered.
 
-    Numeric metrics compare by relative difference (absolute when the
-    baseline is 0); categorical metrics (the binding-ceiling name) and
-    missing/new workloads or metrics report as infinite drift.
+    Float metrics compare by relative difference (absolute when the
+    baseline is 0); integer counts compare exactly whatever *tolerance*
+    is; categorical metrics (the binding-ceiling name) and missing/new
+    workloads or metrics report as infinite drift.
     """
     if tolerance < 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
@@ -190,10 +205,19 @@ def compare_baseline(
                 relative = abs(observed_f)
             else:
                 relative = (observed_f - expected_f) / abs(expected_f)
-            if abs(relative) > tolerance:
+            if _is_count(expected) or _is_count(observed):
+                drifted = expected != observed
+            else:
+                drifted = abs(relative) > tolerance
+            if drifted:
                 drifts.append(Drift(workload, metric, expected_f, observed_f,
                                     relative))
     return drifts
+
+
+def _is_count(value: Any) -> bool:
+    """True for the integer activity counts (``bool`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def format_drift_report(drifts: list[Drift], tolerance: float) -> str:
@@ -201,6 +225,6 @@ def format_drift_report(drifts: list[Drift], tolerance: float) -> str:
     if not drifts:
         return f"bench check: no drift beyond tolerance {tolerance:g}"
     lines = [f"bench check: {len(drifts)} metric(s) drifted beyond "
-             f"tolerance {tolerance:g}:"]
+             f"tolerance {tolerance:g} (counts compare exactly):"]
     lines += [f"  {drift}" for drift in drifts]
     return "\n".join(lines)

@@ -274,9 +274,9 @@ class ClockDomainRule(ProjectRule):
                         info.path, node,
                         f"simulation-domain module {module_name} imports "
                         f"{imported}: the host-clock package must depend "
-                        "on the simulator, never the reverse — expose a "
-                        "nullable hook (Environment.set_host_profiler) "
-                        "instead",
+                        "on the simulator, never the reverse — read "
+                        "simulator activity from the telemetry sink's "
+                        "counters instead",
                     )
 
 

@@ -36,9 +36,6 @@ def _collective_span(name: str):
     def decorate(method):
         @functools.wraps(method)
         def wrapper(self, *args, **kwargs):
-            hp = self.env.host_profiler
-            if hp is not None:
-                hp.mpi_hop()
             with self.world.telemetry.async_span(self._track, span_name, "mpi"):
                 result = yield from method(self, *args, **kwargs)
             return result
@@ -284,9 +281,6 @@ class Communicator:
             raise MPIError("send tag must be non-negative")
         world = self.world
         env = self.env
-        hp = env.host_profiler
-        if hp is not None:
-            hp.mpi_hop()
         if world.is_failed(dest):
             raise RankFailedError(dest, f"send to dead rank {dest} (tag {tag})")
         wire_bytes = MESSAGE_HEADER_BYTES + (
@@ -351,9 +345,6 @@ class Communicator:
         """
         world = self.world
         env = self.env
-        hp = env.host_profiler
-        if hp is not None:
-            hp.mpi_hop()
         start = env.now
         if source != ANY_SOURCE and world.is_failed(source):
             raise RankFailedError(

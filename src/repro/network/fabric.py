@@ -222,9 +222,6 @@ class Fabric:
                 granted = True
                 queued = env.now - start
                 self._active_flows += 1
-                hp = env.host_profiler
-                if hp is not None:
-                    hp.flow_round(self._active_flows)
                 rate = self._flow_rate(src, dst)
                 span.set(queue_seconds=queued, rate=rate)
                 # The loss draw happens at flow start so the RNG consumption

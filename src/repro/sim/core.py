@@ -38,7 +38,7 @@ class Event:
     """
 
     # Events are the hottest allocation in the kernel; slots keep them
-    # dict-free (measured by hostprof's heap high-water counters).
+    # dict-free.
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_triggered")
 
     def __init__(self, env: "Environment") -> None:
@@ -216,9 +216,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        hp = env.host_profiler
-        if hp is not None:
-            hp.process_resumed()
         env._active_process = self
         # Detach from the event we were waiting on (interrupt case).
         if self._target is not None and self._target is not event:
@@ -344,20 +341,6 @@ class Environment:
         # identity check per event (see repro.telemetry).
         self._events_counter = None
         self._procs_counter = None
-        # Host-side profiler hook (same nullable pattern): observes wall-clock
-        # cost and activity counts without touching simulated state, so a run
-        # is byte-identical with or without it (see repro.hostprof).
-        self.host_profiler = None
-
-    def set_host_profiler(self, profiler) -> None:
-        """Attach a host-side profiler observing kernel activity.
-
-        Accepts any object with the :class:`repro.hostprof.HostProfiler`
-        hook surface; ``None`` detaches (the default state).  The kernel
-        stays import-free of the hostprof package — the dependency arrow
-        points from host observability into the simulator only.
-        """
-        self.host_profiler = profiler
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a telemetry sink counting kernel activity.
@@ -404,8 +387,6 @@ class Environment:
         """Start a new process driving *generator*."""
         if self._procs_counter is not None:
             self._procs_counter.inc()
-        if self.host_profiler is not None:
-            self.host_profiler.process_spawned()
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -431,9 +412,6 @@ class Environment:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        hp = self.host_profiler
-        if hp is not None:
-            hp.event_dispatched(len(self._queue))
         when, _prio, _eid, event = heapq.heappop(self._queue)
         self._now = when
         if self._events_counter is not None:

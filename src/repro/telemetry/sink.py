@@ -125,10 +125,6 @@ class Telemetry:
 
     def _finish(self, record: SpanRecord) -> None:
         self.spans.append(record)
-        # getattr: the sink also binds to bare clock stand-ins in tests.
-        hp = getattr(self._env, "host_profiler", None)
-        if hp is not None:
-            hp.span_emitted()
 
     # -- instruments -----------------------------------------------------------
 
@@ -157,9 +153,6 @@ class Telemetry:
         self.samples.append(
             SamplePoint(sys.intern(track), sys.intern(name), self.now, float(value))
         )
-        hp = getattr(self._env, "host_profiler", None)
-        if hp is not None:
-            hp.sample_emitted()
 
     # -- summaries -------------------------------------------------------------
 

@@ -8,6 +8,8 @@ imbalance and pipeline bubbles the scalability analysis quantifies.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import TraceError
 from repro.tracing.events import Trace
 
@@ -29,8 +31,10 @@ def render_timeline(trace: Trace, width: int = 80,
     span = end - start
 
     def columns(s: float, e: float) -> range:
-        lo = max(0, int((s - start) / span * width))
-        hi = min(width, int((e - start) / span * width) + 1)
+        if e < start or s >= end:  # entirely outside the window
+            return range(0)
+        lo = max(0, math.floor((s - start) / span * width))
+        hi = min(width, math.floor((e - start) / span * width) + 1)
         return range(lo, hi)
 
     rows = [["."] * width for _ in range(trace.n_ranks)]

@@ -134,6 +134,17 @@ def test_timeline_window():
     assert set(row0[5:-1]) == {"g"}
 
 
+def test_timeline_window_skips_states_ending_before_it():
+    # The copy ends 0.04 s (less than one column) before the window opens;
+    # it must not be drawn in the window's first column.
+    tracer = Tracer(2)
+    tracer.record_state(0, "gpu", 4.0, 6.0)
+    tracer.record_state(1, "copy", 3.0, 3.96)
+    tracer.record_comm(1, 0, 1e3, 2.0, 3.99, tag=0)
+    art = render_timeline(tracer.finalize(), width=40, t0=4.0, t1=6.0)
+    assert art.splitlines()[2] == "r1  |" + "." * 40 + "|"
+
+
 def test_timeline_validation():
     trace = _sample_trace()
     with pytest.raises(TraceError):

@@ -380,6 +380,20 @@ def test_baseline_rows_carry_all_metrics(jacobi_baseline):
             "percent_of_roof"} <= set(row)
 
 
+def test_baseline_rows_carry_activity_counts(jacobi_baseline):
+    # The same counts the retired host profiler recorded for jacobi@4/10G,
+    # now read from the baseline run's own telemetry.
+    row = jacobi_baseline["metrics"]["jacobi"]
+    assert row["events"] == 8184
+    assert row["processes"] == 484
+    assert row["mpi_hops"] == 2400
+    assert row["fabric_flow_rounds"] == 840
+    assert row["telemetry_spans"] > 0
+    for field in ("events", "processes", "mpi_hops", "fabric_flow_rounds",
+                  "telemetry_spans"):
+        assert type(row[field]) is int, field
+
+
 def test_baseline_rejects_unknown_workload():
     with pytest.raises(ConfigurationError, match="known workloads"):
         collect_baseline(workloads=("doom3",))
@@ -395,6 +409,14 @@ def test_load_baseline_rejects_bad_schema(tmp_path):
     path.write_text(json.dumps({"schema": 99, "metrics": {}}))
     with pytest.raises(ConfigurationError, match="schema"):
         load_baseline(path)
+
+
+def test_load_baseline_rejects_countless_schema_1(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"schema": 1, "metrics": {}}))
+    with pytest.raises(ConfigurationError, match="schema 1") as err:
+        load_baseline(path)
+    assert "repro bench --baseline" in str(err.value)
 
 
 def test_compare_identical_baselines_no_drift(jacobi_baseline):
@@ -413,6 +435,22 @@ def test_compare_respects_tolerance(jacobi_baseline):
     current = json.loads(json.dumps(jacobi_baseline))
     current["metrics"]["jacobi"]["runtime_seconds"] *= 1.0 + 1e-9
     assert compare_baseline(jacobi_baseline, current, tolerance=1e-6) == []
+
+
+def test_compare_flags_count_drift_exactly():
+    # A drift of 1 in 8184 is far inside the float tolerance, but integer
+    # counts ignore the tolerance.
+    base = {"metrics": {"jacobi": {"events": 8184, "load_balance": 1.0}}}
+    current = {"metrics": {"jacobi": {"events": 8185, "load_balance": 1.0}}}
+    drifts = compare_baseline(base, current, tolerance=0.5)
+    assert [d.metric for d in drifts] == ["events"]
+    assert str(drifts[0]).startswith("jacobi.events: 8184 -> 8185")
+
+
+def test_compare_float_drift_inside_tolerance_passes(jacobi_baseline):
+    current = json.loads(json.dumps(jacobi_baseline))
+    current["metrics"]["jacobi"]["runtime_seconds"] *= 1.1
+    assert compare_baseline(jacobi_baseline, current, tolerance=0.5) == []
 
 
 def test_compare_flags_categorical_change(jacobi_baseline):

@@ -856,9 +856,9 @@ class TestCli:
         assert args.nodes == 4
         assert args.sample_interval == 0.1
 
-    def test_trace_subcommand_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.workload == "jacobi"
+    def test_run_timeline_defaults(self):
+        args = build_parser().parse_args(["run", "jacobi", "--timeline"])
+        assert args.timeline is True
         assert args.width == 100
 
     def test_run_with_trace_out_writes_chrome_json(self, tmp_path, capsys):
@@ -884,8 +884,9 @@ class TestCli:
         metrics = metrics_path.read_text()
         assert "# TYPE sim_events_processed_total counter" in metrics
 
-    def test_trace_subcommand_prints_timeline(self, capsys):
-        code = main(["trace", "jacobi", "--nodes", "2", "--width", "60"])
+    def test_run_timeline_prints_timeline(self, capsys):
+        code = main(["run", "jacobi", "--nodes", "2", "--timeline",
+                     "--width", "60"])
         assert code == 0
         out = capsys.readouterr().out
         assert "rank" in out.lower()
