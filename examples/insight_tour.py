@@ -5,9 +5,11 @@ roofline, and render the full report.
 Runs the cloverleaf benchmark instrumented (telemetry sink + tracer),
 then drives the four repro.insight pillars one by one: op extraction and
 critical-path attribution, automatic roofline placement from measured
-instruments, the span-vs-replay LB·Ser·Trf cross-check, and finally the
-assembled report in all three formats.  Everything printed is
-deterministic — rerunning this script yields byte-identical output.
+instruments, the op-stream-vs-replay LB·Ser·Trf cross-check, and finally
+the assembled report in all three formats.  The rank-level analyses read
+the run's trace; only the roofline placement reads the sink.  Everything
+printed is deterministic — rerunning this script yields byte-identical
+output.
 
 Run:  python examples/insight_tour.py
 """
@@ -38,10 +40,10 @@ def main() -> None:
 
     # 2. Ops + critical path: stitch per-rank leaf ops through the MPI
     #    message edges and walk back from the last-finishing rank.
-    streams = extract_ops(telemetry)
+    streams = extract_ops(run.trace)
     print(f"[ops] {len(streams.all_ops())} leaf ops across "
           f"{streams.n_ranks} ranks")
-    path = critical_path(telemetry)
+    path = critical_path(run.trace)
     print(f"[path] {len(path.segments)} segments across "
           f"{len(path.rank_visits)} rank(s); dominant: {path.dominant_kind}")
     for kind in SEGMENT_KINDS:
@@ -59,12 +61,12 @@ def main() -> None:
           f"{placement.binding.value} "
           f"({placement.percent_of_roof:.1f} % of the roof)")
 
-    # 4. Cross-check: the span-derived LB and eta must agree with the
-    #    replay-derived Eq. 4 factors — two independent pipelines, one run.
-    check = cross_check(telemetry, run.trace, rank_to_node=run.rank_to_node)
+    # 4. Cross-check: the op-stream LB and eta must agree with the
+    #    replay-derived Eq. 4 factors — two independent pipelines, one trace.
+    check = cross_check(run.trace, rank_to_node=run.rank_to_node)
     replay = check.replay
     print(f"[eta] LB={replay.load_balance:.4f} Ser={replay.serialization:.4f} "
-          f"Trf={replay.transfer:.4f}; span LB delta {check.lb_delta:.2e}, "
+          f"Trf={replay.transfer:.4f}; LB delta {check.lb_delta:.2e}, "
           f"eta delta {check.eta_delta:.2e} -> "
           f"{'consistent' if check.consistent() else 'INCONSISTENT'}")
 

@@ -45,8 +45,6 @@ class ExperimentRun:
     result: JobResult
     trace: Trace | None
     rank_to_node: list[int]
-    #: The telemetry sink the run recorded into, when one was passed.
-    telemetry: Any = None
 
     @property
     def runtime(self) -> float:
@@ -128,7 +126,6 @@ def _snapshot(spec: RunSpec, run: ExperimentRun) -> ExperimentRun:
         result=_copy_result(run.result),
         trace=_copy_trace(run.trace),
         rank_to_node=list(run.rank_to_node),
-        telemetry=None,
     )
 
 
@@ -146,7 +143,6 @@ def _simulate(spec: RunSpec, workload: Workload, telemetry: Any) -> ExperimentRu
         result=result,
         trace=tracer.finalize() if tracer else None,
         rank_to_node=[r // rpn for r in range(cluster.node_count * rpn)],
-        telemetry=telemetry,
     )
 
 

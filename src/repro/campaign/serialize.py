@@ -188,7 +188,6 @@ def run_from_payload(spec, payload: dict[str, Any]):
         result=result_from_payload(payload["result"]),
         trace=trace_from_payload(payload.get("trace")),
         rank_to_node=list(payload["rank_to_node"]),
-        telemetry=None,
     )
 
 

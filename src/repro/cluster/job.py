@@ -265,7 +265,7 @@ class Job:
         return sum(1 for n in self._rank_to_node if n == node_id)
 
     def record_state(self, rank: int, state: str, start: float, end: float) -> None:
-        """One compute/GPU burst: a single emission path for both consumers.
+        """One compute/GPU/copy burst: a single emission path for both consumers.
 
         With a tracer attached the record flows through it (and the tracer
         mirrors it onto any bound telemetry sink); tracerless telemetry runs
@@ -275,6 +275,14 @@ class Job:
             self.tracer.record_state(rank, state, start, end)
         else:
             self.telemetry.record_span(f"rank{rank}", state, "rank", start, end)
+
+    def mark(self, rank: int, label: str, time: float) -> None:
+        """A phase/iteration boundary, dispatched like :meth:`record_state`."""
+        if self.tracer is not None:
+            self.tracer.mark(rank, label, time)
+        else:
+            self.telemetry.record_span(f"rank{rank}", label, "rank", time, time,
+                                       kind="instant")
 
     def cuda_context(self, node_id: int) -> CudaContext | None:
         """The shared CUDA context of a node, if it has a GPU."""

@@ -82,7 +82,9 @@ class FaultInjector:
         self.cluster.fabric.set_fault_injector(self)
         for crash in self.schedule.crashes:
             self.env.process(self._crash_process(crash))
-        if self._tracer() is not None or self._telemetry().enabled:
+        if self._job is not None and (
+            self._job.tracer is not None or self._job.telemetry.enabled
+        ):
             for window in self.schedule.degradations + self.schedule.flaps:
                 self.env.process(self._window_marker(window))
 
@@ -111,9 +113,6 @@ class FaultInjector:
 
     # -- internals ------------------------------------------------------------
 
-    def _tracer(self):
-        return self._job.tracer if self._job is not None else None
-
     def _telemetry(self):
         return self._job.telemetry if self._job is not None else NULL
 
@@ -127,7 +126,6 @@ class FaultInjector:
         if node.failed:
             return
         node.fail()
-        tracer = self._tracer()
         telemetry = self._telemetry()
         telemetry.instant(
             "faults", f"crash:node{crash.node_id}", "fault",
@@ -137,13 +135,12 @@ class FaultInjector:
             "faults_activated_total", "fault events fired by the injector",
             labelnames=("type",),
         ).inc(type="crash")
+        # Only a bound Job registers ranks, so residents imply self._job.
         residents = self._ranks_on(crash.node_id)
-        if self._job is not None:
-            for rank, _proc in residents:
-                self._job.world.mark_rank_failed(rank)
+        for rank, _proc in residents:
+            self._job.world.mark_rank_failed(rank)
         for rank, proc in residents:
-            if tracer is not None:
-                tracer.mark(rank, "fault:crash", self.env.now)
+            self._job.mark(rank, "fault:crash", self.env.now)
             if proc.is_alive:
                 proc.throw(
                     NodeFailure(
@@ -164,10 +161,8 @@ class FaultInjector:
         kind = label.split(":", 1)[1]
         if window.start > 0.0:
             yield self.env.timeout(window.start)
-        tracer = self._tracer()
-        if tracer is not None:
-            for rank, _proc in self._ranks_on(window.node_id):
-                tracer.mark(rank, f"{label}:start", self.env.now)
+        for rank, _proc in self._ranks_on(window.node_id):
+            self._job.mark(rank, f"{label}:start", self.env.now)
         telemetry = self._telemetry()
         telemetry.counter(
             "faults_activated_total", "fault events fired by the injector",
@@ -180,10 +175,8 @@ class FaultInjector:
                 node=window.node_id,
             ):
                 yield self.env.timeout(remaining)
-            tracer = self._tracer()
-            if tracer is not None:
-                for rank, _proc in self._ranks_on(window.node_id):
-                    tracer.mark(rank, f"{label}:end", self.env.now)
+            for rank, _proc in self._ranks_on(window.node_id):
+                self._job.mark(rank, f"{label}:end", self.env.now)
         else:
             telemetry.instant(
                 "faults", f"{label}:node{window.node_id}", "fault",

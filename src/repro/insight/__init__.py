@@ -1,13 +1,14 @@
 """Trace-driven bottleneck attribution and the perf-regression baseline.
 
-``repro.insight`` consumes a run's :class:`~repro.telemetry.Telemetry` sink
-and answers the questions the paper answers by hand: where the wall time
-went (critical path over the span DAG), which roofline ceiling binds the
-run (automatic placement from measured instruments), and how the
-η = LB · Ser · Trf factors derived from spans compare with the replay
-engine's (cross-check).  On top sits the benchmark-regression baseline:
-a committed JSON of headline numbers plus a ``--check`` that fails CI on
-drift.
+``repro.insight`` answers the questions the paper answers by hand.  From
+a run's :class:`~repro.tracing.Trace`: where the wall time went (critical
+path over the per-rank op streams, stitched through FIFO-matched message
+edges), and how the η = LB · Ser · Trf factors derived directly from those
+ops compare with the replay engine's (cross-check).  From a
+:class:`~repro.telemetry.Telemetry` sink's measured instruments: which
+roofline ceiling binds the run.  On top sits the benchmark-regression
+baseline: a committed JSON of headline numbers plus a ``--check`` that
+fails CI on drift.
 """
 
 from repro.insight.baseline import (

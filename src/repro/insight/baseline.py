@@ -95,7 +95,7 @@ def collect_baseline(
             "fabric_flow_rounds": int(registry.get("fabric_transfers_total").value()),
             "telemetry_spans": len(telemetry.spans),
         }
-        check = cross_check(telemetry, run.trace, rank_to_node=run.rank_to_node)
+        check = cross_check(run.trace, rank_to_node=run.rank_to_node)
         row["load_balance"] = check.replay.load_balance
         row["serialization"] = check.replay.serialization
         row["transfer"] = check.replay.transfer

@@ -1,4 +1,4 @@
-"""Critical-path extraction over the span DAG of a recorded run.
+"""Critical-path extraction over the op DAG of a traced run.
 
 The critical path answers *where did the wall time actually go*: starting
 from the rank that finished last, walk backwards through the run, and every
@@ -9,7 +9,7 @@ compute / GPU / staging / network / wait / idle is the per-run bottleneck
 attribution the paper's Figs. 5-6 discussion does by hand.
 
 The walk is deterministic: ops are totally ordered, ties break on explicit
-keys, and every step strictly decreases the cursor time, so the same sink
+keys, and every step strictly decreases the cursor time, so the same trace
 always yields the same path.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 from repro.insight.ops import OpStreams, RankOp, extract_ops, match_messages
-from repro.telemetry.sink import Telemetry
+from repro.tracing.events import Trace
 
 #: Segment kinds in report order.  ``network`` covers send serialization and
 #: cross-rank message edges, ``wait`` receives that the path could not
@@ -84,9 +84,9 @@ class CriticalPath:
         return max(SEGMENT_KINDS, key=lambda kind: (totals[kind], ))
 
 
-def critical_path(telemetry: Telemetry) -> CriticalPath:
-    """Extract the critical path from a recorded sink."""
-    return critical_path_of_streams(extract_ops(telemetry))
+def critical_path(trace: Trace) -> CriticalPath:
+    """Extract the critical path from a traced run."""
+    return critical_path_of_streams(extract_ops(trace))
 
 
 def critical_path_of_streams(streams: OpStreams) -> CriticalPath:

@@ -2,13 +2,12 @@
 
 The paper's Figs. 5-6 explain strong-scaling loss through the
 η = LB · Ser · Trf factors, which :mod:`repro.scalability` computes from a
-Paraver-style trace plus its ideal-network replay.  The telemetry sink
-carries the same information in span form, so this module derives the
-per-rank busy / communication / idle split *directly from spans* and
-cross-checks the overlapping factor (load balance, and η itself via
-η = mean(busy)/T) against the replay numbers — two independent code paths
-over two recordings of the same run must agree, which the test suite
-enforces.
+Paraver-style trace plus its ideal-network replay.  This module derives the
+per-rank busy / communication / idle split *directly from the trace's op
+streams*, with no replay, and cross-checks the overlapping factor (load
+balance, and η itself via η = mean(busy)/T) against the replay numbers —
+two independent code paths over one recording of the run must agree, which
+the test suite enforces.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from repro.errors import AnalysisError
 from repro.insight.ops import OpStreams, extract_ops
 from repro.scalability import EfficiencyBreakdown, parallel_efficiency
-from repro.telemetry.sink import Telemetry
 from repro.tracing.events import Trace
 
 
@@ -44,7 +42,7 @@ class RankActivity:
 
 @dataclass(frozen=True)
 class SpanBreakdown:
-    """The whole run's span-derived activity split."""
+    """The whole run's op-stream activity split."""
 
     per_rank: tuple[RankActivity, ...]
     duration: float
@@ -63,7 +61,7 @@ class SpanBreakdown:
 
     @property
     def efficiency(self) -> float:
-        """η = mean(busy) / T — the product LB · Ser · Trf, span-derived."""
+        """η = mean(busy) / T — the product LB · Ser · Trf, replay-free."""
         if self.duration <= 0:
             return 0.0
         busy = [r.busy_seconds for r in self.per_rank]
@@ -78,9 +76,9 @@ class SpanBreakdown:
         return (sum(comm) / len(comm)) / self.duration
 
 
-def decompose(telemetry: Telemetry) -> SpanBreakdown:
-    """Per-rank busy/comm/idle split from a recorded sink."""
-    return decompose_streams(extract_ops(telemetry))
+def decompose(trace: Trace) -> SpanBreakdown:
+    """Per-rank busy/comm/idle split from a traced run."""
+    return decompose_streams(extract_ops(trace))
 
 
 def decompose_streams(streams: OpStreams) -> SpanBreakdown:
@@ -91,7 +89,7 @@ def decompose_streams(streams: OpStreams) -> SpanBreakdown:
     activities = []
     for rank in range(streams.n_ranks):
         ops = streams.rank_ops(rank)
-        busy = sum(op.seconds for op in ops if op.kind in ("compute", "gpu", "copy"))
+        busy = sum(op.seconds for op in ops if op.kind in Trace.USEFUL_STATES)
         comm = _union_seconds(
             [(op.start, op.end) for op in ops if op.kind in ("send", "recv")]
         )
@@ -118,24 +116,24 @@ def _union_seconds(intervals: list[tuple[float, float]]) -> float:
 
 @dataclass(frozen=True)
 class EfficiencyCrossCheck:
-    """Span-derived factors against the replay-derived Eq. 4 factors."""
+    """Op-stream factors against the replay-derived Eq. 4 factors."""
 
     span: SpanBreakdown
     replay: EfficiencyBreakdown
 
     @property
     def lb_delta(self) -> float:
-        """|LB(spans) - LB(replay)|; ~0 on a healthy pipeline."""
+        """|LB(ops) - LB(replay)|; ~0 on a healthy pipeline."""
         return abs(self.span.load_balance - self.replay.load_balance)
 
     @property
     def eta_delta(self) -> float:
-        """|η(spans) - LB·Ser·Trf(replay)|.
+        """|η(ops) - LB·Ser·Trf(replay)|.
 
-        The replay clamps Ser and Trf at 1.0, and the two recorders may
-        close their timelines at slightly different instants, so a small
-        delta is expected; a large one means the span and trace pipelines
-        disagree about the same run.
+        The replay clamps Ser and Trf at 1.0, and the op streams end at the
+        last op while the replay divides by the trace's own duration, so a
+        small delta is expected; a large one means the decomposition and
+        the replay disagree about the same run.
         """
         return abs(self.span.efficiency - self.replay.efficiency)
 
@@ -145,20 +143,11 @@ class EfficiencyCrossCheck:
 
 
 def cross_check(
-    telemetry: Telemetry,
     trace: Trace,
     rank_to_node: list[int] | None = None,
 ) -> EfficiencyCrossCheck:
-    """Cross-check the span decomposition against the replay decomposition.
-
-    *telemetry* and *trace* must record the same run (the usual way to get
-    both is ``run_workload(..., traced=True, telemetry=sink)``).
-    """
-    span = decompose(telemetry)
-    if span.n_ranks != trace.n_ranks:
-        raise AnalysisError(
-            f"rank-count mismatch: spans saw {span.n_ranks} ranks, the "
-            f"trace {trace.n_ranks} — these are not the same run"
-        )
-    replay = parallel_efficiency(trace, rank_to_node=rank_to_node)
-    return EfficiencyCrossCheck(span=span, replay=replay)
+    """Cross-check the op-stream decomposition against the replay one."""
+    return EfficiencyCrossCheck(
+        span=decompose(trace),
+        replay=parallel_efficiency(trace, rank_to_node=rank_to_node),
+    )

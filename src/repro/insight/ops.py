@@ -1,30 +1,20 @@
-"""Turning a telemetry sink's span soup into per-rank op streams.
+"""Turning a run's trace into per-rank op streams.
 
 The critical-path and decomposition analyses both need the same view of a
 run: for every MPI rank, the time-ordered *leaf* operations it performed —
 compute bursts, GPU kernels, host<->device staging, and the individual MPI
-sends/receives (collectives decompose into those, so the wrapper spans are
-kept only as labels).  This module extracts that view from the raw
-:class:`~repro.telemetry.sink.Telemetry` spans, deterministically: every
-sort uses explicit total-order keys, so the same sink always yields the
-same op streams.
+sends/receives (collectives decompose into those).  This module extracts
+that view from the run's :class:`~repro.tracing.events.Trace`,
+deterministically: every sort uses explicit total-order keys, so the same
+trace always yields the same op streams.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
-from repro.telemetry.sink import Telemetry
-
-#: Rank-category span names that count as local useful work (mirrors
-#: :data:`repro.tracing.events.Trace.USEFUL_STATES`; ``overlap`` bursts are
-#: concurrent with other local work and excluded, as in the replay engine).
-USEFUL_STATES = ("compute", "gpu", "copy")
-
-_RANK_TRACK = re.compile(r"^rank(\d+)$")
-_SEND_NAME = re.compile(r"^mpi\.send->r(\d+)$")
+from repro.tracing.events import Trace, match_fifo
 
 
 @dataclass(frozen=True)
@@ -36,8 +26,8 @@ class RankOp:
     name: str
     start: float
     end: float
-    #: Peer rank for sends (destination) and matched receives (source);
-    #: -1 when unknown.
+    #: Peer rank for sends (destination) and receives (source); -1 for
+    #: local work.
     peer: int = -1
     nbytes: float = 0.0
 
@@ -76,92 +66,53 @@ def _op_key(op: RankOp) -> tuple:
     return (op.start, op.end, op.rank, op.kind, op.name)
 
 
-def rank_of_track(track: str) -> int | None:
-    """The rank number of a ``rankN`` track, else ``None``."""
-    match = _RANK_TRACK.match(track)
-    return int(match.group(1)) if match else None
+def extract_ops(trace: Trace) -> OpStreams:
+    """Build the per-rank leaf-op streams from a finished trace.
 
-
-def extract_ops(telemetry: Telemetry) -> OpStreams:
-    """Build the per-rank leaf-op streams from a recorded sink.
-
-    Raises :class:`~repro.errors.AnalysisError` when the sink holds no rank
-    activity (an empty sink, or one that observed no job).
+    Ops that take no time are dropped.  Raises
+    :class:`~repro.errors.AnalysisError` when the trace holds no rank
+    activity.
     """
+    ops = [
+        RankOp(s.rank, s.state, s.state, s.start, s.end)
+        for s in trace.states if s.state in Trace.USEFUL_STATES
+    ]
+    ops += [
+        RankOp(c.src, "send", f"mpi.send->r{c.dst}", c.start, c.end,
+               peer=c.dst, nbytes=c.nbytes)
+        for c in trace.comms
+    ]
+    ops += [
+        RankOp(r.rank, "recv", "mpi.recv", r.start, r.end,
+               peer=r.src, nbytes=r.nbytes)
+        for r in trace.recvs
+    ]
     streams: dict[int, list[RankOp]] = {}
-    t_end = 0.0
-    for span in telemetry.spans:
-        rank = rank_of_track(span.track)
-        if rank is None:
-            continue
-        op = _classify(rank, span)
-        if op is None:
-            continue
-        streams.setdefault(rank, []).append(op)
-        t_end = max(t_end, op.end)
+    for op in ops:
+        if op.end > op.start:
+            streams.setdefault(op.rank, []).append(op)
     if not streams:
-        raise AnalysisError(
-            "telemetry sink holds no rank activity; attach the sink to a "
-            "Job (or pass telemetry= to run_workload) before analysing it"
-        )
-    for ops in streams.values():
-        ops.sort(key=_op_key)
-    n_ranks = max(streams) + 1
-    return OpStreams(n_ranks=n_ranks, ops=streams, t_start=0.0, t_end=t_end)
-
-
-def _classify(rank: int, span) -> RankOp | None:
-    """Map one rank-track span onto a leaf op (``None`` for non-leaf spans)."""
-    if span.kind == "instant" or span.end <= span.start:
-        return None
-    if span.category == "rank" and span.name in USEFUL_STATES:
-        return RankOp(rank, span.name, span.name, span.start, span.end)
-    if span.category != "mpi":
-        # Tracer-mirrored comm/recv spans duplicate the mpi.* spans below;
-        # markers and unknown categories carry no leaf work.
-        return None
-    send = _SEND_NAME.match(span.name)
-    if send:
-        return RankOp(
-            rank, "send", span.name, span.start, span.end,
-            peer=int(send.group(1)),
-            nbytes=float(span.args.get("nbytes", 0.0)),
-        )
-    if span.name == "mpi.recv":
-        # ``src`` is set mid-flight once the message matches; a receive that
-        # never completed (fault path) keeps the requested source.
-        peer = span.args.get("src", span.args.get("source", -1))
-        return RankOp(
-            rank, "recv", span.name, span.start, span.end,
-            peer=int(peer) if isinstance(peer, (int, float)) else -1,
-            nbytes=float(span.args.get("nbytes", 0.0)),
-        )
-    # Collective wrapper spans (mpi.allreduce, ...) — their internal
-    # sends/recvs are already in the stream.
-    return None
+        raise AnalysisError("trace holds no rank activity")
+    for rank_ops in streams.values():
+        rank_ops.sort(key=_op_key)
+    t_end = max(op.end for rank_ops in streams.values() for op in rank_ops)
+    return OpStreams(n_ranks=trace.n_ranks, ops=streams, t_start=0.0, t_end=t_end)
 
 
 def match_messages(streams: OpStreams) -> dict[tuple[int, int, float], RankOp]:
     """Pair each completed receive with the send that produced its message.
 
-    Messages between one (src, dst) pair are delivered through a FIFO
-    mailbox, so the k-th completed receive from *src* on *dst* matches the
-    k-th completed send from *src* to *dst* (both in completion order).
-    Returns ``{(dst_rank, src_rank, recv_end): send_op}``; receives beyond
-    the send count (never true of a well-formed run) are left unmatched.
+    The pairing is :func:`~repro.tracing.events.match_fifo` over the
+    streams' sends and receives.  Returns ``{(dst_rank, src_rank,
+    recv_end): send_op}``; receives beyond the send count (never true of a
+    well-formed run) are left unmatched.
     """
-    sends: dict[tuple[int, int], list[RankOp]] = {}
-    recvs: dict[tuple[int, int], list[RankOp]] = {}
-    for op in streams.all_ops():
-        if op.kind == "send" and op.peer >= 0:
-            sends.setdefault((op.rank, op.peer), []).append(op)
-        elif op.kind == "recv" and op.peer >= 0:
-            recvs.setdefault((op.peer, op.rank), []).append(op)
-    matches: dict[tuple[int, int, float], RankOp] = {}
-    for key, recv_list in sorted(recvs.items()):
-        send_list = sends.get(key, [])
-        recv_list.sort(key=lambda op: (op.end, op.start))
-        send_list.sort(key=lambda op: (op.end, op.start))
-        for recv_op, send_op in zip(recv_list, send_list):
-            matches[(recv_op.rank, recv_op.peer, recv_op.end)] = send_op
-    return matches
+    ops = streams.all_ops()
+    pairs = match_fifo(
+        [op for op in ops if op.kind == "send"],
+        [op for op in ops if op.kind == "recv"],
+        send_link=lambda op: (op.rank, op.peer),
+        recv_link=lambda op: (op.peer, op.rank),
+    )
+    return {(recv.rank, recv.peer, recv.end): send
+            for send, recv in pairs if recv is not None}

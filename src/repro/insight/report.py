@@ -1,11 +1,12 @@
 """The per-workload performance report: text, JSON, and Markdown.
 
-``python -m repro report <workload>`` runs the workload once with the
-telemetry sink and tracer attached, then folds the three analyses —
-critical path, roofline placement, LB · Ser · Trf decomposition — into one
-deterministic report.  Identical runs render byte-identical output in all
-three formats (fixed float formatting, sorted keys, no wall-clock or host
-fields), so reports can be diffed across builds.
+``python -m repro report <workload>`` runs the workload once traced (plus a
+telemetry sink for GPGPU workloads, whose roofline placement reads measured
+instruments), then folds the three analyses — critical path, roofline
+placement, LB · Ser · Trf decomposition — into one deterministic report.
+Identical runs render byte-identical output in all three formats (fixed
+float formatting, sorted keys, no wall-clock or host fields), so reports
+can be diffed across builds.
 """
 
 from __future__ import annotations
@@ -84,15 +85,18 @@ def build_report(
             f"unknown roofline mode {roofline!r}; choose from "
             f"{', '.join(ROOFLINE_MODES)}"
         )
-    telemetry = Telemetry(sample_interval=0.0)
+    # Only roofline placement reads the sink, so CPU-only workloads run
+    # without one and are served from the run cache.
+    gpgpu = workload in GPGPU_NAMES
+    telemetry = Telemetry(sample_interval=0.0) if gpgpu else None
     run = run_workload(
         workload, nodes=nodes, network=network, system=system,
-        traced=True, use_cache=False, telemetry=telemetry,
+        traced=True, telemetry=telemetry,
     )
     placement = None
     hier = None
     ridgeline = None
-    if workload in GPGPU_NAMES:
+    if gpgpu:
         placement = place_run(telemetry, run.cluster, name=workload)
         if roofline in ("hier", "2d"):
             hier = place_run_hier(telemetry, run.cluster, name=workload)
@@ -106,9 +110,8 @@ def build_report(
         runtime_seconds=run.result.elapsed_seconds,
         throughput_flops=run.result.throughput_flops,
         average_power_watts=run.result.average_power_watts,
-        path=critical_path(telemetry),
-        efficiency=cross_check(telemetry, run.trace,
-                               rank_to_node=run.rank_to_node),
+        path=critical_path(run.trace),
+        efficiency=cross_check(run.trace, rank_to_node=run.rank_to_node),
         placement=placement,
         hier=hier,
         ridgeline=ridgeline,

@@ -6,7 +6,14 @@ Paraver-style chopping (`repro.tracing.paraver`) and the DIMEMAS-style
 replay (`repro.replay`).
 """
 
-from repro.tracing.events import CommRecord, MarkerRecord, RecvRecord, StateRecord, Trace
+from repro.tracing.events import (
+    CommRecord,
+    MarkerRecord,
+    RecvRecord,
+    StateRecord,
+    Trace,
+    match_fifo,
+)
 from repro.tracing.tracer import Tracer
 from repro.tracing.paraver import (
     ParsedPrv,
@@ -29,6 +36,7 @@ __all__ = [
     "ParsedPrv",
     "chop_iterations",
     "chop_window",
+    "match_fifo",
     "parse_prv_text",
     "to_pcf_text",
     "to_prv_text",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import TraceError
 
@@ -133,3 +135,37 @@ class Trace:
         # unblocked), preserving program order in the replayed stream.
         ops.sort(key=lambda item: (item[0], item[1]))
         return [op for _, _, op in ops]
+
+
+def match_fifo(
+    sends: Iterable[Any],
+    recvs: Iterable[Any],
+    send_link: Callable[[Any], tuple[int, int]],
+    recv_link: Callable[[Any], tuple[int, int]],
+) -> list[tuple[Any, Any]]:
+    """Pair each send with the receive that consumed its message.
+
+    Messages between one (src, dst) pair are delivered through a FIFO
+    mailbox, so the k-th send from *src* to *dst* to complete is matched to
+    the k-th receive on *dst* from *src* to complete.  ``send_link`` and
+    ``recv_link`` map a record onto its ``(src, dst)`` pair.  Both sides are
+    ordered by ``(end, start)``; the sort is stable, so ties keep the
+    caller's order.  Returns ``(send, recv)`` for every send in that order,
+    with ``recv`` ``None`` once the pair has run out of receives.
+    """
+    queues: dict[tuple[int, int], list[Any]] = {}
+    for recv in sorted(recvs, key=_by_completion):
+        queues.setdefault(recv_link(recv), []).append(recv)
+    positions: dict[tuple[int, int], int] = {}
+    pairs = []
+    for send in sorted(sends, key=_by_completion):
+        link = send_link(send)
+        queue = queues.get(link, [])
+        index = positions.get(link, 0)
+        positions[link] = index + 1
+        pairs.append((send, queue[index] if index < len(queue) else None))
+    return pairs
+
+
+def _by_completion(record) -> tuple[float, float]:
+    return (record.end, record.start)

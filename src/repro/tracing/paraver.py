@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import TraceError
-from repro.tracing.events import Trace
+from repro.tracing.events import Trace, match_fifo
 
 #: Paraver state values for the ``.prv`` / ``.pcf`` pair.  Fixed numbering
 #: (never reordered) so old traces stay readable; unknown states map to 0.
@@ -65,7 +65,10 @@ def to_prv_text(trace: Trace) -> str:
         key = (_ns(m.time), 2, m.rank, 0, 0)
         lines.append((key, f"2:{cpu}:1:{cpu}:1:{_ns(m.time)}:"
                            f"{MARKER_EVENT_TYPE}:1"))
-    for comm, recv in _match_comms(trace):
+    pairs = match_fifo(trace.comms, trace.recvs,
+                       send_link=lambda c: (c.src, c.dst),
+                       recv_link=lambda r: (r.src, r.rank))
+    for comm, recv in pairs:
         scpu = comm.src + 1
         dcpu = comm.dst + 1
         if recv is not None:
@@ -111,22 +114,6 @@ def write_prv(trace: Trace, path: str | Path) -> tuple[Path, Path]:
     pcf_path = prv_path.with_suffix(".pcf")
     pcf_path.write_text(to_pcf_text(), encoding="utf-8")
     return prv_path, pcf_path
-
-
-def _match_comms(trace: Trace):
-    """Pair each CommRecord with its RecvRecord in per-(src, dst) FIFO order."""
-    recv_queues: dict[tuple[int, int], list] = {}
-    for r in sorted(trace.recvs, key=lambda r: (r.end, r.start, r.src, r.rank)):
-        recv_queues.setdefault((r.src, r.rank), []).append(r)
-    positions: dict[tuple[int, int], int] = {}
-    pairs = []
-    for c in sorted(trace.comms, key=lambda c: (c.end, c.start, c.src, c.dst)):
-        queue = recv_queues.get((c.src, c.dst), [])
-        index = positions.get((c.src, c.dst), 0)
-        recv = queue[index] if index < len(queue) else None
-        positions[(c.src, c.dst)] = index + 1
-        pairs.append((c, recv))
-    return pairs
 
 
 @dataclass

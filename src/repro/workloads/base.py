@@ -149,15 +149,15 @@ class GpuIterativeWorkload(Workload):
         from repro.cuda.runtime import KernelSpec  # local to avoid cycles
 
         size, rank = ctx.size, ctx.rank
-        tracer = ctx.job.tracer
+        job = ctx.job
         manager = MemoryManager(ctx.cuda, self.memory_model)
 
         def staged(generator):
             """Run a staging generator and trace its duration as a copy."""
             t0 = ctx.env.now
             yield from generator
-            if tracer is not None and ctx.env.now > t0:
-                tracer.record_state(rank, "copy", t0, ctx.env.now)
+            if ctx.env.now > t0:
+                job.record_state(rank, "copy", t0, ctx.env.now)
 
         resident = manager.allocate(self.local_bytes(size, rank))
         yield from staged(manager.stage_input(resident))
@@ -170,8 +170,7 @@ class GpuIterativeWorkload(Workload):
         )
         bypass = self.memory_model is _MM.ZERO_COPY
         for iteration in range(self.iterations()):
-            if tracer is not None:
-                tracer.mark(rank, "iteration", ctx.env.now)
+            job.mark(rank, "iteration", ctx.env.now)
             yield from ctx.cpu_compute(
                 self.cpu_profile, self.host_instructions_per_iteration
             )
@@ -183,8 +182,7 @@ class GpuIterativeWorkload(Workload):
             if overhead > 0.0:
                 t0 = ctx.env.now
                 yield ctx.env.timeout(overhead)
-                if tracer is not None:
-                    tracer.record_state(rank, "copy", t0, ctx.env.now)
+                job.record_state(rank, "copy", t0, ctx.env.now)
             if not self.gpudirect:
                 yield from staged(manager.stage_input(resident, nbytes=halo))
             # Launch through the rank context so time, power, and trace
@@ -206,8 +204,7 @@ class GpuIterativeWorkload(Workload):
                     )
             for r in range(self.reductions_per_iteration()):
                 yield from ctx.comm.allreduce(0.0, tag=20_000 + 10 * r)
-        if tracer is not None:
-            tracer.mark(rank, "iteration", ctx.env.now)
+        job.mark(rank, "iteration", ctx.env.now)
         yield from staged(manager.stage_output(resident))
         manager.free(resident)
         return self.iterations()

@@ -113,7 +113,6 @@ class HplWorkload(Workload):
 
     def program(self, ctx):
         size, rank = ctx.size, ctx.rank
-        tracer = ctx.job.tracer
         env = ctx.env
         # HPL runs a ~square 2-D process grid: broadcasts travel along one
         # grid dimension, so per-rank volumes scale with 1/sqrt(P).
@@ -128,8 +127,8 @@ class HplWorkload(Workload):
             env.process(factorize(0, state="compute")) if rank == 0 % size else None
         )
         for k in range(self.panels()):
-            if tracer is not None and rank == 0:
-                tracer.mark(0, "panel", env.now)
+            if rank == 0:
+                ctx.job.mark(0, "panel", env.now)
             owner = k % size
             m = self.trailing_rows(k)
             # The owner must finish the (look-ahead) factorization first.

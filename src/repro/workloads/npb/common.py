@@ -89,10 +89,8 @@ class NPBWorkload(Workload):
         instr = spec.instructions_per_rank_per_iteration(size) * rank_skew(
             rank, spec.imbalance
         )
-        tracer = ctx.job.tracer
         for iteration in range(spec.iterations):
-            if tracer is not None:
-                tracer.mark(rank, "iteration", ctx.env.now)
+            ctx.job.mark(rank, "iteration", ctx.env.now)
             if spec.comm == "wavefront":
                 yield from self._wavefront_iteration(ctx, instr)
             else:
@@ -100,8 +98,7 @@ class NPBWorkload(Workload):
                 yield from self._communicate(ctx)
             for r in range(spec.allreduces_per_iteration):
                 yield from ctx.comm.allreduce(0.0, tag=30_000 + 10 * r)
-        if tracer is not None:
-            tracer.mark(rank, "iteration", ctx.env.now)
+        ctx.job.mark(rank, "iteration", ctx.env.now)
         final = yield from ctx.comm.reduce(1.0, root=0, tag=40_000)
         return final
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.runner import run_workload
+from repro.bench.runner import cache_stats, run_workload
 from repro.cli import main
 from repro.core import measure_roofline_point
 from repro.errors import AnalysisError, ConfigurationError
@@ -36,8 +36,8 @@ from repro.insight import (
     to_dict,
     write_baseline,
 )
-from repro.insight.ops import rank_of_track
 from repro.telemetry import Telemetry
+from repro.tracing import CommRecord, RecvRecord, Trace
 
 
 # ---------------------------------------------------------------------------
@@ -67,53 +67,43 @@ def cg():
 # ---------------------------------------------------------------------------
 
 
-def test_rank_of_track_matches_rank_tracks():
-    assert rank_of_track("rank0") == 0
-    assert rank_of_track("rank12") == 12
-
-
-def test_rank_of_track_rejects_other_tracks():
-    for track in ("cuda.node0", "fabric", "job", "node3", "rank"):
-        assert rank_of_track(track) is None
-
-
-def test_extract_ops_empty_sink_raises():
+def test_extract_ops_empty_trace_raises():
     with pytest.raises(AnalysisError):
-        extract_ops(Telemetry())
+        extract_ops(Trace(n_ranks=2))
 
 
 def test_extract_ops_covers_all_ranks(clover):
-    _, telemetry = clover
-    streams = extract_ops(telemetry)
+    run, _ = clover
+    streams = extract_ops(run.trace)
     assert streams.n_ranks == 4
     for rank in range(4):
         assert streams.rank_ops(rank)
 
 
 def test_extract_ops_streams_are_time_ordered(clover):
-    _, telemetry = clover
-    streams = extract_ops(telemetry)
+    run, _ = clover
+    streams = extract_ops(run.trace)
     for rank in range(streams.n_ranks):
         starts = [op.start for op in streams.rank_ops(rank)]
         assert starts == sorted(starts)
 
 
 def test_extract_ops_classifies_kinds(clover):
-    _, telemetry = clover
-    kinds = {op.kind for op in extract_ops(telemetry).all_ops()}
+    run, _ = clover
+    kinds = {op.kind for op in extract_ops(run.trace).all_ops()}
     assert {"compute", "gpu", "copy", "send", "recv"} <= kinds
 
 
 def test_extract_ops_sends_carry_peer_and_bytes(clover):
-    _, telemetry = clover
-    sends = [op for op in extract_ops(telemetry).all_ops() if op.kind == "send"]
+    run, _ = clover
+    sends = [op for op in extract_ops(run.trace).all_ops() if op.kind == "send"]
     assert sends
     assert all(op.peer >= 0 and op.nbytes > 0 for op in sends)
 
 
 def test_extract_ops_busy_matches_trace(clover):
-    run, telemetry = clover
-    streams = extract_ops(telemetry)
+    run, _ = clover
+    streams = extract_ops(run.trace)
     trace_busy = run.trace.compute_seconds_all()
     for rank in range(streams.n_ranks):
         span_busy = sum(op.seconds for op in streams.rank_ops(rank)
@@ -148,6 +138,25 @@ def test_match_messages_unmatched_recv_absent():
         [_op(1, "recv", 0.0, 2.0, peer=0)],
     )
     assert match_messages(streams) == {}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug: zero-length receives are dropped before FIFO pairing, "
+    "which shifts every later receive of the pair onto the wrong send"))
+def test_match_messages_counts_instant_receives():
+    # Rank 0 sends A then B to rank 1.  A has already landed when rank 1
+    # posts its first receive, so that receive takes no time; the second
+    # receive consumes B.
+    trace = Trace(
+        n_ranks=2,
+        comms=[CommRecord(0, 1, 64.0, 0.0, 1.0, tag=0),
+               CommRecord(0, 1, 64.0, 1.0, 2.0, tag=0)],
+        recvs=[RecvRecord(1, 0, 64.0, 1.0, 1.0, tag=0),
+               RecvRecord(1, 0, 64.0, 1.5, 2.0, tag=0)],
+        t_end=2.0,
+    )
+    matches = match_messages(extract_ops(trace))
+    assert matches[(1, 0, 2.0)].start == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +200,14 @@ def test_path_unmatched_recv_becomes_wait():
 
 
 def test_path_breakdown_sums_to_duration(clover):
-    _, telemetry = clover
-    path = critical_path(telemetry)
+    run, _ = clover
+    path = critical_path(run.trace)
     assert sum(path.breakdown.values()) == pytest.approx(path.duration, rel=1e-9)
 
 
 def test_path_segments_are_contiguous(clover):
-    _, telemetry = clover
-    path = critical_path(telemetry)
+    run, _ = clover
+    path = critical_path(run.trace)
     for prev, cur in zip(path.segments, path.segments[1:]):
         assert cur.start == pytest.approx(prev.end, abs=1e-12)
         if cur.rank != prev.rank:
@@ -209,20 +218,20 @@ def test_path_segments_are_contiguous(clover):
 
 
 def test_path_is_deterministic(clover):
-    _, telemetry = clover
-    assert critical_path(telemetry) == critical_path(telemetry)
-    _, telemetry2 = _instrumented_run("cloverleaf")
-    assert critical_path(telemetry2) == critical_path(telemetry)
+    run, _ = clover
+    assert critical_path(run.trace) == critical_path(run.trace)
+    run2, _ = _instrumented_run("cloverleaf")
+    assert critical_path(run2.trace) == critical_path(run.trace)
 
 
 def test_path_gpu_dominates_cloverleaf(clover):
-    _, telemetry = clover
-    assert critical_path(telemetry).dominant_kind == "gpu"
+    run, _ = clover
+    assert critical_path(run.trace).dominant_kind == "gpu"
 
 
 def test_path_network_dominates_cg(cg):
-    _, telemetry = cg
-    path = critical_path(telemetry)
+    run, _ = cg
+    path = critical_path(run.trace)
     assert path.dominant_kind == "network"
     assert path.fraction("network") > 0.5
 
@@ -328,25 +337,16 @@ def test_decompose_imbalance_lowers_lb():
 
 
 def test_cross_check_consistent_on_real_runs(clover, cg):
-    for run, telemetry in (clover, cg):
-        check = cross_check(telemetry, run.trace, rank_to_node=run.rank_to_node)
+    for run, _ in (clover, cg):
+        check = cross_check(run.trace, rank_to_node=run.rank_to_node)
         assert check.consistent(), (check.lb_delta, check.eta_delta)
         assert check.lb_delta < 1e-6
         assert check.eta_delta < 1e-6
 
 
-def test_cross_check_rejects_mismatched_runs(clover):
-    run, _ = clover
-    other = Telemetry()
-    _ = run_workload("jacobi", nodes=2, traced=True, use_cache=False,
-                     telemetry=other)
-    with pytest.raises(AnalysisError):
-        cross_check(other, run.trace)
-
-
 def test_decompose_real_run_matches_trace_eta(clover):
-    run, telemetry = clover
-    span = decompose(telemetry)
+    run, _ = clover
+    span = decompose(run.trace)
     busy = run.trace.compute_seconds_all()
     eta = (sum(busy) / len(busy)) / run.result.elapsed_seconds
     assert span.efficiency == pytest.approx(eta, rel=1e-9)
@@ -556,6 +556,14 @@ def test_report_cpu_workload_skips_roofline():
     report = build_report("cg", nodes=2)
     assert report.placement is None
     assert "roofline" not in json.loads(render_json(report))
+
+
+def test_report_cpu_workload_warm_starts_from_run_cache():
+    first = render_json(build_report("cg", nodes=2))
+    hits = cache_stats()["memory_hits"]
+    again = render_json(build_report("cg", nodes=2))
+    assert cache_stats()["memory_hits"] > hits
+    assert again == first
 
 
 # ---------------------------------------------------------------------------

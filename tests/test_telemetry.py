@@ -624,6 +624,19 @@ class TestWorkloadIntegration:
         )
         assert telemetry.span_counts().get("rank", 0) > 0
 
+    def test_tracerless_run_records_copy_states_and_iteration_markers(self):
+        def rank_records(traced):
+            telemetry = Telemetry(sample_interval=0)
+            run_workload("cloverleaf", nodes=2, traced=traced, use_cache=False,
+                         telemetry=telemetry)
+            return [(s.track, s.name, s.start, s.end, s.kind)
+                    for s in telemetry.spans
+                    if s.category == "rank" and s.name in ("copy", "iteration")]
+
+        traced = rank_records(traced=True)
+        assert {name for _, name, *_ in traced} == {"copy", "iteration"}
+        assert rank_records(traced=False) == traced
+
     def test_fault_windows_emit_fault_spans_and_counter(self):
         telemetry = Telemetry(sample_interval=0)
         workload = make_workload("jacobi", n=256, iterations=3)
