@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -19,30 +18,9 @@ from repro.network.fabric import Fabric
 from repro.sim import Environment, Store
 from repro.telemetry.instruments import SIZE_BUCKETS
 from repro.telemetry.sink import NULL
+from repro.telemetry.spans import NULL_SPAN
 from repro.units import kib
 
-
-def _collective_span(name: str):
-    """Wrap a collective generator in a telemetry span named ``mpi.<name>``.
-
-    The wrapper is itself a generator, so the span opens when the collective
-    starts executing (not when the generator object is built) and closes —
-    error-flagged on failure — when it returns.  With the null sink attached
-    the wrapper costs one no-op context manager per call.
-    """
-
-    span_name = f"mpi.{name}"  # built once per collective, not per call
-
-    def decorate(method):
-        @functools.wraps(method)
-        def wrapper(self, *args, **kwargs):
-            with self.world.telemetry.async_span(self._track, span_name, "mpi"):
-                result = yield from method(self, *args, **kwargs)
-            return result
-
-        return wrapper
-
-    return decorate
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -187,6 +165,8 @@ class CommWorld:
 
     def _record_delivery(self, message: Message) -> None:
         """Latency/size accounting when a message reaches its receiver."""
+        if not self.telemetry.enabled:
+            return
         self._messages_counter.inc(kind="recv")
         self._bytes_counter.inc(message.nbytes, kind="recv")
         self._latency_histogram.observe(self.env.now - message.sent_at)
@@ -291,10 +271,17 @@ class Communicator:
         dst_node = world.rank_to_node[dest]
         stats = world.stats[self.rank]
         attempt = 0
-        with world.telemetry.async_span(
-            self._track, self._send_span_name(dest), "mpi",
-            dest=dest, tag=tag, nbytes=wire_bytes,
-        ) as span:
+        # Per-message hot path: with the sink disabled, skip its no-op span
+        # factory and instruments.  Their calls and keyword dicts cost about
+        # as much as a small event.
+        observed = world.telemetry.enabled
+        span = NULL_SPAN
+        if observed:
+            span = world.telemetry.async_span(
+                self._track, self._send_span_name(dest), "mpi",
+                dest=dest, tag=tag, nbytes=wire_bytes,
+            )
+        with span:
             while True:
                 try:
                     yield from world.fabric.transfer(src_node, dst_node, wire_bytes)
@@ -328,8 +315,9 @@ class Communicator:
         stats.bytes_sent += wire_bytes
         stats.messages_sent += 1
         stats.comm_seconds += env.now - start
-        world._messages_counter.inc(kind="send")
-        world._bytes_counter.inc(wire_bytes, kind="send")
+        if observed:
+            world._messages_counter.inc(kind="send")
+            world._bytes_counter.inc(wire_bytes, kind="send")
         if world.tracer is not None:
             world.tracer.record_comm(self.rank, dest, wire_bytes, start, env.now, tag)
 
@@ -359,9 +347,13 @@ class Communicator:
             )
 
         mailbox = world._mailboxes[self.rank]
-        with world.telemetry.async_span(
-            self._track, "mpi.recv", "mpi", source=source, tag=tag,
-        ) as span:
+        observed = world.telemetry.enabled  # see send()
+        span = NULL_SPAN
+        if observed:
+            span = world.telemetry.async_span(
+                self._track, "mpi.recv", "mpi", source=source, tag=tag,
+            )
+        with span:
             if timeout is None:
                 message = yield mailbox.get(filter=matches)
             else:
@@ -381,7 +373,8 @@ class Communicator:
                         f"(tag {tag}) timed out after {timeout} s"
                     )
                 message = get_ev.value
-            span.set(src=message.src, nbytes=message.nbytes)
+            if observed:
+                span.set(src=message.src, nbytes=message.nbytes)
         stats = world.stats[self.rank]
         stats.bytes_received += message.nbytes
         stats.messages_received += 1
@@ -418,50 +411,52 @@ class Communicator:
 
     # -- collectives (binomial trees) ------------------------------------------
 
-    @_collective_span("barrier")
     def barrier(self, tag: int = 1_000_000):
         """Synchronize all ranks (gather-to-0 then broadcast, tiny messages)."""
-        token = yield from self.reduce(0, op=lambda a, b: 0, root=0, tag=tag)
-        yield from self.bcast(token, root=0, tag=tag + 1)
+        with self.world.telemetry.async_span(self._track, "mpi.barrier", "mpi"):
+            token = yield from self.reduce(0, op=lambda a, b: 0, root=0, tag=tag)
+            yield from self.bcast(token, root=0, tag=tag + 1)
 
     #: Messages larger than this use the scatter+allgather (van de Geijn)
     #: broadcast, whose wall time is ~2 x bytes/bw independent of P, like a
     #: real MPI's large-message algorithm switch.
     BCAST_LARGE_THRESHOLD = kib(256)
 
-    @_collective_span("bcast")
     def bcast(self, data: Any, root: int = 0, tag: int = 1_100_000, nbytes: float | None = None):
         """Broadcast from *root*; every rank returns the data.
 
         Small messages take the binomial tree; large ones the
         scatter+ring-allgather algorithm.
         """
-        size, rank = self.size, self.rank
-        # The algorithm switch must be decided identically on every rank, so
-        # it keys on the explicit (rank-agnostic) nbytes only; object
-        # broadcasts without a declared size always take the binomial tree.
-        if nbytes is not None and size > 2 and float(nbytes) > self.BCAST_LARGE_THRESHOLD:
-            result = yield from self._bcast_large(data, root, tag, float(nbytes))
-            return result
-        rel = (rank - root) % size
-        # Receive phase (canonical MPICH binomial): find the bit where this
-        # rank receives; the root falls through with mask >= size.
-        mask = 1
-        while mask < size:
-            if rel & mask:
-                src_rel = rel ^ mask
-                data = yield from self.recv(source=(src_rel + root) % size, tag=tag)
-                break
-            mask <<= 1
-        # Send phase: forward to children at descending bit positions.
-        mask >>= 1
-        while mask > 0:
-            if rel + mask < size:
-                yield from self.send(
-                    data, ((rel + mask) + root) % size, tag=tag, nbytes=nbytes
-                )
+        with self.world.telemetry.async_span(self._track, "mpi.bcast", "mpi"):
+            size, rank = self.size, self.rank
+            # The algorithm switch must be decided identically on every rank,
+            # so it keys on the explicit (rank-agnostic) nbytes only; object
+            # broadcasts without a declared size always take the binomial
+            # tree.
+            if (nbytes is not None and size > 2
+                    and float(nbytes) > self.BCAST_LARGE_THRESHOLD):
+                result = yield from self._bcast_large(data, root, tag, float(nbytes))
+                return result
+            rel = (rank - root) % size
+            # Receive phase (canonical MPICH binomial): find the bit where this
+            # rank receives; the root falls through with mask >= size.
+            mask = 1
+            while mask < size:
+                if rel & mask:
+                    src_rel = rel ^ mask
+                    data = yield from self.recv(source=(src_rel + root) % size, tag=tag)
+                    break
+                mask <<= 1
+            # Send phase: forward to children at descending bit positions.
             mask >>= 1
-        return data
+            while mask > 0:
+                if rel + mask < size:
+                    yield from self.send(
+                        data, ((rel + mask) + root) % size, tag=tag, nbytes=nbytes
+                    )
+                mask >>= 1
+            return data
 
     def _bcast_large(self, data: Any, root: int, tag: int, wire: float):
         """Van de Geijn broadcast: root scatters 1/P chunks, ring allgather.
@@ -486,7 +481,6 @@ class Communicator:
             yield send
         return data
 
-    @_collective_span("reduce")
     def reduce(
         self,
         data: Any,
@@ -496,25 +490,27 @@ class Communicator:
         nbytes: float | None = None,
     ):
         """Binomial-tree reduction to *root*; non-roots return None."""
-        if op is None:
-            op = _default_sum
-        size, rank = self.size, self.rank
-        rel = (rank - root) % size
-        value = data
-        mask = 1
-        while mask < size:
-            if rel & mask:
-                # Send my partial up the tree and stop.
-                yield from self.send(value, ((rel ^ mask) + root) % size, tag=tag, nbytes=nbytes)
-                return None
-            partner = rel | mask
-            if partner < size:
-                other = yield from self.recv(source=(partner + root) % size, tag=tag)
-                value = op(value, other)
-            mask <<= 1
-        return value
+        with self.world.telemetry.async_span(self._track, "mpi.reduce", "mpi"):
+            if op is None:
+                op = _default_sum
+            size, rank = self.size, self.rank
+            rel = (rank - root) % size
+            value = data
+            mask = 1
+            while mask < size:
+                if rel & mask:
+                    # Send my partial up the tree and stop.
+                    yield from self.send(
+                        value, ((rel ^ mask) + root) % size, tag=tag, nbytes=nbytes
+                    )
+                    return None
+                partner = rel | mask
+                if partner < size:
+                    other = yield from self.recv(source=(partner + root) % size, tag=tag)
+                    value = op(value, other)
+                mask <<= 1
+            return value
 
-    @_collective_span("allreduce")
     def allreduce(
         self,
         data: Any,
@@ -523,65 +519,65 @@ class Communicator:
         nbytes: float | None = None,
     ):
         """Reduce-then-broadcast allreduce; every rank returns the result."""
-        reduced = yield from self.reduce(data, op=op, root=0, tag=tag, nbytes=nbytes)
-        result = yield from self.bcast(reduced, root=0, tag=tag + 1, nbytes=nbytes)
-        return result
+        with self.world.telemetry.async_span(self._track, "mpi.allreduce", "mpi"):
+            reduced = yield from self.reduce(data, op=op, root=0, tag=tag, nbytes=nbytes)
+            result = yield from self.bcast(reduced, root=0, tag=tag + 1, nbytes=nbytes)
+            return result
 
-    @_collective_span("gather")
     def gather(self, data: Any, root: int = 0, tag: int = 1_400_000, nbytes: float | None = None):
         """Gather to *root*: returns the rank-ordered list at root, else None."""
-        size, rank = self.size, self.rank
-        if rank == root:
-            items: list[Any] = [None] * size
-            items[rank] = data
-            for _ in range(size - 1):
-                # Tag by sender for deterministic placement.
-                message = yield from self._recv_message(tag)
-                items[message.src] = message.payload
-            return items
-        yield from self.send(data, root, tag=tag, nbytes=nbytes)
-        return None
+        with self.world.telemetry.async_span(self._track, "mpi.gather", "mpi"):
+            size, rank = self.size, self.rank
+            if rank == root:
+                items: list[Any] = [None] * size
+                items[rank] = data
+                for _ in range(size - 1):
+                    # Tag by sender for deterministic placement.
+                    message = yield from self._recv_message(tag)
+                    items[message.src] = message.payload
+                return items
+            yield from self.send(data, root, tag=tag, nbytes=nbytes)
+            return None
 
-    @_collective_span("allgather")
     def allgather(self, data: Any, tag: int = 1_500_000, nbytes: float | None = None):
         """Gather + broadcast; every rank returns the full list."""
-        items = yield from self.gather(data, root=0, tag=tag, nbytes=nbytes)
-        total = None if nbytes is None else nbytes * self.size
-        items = yield from self.bcast(items, root=0, tag=tag + 1, nbytes=total)
-        return items
+        with self.world.telemetry.async_span(self._track, "mpi.allgather", "mpi"):
+            items = yield from self.gather(data, root=0, tag=tag, nbytes=nbytes)
+            total = None if nbytes is None else nbytes * self.size
+            items = yield from self.bcast(items, root=0, tag=tag + 1, nbytes=total)
+            return items
 
-    @_collective_span("scatter")
     def scatter(self, items: list[Any] | None, root: int = 0, tag: int = 1_600_000,
                 nbytes: float | None = None):
         """Scatter list *items* from *root*; each rank returns its element."""
-        size, rank = self.size, self.rank
-        if rank == root:
-            if items is None or len(items) != size:
-                raise MPIError(f"scatter needs exactly {size} items at the root")
-            for dst in range(size):
-                if dst != root:
-                    yield from self.send(items[dst], dst, tag=tag, nbytes=nbytes)
-            return items[root]
-        payload = yield from self.recv(source=root, tag=tag)
-        return payload
+        with self.world.telemetry.async_span(self._track, "mpi.scatter", "mpi"):
+            size, rank = self.size, self.rank
+            if rank == root:
+                if items is None or len(items) != size:
+                    raise MPIError(f"scatter needs exactly {size} items at the root")
+                for dst in range(size):
+                    if dst != root:
+                        yield from self.send(items[dst], dst, tag=tag, nbytes=nbytes)
+                return items[root]
+            payload = yield from self.recv(source=root, tag=tag)
+            return payload
 
-    @_collective_span("alltoall")
     def alltoall(self, items: list[Any], tag: int = 1_700_000, nbytes: float | None = None):
         """Pairwise-exchange all-to-all; returns the column for this rank."""
-        size, rank = self.size, self.rank
-        if len(items) != size:
-            raise MPIError(f"alltoall needs exactly {size} items per rank")
-        result: list[Any] = [None] * size
-        result[rank] = items[rank]
-        for step in range(1, size):
-            dest = (rank + step) % size
-            source = (rank - step) % size
-            send_proc = self.isend(items[dest], dest, tag=tag + step, nbytes=nbytes)
-            result[source] = yield from self.recv(source=source, tag=tag + step)
-            yield send_proc
-        return result
+        with self.world.telemetry.async_span(self._track, "mpi.alltoall", "mpi"):
+            size, rank = self.size, self.rank
+            if len(items) != size:
+                raise MPIError(f"alltoall needs exactly {size} items per rank")
+            result: list[Any] = [None] * size
+            result[rank] = items[rank]
+            for step in range(1, size):
+                dest = (rank + step) % size
+                source = (rank - step) % size
+                send_proc = self.isend(items[dest], dest, tag=tag + step, nbytes=nbytes)
+                result[source] = yield from self.recv(source=source, tag=tag + step)
+                yield send_proc
+            return result
 
-    @_collective_span("reduce_scatter")
     def reduce_scatter(
         self,
         items: list[Any],
@@ -591,17 +587,17 @@ class Communicator:
     ):
         """Reduce element-wise across ranks, scatter: rank i returns the
         reduction of every rank's ``items[i]`` (reduce + scatter halves)."""
-        size, rank = self.size, self.rank
-        if len(items) != size:
-            raise MPIError(f"reduce_scatter needs exactly {size} items per rank")
-        if op is None:
-            op = _default_sum
-        reduced = yield from self.reduce(items, op=_elementwise(op), root=0,
-                                         tag=tag, nbytes=nbytes)
-        mine = yield from self.scatter(reduced, root=0, tag=tag + 1, nbytes=nbytes)
-        return mine
+        with self.world.telemetry.async_span(self._track, "mpi.reduce_scatter", "mpi"):
+            size, rank = self.size, self.rank
+            if len(items) != size:
+                raise MPIError(f"reduce_scatter needs exactly {size} items per rank")
+            if op is None:
+                op = _default_sum
+            reduced = yield from self.reduce(items, op=_elementwise(op), root=0,
+                                             tag=tag, nbytes=nbytes)
+            mine = yield from self.scatter(reduced, root=0, tag=tag + 1, nbytes=nbytes)
+            return mine
 
-    @_collective_span("scan")
     def scan(
         self,
         data: Any,
@@ -614,16 +610,17 @@ class Communicator:
         Linear-chain algorithm (rank i receives the running prefix from
         i-1, folds its value, forwards to i+1) — MPI_Scan's semantics.
         """
-        size, rank = self.size, self.rank
-        if op is None:
-            op = _default_sum
-        value = data
-        if rank > 0:
-            prefix = yield from self.recv(source=rank - 1, tag=tag)
-            value = op(prefix, data)
-        if rank + 1 < size:
-            yield from self.send(value, rank + 1, tag=tag, nbytes=nbytes)
-        return value
+        with self.world.telemetry.async_span(self._track, "mpi.scan", "mpi"):
+            size, rank = self.size, self.rank
+            if op is None:
+                op = _default_sum
+            value = data
+            if rank > 0:
+                prefix = yield from self.recv(source=rank - 1, tag=tag)
+                value = op(prefix, data)
+            if rank + 1 < size:
+                yield from self.send(value, rank + 1, tag=tag, nbytes=nbytes)
+            return value
 
     # -- helpers ----------------------------------------------------------------
 

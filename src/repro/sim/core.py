@@ -15,8 +15,8 @@ small and fully under test:
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Generator, Iterable
+from heapq import heappop, heappush
 from typing import Any
 
 from repro.errors import SimulationError
@@ -88,7 +88,10 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        self.env.schedule(self)
+        # Inlined ``env.schedule(self)``: same eid, same queue entry.
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -100,7 +103,9 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env.schedule(self)
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -128,17 +133,24 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # ``not >=`` rather than ``<``: NaN compares false both ways and a
+        # NaN timestamp would corrupt the queue's ordering.
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         # Triggered at birth: the value is decided and the event queued.
         # ``_triggered`` is set explicitly — a ``value`` of ``None`` must
-        # not leave the state machine guessing from the sentinel.
-        self._ok = True
+        # not leave the state machine guessing from the sentinel.  Fields
+        # are set here, not via ``Event.__init__``, to spare one call on
+        # one of the kernel's most frequent allocations.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._triggered = True
-        env.schedule(self, delay=delay)
+        self._defused = False
+        self.delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -170,11 +182,11 @@ class Process(Event):
         self._target: Event | None = None
         # Kick off the process at the current time.
         init = Event(env)
-        init._ok = True
         init._value = None
         init._triggered = True
         init.callbacks = [self._resume]
-        env.schedule(init, priority=URGENT)
+        env._eid += 1
+        heappush(env._queue, (env._now, URGENT, env._eid, init))
 
     @property
     def target(self) -> Event | None:
@@ -214,6 +226,15 @@ class Process(Event):
 
     # -- engine -----------------------------------------------------------------
 
+    def _finish_failed(self, exception: BaseException) -> None:
+        """Trigger this process as failed with *exception*, URGENT."""
+        self._ok = False
+        self._value = exception
+        self._triggered = True
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, URGENT, env._eid, self))
+
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active_process = self
@@ -226,31 +247,32 @@ class Process(Event):
                     pass
         self._target = None
 
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 env._active_process = None
-                self._ok = True
                 self._value = stop.value
                 self._triggered = True
-                env.schedule(self, priority=URGENT)
+                env._eid += 1
+                heappush(env._queue, (env._now, URGENT, env._eid, self))
                 return
             except BaseException as exc:
                 env._active_process = None
-                self._ok = False
-                self._value = exc
-                self._triggered = True
-                env.schedule(self, priority=URGENT)
+                self._finish_failed(exc)
                 return
 
             if not isinstance(next_event, Event):
+                # Closing, not throwing: a generator that caught a thrown
+                # error could yield again, and nothing would ever resume it.
                 env._active_process = None
-                self._generator.throw(
+                generator.close()
+                self._finish_failed(
                     SimulationError(f"process yielded a non-event: {next_event!r}")
                 )
                 return
@@ -258,9 +280,10 @@ class Process(Event):
                 env._active_process = None
                 raise SimulationError("yielded an event from a different environment")
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Not yet processed: park until it fires.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 env._active_process = None
                 return
@@ -272,7 +295,7 @@ class _Condition(Event):
     """Base for AllOf / AnyOf.
 
     Triggered-state is tracked explicitly by :class:`Event` — ``_check``
-    must consult ``self.triggered`` (not the value sentinel) so component
+    must consult ``self._triggered`` (not the value sentinel) so component
     values that alias the pending sentinel's old ``None`` behaviour cannot
     re-trigger a decided condition.
     """
@@ -308,7 +331,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         if not event._ok:
             self.trigger(event)
@@ -324,7 +347,7 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         self.trigger(event) if not event._ok else self.succeed(self._collect())
 
@@ -400,9 +423,17 @@ class Environment:
     # -- scheduling ----------------------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        """Queue a triggered event *delay* seconds from now."""
+        """Queue a triggered event *delay* seconds from now.
+
+        The public, checked entry point.  The kernel's own triggers push
+        their ``(time, priority, eid, event)`` entries directly, with the
+        same ``_eid`` increments this method makes.
+        """
+        if not delay >= 0:
+            # Also rejects NaN, which compares false both ways.
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -412,7 +443,7 @@ class Environment:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        when, _prio, _eid, event = heappop(self._queue)
         self._now = when
         if self._events_counter is not None:
             self._events_counter.inc()
@@ -432,34 +463,52 @@ class Environment:
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, time *until*, or event *until* fires.
 
-        Returns the event's value when *until* is an event.
+        Returns the event's value when *until* is an event, and raises its
+        exception (marking it handled) when that event failed.
         """
-        stop_at: float | None = None
+        stop_at = float("inf")
         stop_event: Event | None = None
         if isinstance(until, Event):
             stop_event = until
             if stop_event.callbacks is None:
-                return stop_event._value if stop_event._ok else None
-            done = []
-            stop_event.callbacks.append(lambda ev: done.append(ev))
-            while self._queue and not done:
-                self.step()
-            if done:
-                ev = done[0]
-                if not ev._ok:
-                    ev._defused = True
-                    raise ev._value
-                return ev._value
+                return _outcome(stop_event)
+        elif until is not None:
+            stop_at = float(until)
+            if not stop_at >= self._now:
+                raise SimulationError(f"until={stop_at} is in the past (now={self._now})")
+        # One inlined copy of step() serving all three modes; the names the
+        # loop touches per event are bound once here.
+        queue = self._queue
+        pop = heappop
+        inc = self._events_counter.inc if self._events_counter is not None else None
+        while queue:
+            when, prio, eid, event = pop(queue)
+            if when > stop_at:
+                heappush(queue, (when, prio, eid, event))
+                break
+            self._now = when
+            if inc is not None:
+                inc()
+            callbacks = event.callbacks
+            if callbacks is None:
+                raise SimulationError(f"{event!r} was scheduled after it was processed")
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if event is stop_event:
+                return _outcome(event)
+            if not event._ok and not event._defused:
+                raise event._value
+        if stop_event is not None:
             raise SimulationError("event queue drained before the until-event fired")
         if until is not None:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise SimulationError(f"until={stop_at} is in the past (now={self._now})")
-        while self._queue:
-            if stop_at is not None and self._queue[0][0] > stop_at:
-                self._now = stop_at
-                return None
-            self.step()
-        if stop_at is not None:
             self._now = stop_at
         return None
+
+
+def _outcome(event: Event) -> Any:
+    """A processed event's value, or its exception raised (and defused)."""
+    if event._ok:
+        return event._value
+    event._defused = True
+    raise event._value

@@ -74,7 +74,8 @@ class Resource:
         """Return a slot previously granted to *request*."""
         if request in self.users:
             self.users.remove(request)
-            self._grant()
+            if self.queue:
+                self._grant()
         elif request in self.queue:
             # Cancelled before being granted.
             self.queue.remove(request)
@@ -82,6 +83,12 @@ class Resource:
     # -- internals --------------------------------------------------------------
 
     def _do_request(self, request: Request) -> None:
+        if not self.queue and len(self.users) < self.capacity:
+            # Granted on request: the same succeed() event _grant would
+            # fire, without the round trip through the queue.
+            self.users.append(request)
+            request.succeed()
+            return
         self.queue.append(request)
         self._grant()
 
@@ -116,7 +123,12 @@ class PriorityResource(Resource):
             heapq.heapify(self._heap)
 
     def _do_request(self, request: Request) -> None:  # type: ignore[override]
-        assert isinstance(request, PriorityRequest)
+        if not isinstance(request, PriorityRequest):
+            # Not an assert: ``python -O`` would strip it and the heap entry
+            # below would die on a missing ``priority`` instead.
+            raise SimulationError(
+                f"{type(self).__name__} needs a PriorityRequest, got {request!r}"
+            )
         self._seq += 1
         heapq.heappush(self._heap, (request.priority, request.time, self._seq, request))
         self._grant()
@@ -202,8 +214,16 @@ class Store:
     def put(self, item: Any) -> Event:
         """Append *item*; fires once there is room."""
         ev = Event(self.env)
-        self._putters.append((item, ev))
-        self._settle()
+        if self._putters or len(self.items) >= self.capacity:
+            self._putters.append((item, ev))
+            self._settle()
+            return ev
+        # Room and no putter ahead: store it as _settle would, then hand
+        # it to a waiting getter, if any.
+        self.items.append(item)
+        ev.succeed()
+        if self._getters:
+            self._settle()
         return ev
 
     def get(self, filter: Any = None) -> Event:
@@ -214,7 +234,8 @@ class Store:
         """
         ev = Event(self.env)
         self._getters.append((filter, ev))
-        self._settle()
+        if self.items or self._putters:
+            self._settle()
         return ev
 
     def cancel(self, event: Event) -> None:
@@ -236,14 +257,18 @@ class Store:
                 self.items.append(item)
                 ev.succeed()
                 progress = True
-            for gi, (predicate, ev) in enumerate(list(self._getters)):
+            if not self.items:
+                # Nothing to hand out, and the putters already drained.
+                return
+            for gi, (predicate, ev) in enumerate(self._getters):
                 matched = None
                 for idx, item in enumerate(self.items):
                     if predicate is None or predicate(item):
                         matched = idx
                         break
                 if matched is not None:
-                    self._getters.remove((predicate, ev))
+                    # Safe inside the loop: it breaks right after.
+                    del self._getters[gi]
                     ev.succeed(self.items.pop(matched))
                     progress = True
                     break

@@ -41,6 +41,8 @@ def _label_key(
     labelnames: tuple[str, ...], labels: dict[str, object]
 ) -> tuple[str, ...]:
     """The series key for *labels*, validated against *labelnames*."""
+    if not labels and not labelnames:
+        return ()
     if set(labels) != set(labelnames):
         raise TelemetryError(
             f"labels {sorted(labels)} do not match declared label names "

@@ -1,0 +1,94 @@
+"""Pinned event order: the simulator's same-instant tie-breaking, made visible.
+
+``BENCH_seed.json`` gates how many events a run processes, but a change that
+breaks ties between same-instant events differently keeps every count and
+can still move results.  These digests were recorded before the kernel's
+host-cost work (DESIGN.md §8) and must never move with it:
+
+* the ``run_to_payload`` JSON of a traced run (rank results plus the
+  ``Trace`` lists);
+* the ``Trace`` record sequence in append order, interleaved across record
+  kinds, read from the sink's ``rank`` spans (the tracer mirrors every
+  record there as it is appended);
+* ``sim_events_processed_total``.
+
+A deliberate change to the simulated model re-records them; a host-time
+change never does.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.bench.runner import run_workload
+from repro.campaign.serialize import run_to_payload
+from repro.faults.experiments import format_report, run_degraded
+from repro.faults.model import FaultSchedule, MessageLoss
+from repro.telemetry import Telemetry
+
+
+def _sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _trace_sequence(telemetry: Telemetry) -> str:
+    return _sha([
+        [s.track, s.name, s.start, s.end, s.kind, s.args]
+        for s in telemetry.spans if s.category == "rank"
+    ])
+
+
+def _events(telemetry: Telemetry) -> int:
+    return int(telemetry.registry.counter("sim_events_processed_total").value())
+
+
+RUNS = {
+    "jacobi@2-1G": (
+        "jacobi", {"nodes": 2, "network": "1G"},
+        "0f980222a8fe93eb03316e5b47f4ed27c56b40171ab7bfee49dfe8c1a35a3375",
+        "36c582978c1d81551314ef7cc632eb06d6d68188791ed2d730cc73d0294cf4b7",
+        3752,
+    ),
+    "cg@4-10G": (
+        "cg", {"nodes": 4, "network": "10G"},
+        "8660fa4d7ea38929aba36a263cf7c0600410cfc6f3cc51f2f9801e1a7a10926c",
+        "2bfacfa5933de1b2f535917a39b622015c5bdb5609be237d8c2ce022bf9b193d",
+        51811,
+    ),
+    "hpl@4": (
+        "hpl", {"nodes": 4},
+        "7ba68ded766fc406b845a70d7f413cb71248b94009575ec65a92685eab56b400",
+        "e06c46cd677850e0fc29945b4f04ab65ec6392e74a49a5723d26618235bdd1e7",
+        18773,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_traced_run_event_order_is_pinned(case):
+    name, kwargs, payload_digest, trace_digest, events = RUNS[case]
+    telemetry = Telemetry()
+    run = run_workload(name, traced=True, telemetry=telemetry, **kwargs)
+    assert _events(telemetry) == events
+    assert _trace_sequence(telemetry) == trace_digest
+    assert _sha(run_to_payload(run)) == payload_digest
+
+
+def test_degraded_run_with_retries_event_order_is_pinned():
+    telemetry = Telemetry()
+    schedule = FaultSchedule((MessageLoss(probability=0.05),), seed=0)
+    report = run_degraded("jacobi", schedule, nodes=2, telemetry=telemetry,
+                          use_cache=False)
+    # The retry path must actually run, or this pins nothing it claims to.
+    assert report.total_retries == 19
+    assert _events(telemetry) == 4225
+    assert _trace_sequence(telemetry) == (
+        "63262013c8f657534fbef91eb683f2d456a4bc565b41e986053c5ce7ab403c56"
+    )
+    assert _sha(format_report(report)) == (
+        "f3373239cf6c4b7ca71f12c4c190e498d4ee9bfbf04ce54569235fbbcef8ee70"
+    )

@@ -84,6 +84,10 @@ def test_run_until_time_stops_early():
     env.run(until=3.5)
     assert seen == [1.0, 2.0, 3.0]
     assert env.now == 3.5
+    # The first event past the deadline stays queued for the next run.
+    assert env.peek() == 4.0
+    env.run()
+    assert seen == [float(t) for t in range(1, 11)]
 
 
 def test_run_until_past_time_rejected():
@@ -519,3 +523,76 @@ def test_event_scheduled_twice_raises_simulation_error():
     with pytest.raises(SimulationError) as err:
         env.step()
     assert repr(ev) in str(err.value)
+    # run() dispatches inline and keeps the same check.
+    env = Environment()
+    ev = Event(env).succeed("once")
+    env.schedule(ev)
+    with pytest.raises(SimulationError, match="scheduled after it was processed"):
+        env.run()
+
+
+def test_run_until_already_failed_event_raises_and_defuses():
+    env = Environment()
+    event = env.event()
+    event.fail(_BoomError("already failed"))
+    with pytest.raises(_BoomError):
+        env.run()  # nobody handled it, so the free run surfaces it
+    assert event.processed and not event._defused
+    # Same outcome as when the failure fires during the run: the exception.
+    with pytest.raises(_BoomError, match="already failed"):
+        env.run(until=event)
+    assert event._defused
+
+
+def test_run_until_already_processed_event_returns_value():
+    env = Environment()
+    event = env.event().succeed("done")
+    env.run()
+    assert env.run(until=event) == "done"
+
+
+def test_timeout_rejects_nan_delay():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    assert env.peek() == float("inf")
+
+
+@pytest.mark.parametrize("delay", [-3.0, float("nan")])
+def test_schedule_rejects_negative_and_nan_delay(delay):
+    env = Environment()
+    env.run(until=5.0)
+    ev = Event(env)
+    ev._triggered = True
+    with pytest.raises(SimulationError):
+        env.schedule(ev, delay=delay)
+    env.run()
+    # Time never runs backwards.
+    assert env.now == 5.0
+
+
+def test_run_until_nan_time_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+
+
+def test_non_event_yield_fails_process_even_if_generator_catches():
+    env = Environment()
+    closed = []
+
+    def stubborn(env):
+        try:
+            yield 42
+        except SimulationError:
+            yield env.timeout(1.0)  # would be orphaned if resumed by throw()
+        finally:
+            closed.append(env.now)
+
+    proc = env.process(stubborn(env))
+    with pytest.raises(SimulationError, match="non-event"):
+        env.run(until=proc)
+    assert not proc.is_alive
+    assert not proc.ok
+    assert closed == [0.0]
+

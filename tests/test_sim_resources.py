@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim.resources import Request
 
 
 # -- Resource ------------------------------------------------------------------
@@ -320,3 +321,25 @@ def test_store_cancel_fired_event_is_noop():
     assert ev.value == "x"
     store.cancel(ev)  # already fired: must not raise or corrupt state
     assert store.items == []
+
+
+def test_priority_resource_rejects_plain_request():
+    # An explicit check rather than an assert, so it also holds under -O.
+    env = Environment()
+    res = PriorityResource(env, capacity=1)
+    with pytest.raises(SimulationError, match="PriorityRequest"):
+        Request(res)
+
+
+def test_resource_request_granted_immediately_when_free():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    first = res.request()
+    second = res.request()
+    third = res.request()
+    assert first.triggered and second.triggered
+    assert not third.triggered
+    assert res.queue == [third]
+    res.release(first)
+    assert third.triggered
+    assert res.users == [second, third]
