@@ -98,33 +98,19 @@ def _copy_result(result: JobResult) -> JobResult:
     )
 
 
-def _copy_trace(trace: Trace | None) -> Trace | None:
-    if trace is None:
-        return None
-    return Trace(
-        n_ranks=trace.n_ranks,
-        states=list(trace.states),
-        comms=list(trace.comms),
-        recvs=list(trace.recvs),
-        markers=list(trace.markers),
-        t_start=trace.t_start,
-        t_end=trace.t_end,
-    )
-
-
 def _snapshot(spec: RunSpec, run: ExperimentRun) -> ExperimentRun:
     """A defensively copied view of a cached run.
 
     The cluster is rebuilt fresh from the spec (consumers read only its
     ``spec``/``node_count``/hardware description; per-run state such as
-    wire totals lives in the result), so a caller crashing nodes or
-    appending trace records cannot corrupt other cache consumers.
+    wire totals lives in the result), so a caller crashing nodes cannot
+    corrupt other cache consumers.  The trace is immutable and shared.
     """
     return ExperimentRun(
         workload=run.workload,
         cluster=build_cluster(spec),
         result=_copy_result(run.result),
-        trace=_copy_trace(run.trace),
+        trace=run.trace,
         rank_to_node=list(run.rank_to_node),
     )
 

@@ -28,6 +28,7 @@ from repro.tracing.events import (
     CommRecord,
     MarkerRecord,
     RecvRecord,
+    Records,
     StateRecord,
     Trace,
 )
@@ -65,6 +66,11 @@ def _pack(record: Any) -> list[Any]:
 def _unpack(cls: type, values: list[Any]) -> Any:
     """Rebuild a dataclass from :func:`_pack` output."""
     return cls(*values)
+
+
+def _rows(records: Records) -> list[list[Any]]:
+    """Trace records as field-ordered value lists, read from their columns."""
+    return [list(row) for row in zip(*records.columns)]
 
 
 def _checked(value: Any, where: str) -> Any:
@@ -118,10 +124,10 @@ def run_to_payload(run) -> dict[str, Any]:
     if trace is not None:
         payload["trace"] = {
             "n_ranks": trace.n_ranks,
-            "states": [_pack(r) for r in trace.states],
-            "comms": [_pack(r) for r in trace.comms],
-            "recvs": [_pack(r) for r in trace.recvs],
-            "markers": [_pack(r) for r in trace.markers],
+            "states": _rows(trace.states),
+            "comms": _rows(trace.comms),
+            "recvs": _rows(trace.recvs),
+            "markers": _rows(trace.markers),
             "t_start": trace.t_start,
             "t_end": trace.t_end,
         }
@@ -160,10 +166,10 @@ def trace_from_payload(document: dict[str, Any] | None) -> Trace | None:
         return None
     return Trace(
         n_ranks=document["n_ranks"],
-        states=[_unpack(StateRecord, r) for r in document["states"]],
-        comms=[_unpack(CommRecord, r) for r in document["comms"]],
-        recvs=[_unpack(RecvRecord, r) for r in document["recvs"]],
-        markers=[_unpack(MarkerRecord, r) for r in document["markers"]],
+        states=Records.from_rows(StateRecord, document["states"]),
+        comms=Records.from_rows(CommRecord, document["comms"]),
+        recvs=Records.from_rows(RecvRecord, document["recvs"]),
+        markers=Records.from_rows(MarkerRecord, document["markers"]),
         t_start=document["t_start"],
         t_end=document["t_end"],
     )

@@ -74,18 +74,18 @@ def extract_ops(trace: Trace) -> OpStreams:
     activity.
     """
     ops = [
-        RankOp(s.rank, s.state, s.state, s.start, s.end)
-        for s in trace.states if s.state in Trace.USEFUL_STATES
+        RankOp(rank, state, state, start, end)
+        for rank, state, start, end in zip(*trace.states.columns)
+        if state in Trace.USEFUL_STATES
     ]
     ops += [
-        RankOp(c.src, "send", f"mpi.send->r{c.dst}", c.start, c.end,
-               peer=c.dst, nbytes=c.nbytes)
-        for c in trace.comms
+        RankOp(src, "send", f"mpi.send->r{dst}", start, end,
+               peer=dst, nbytes=nbytes)
+        for src, dst, nbytes, start, end, _ in zip(*trace.comms.columns)
     ]
     ops += [
-        RankOp(r.rank, "recv", "mpi.recv", r.start, r.end,
-               peer=r.src, nbytes=r.nbytes)
-        for r in trace.recvs
+        RankOp(rank, "recv", "mpi.recv", start, end, peer=src, nbytes=nbytes)
+        for rank, src, nbytes, start, end, _ in zip(*trace.recvs.columns)
     ]
     streams: dict[int, list[RankOp]] = {}
     for op in ops:

@@ -162,8 +162,8 @@ def ridgeline_from_run(
         node_ranks.setdefault(node_id, []).append(rank)
 
     rx_bytes: dict[int, float] = {}
-    for record in trace.recvs:
-        rx_bytes[record.rank] = rx_bytes.get(record.rank, 0.0) + record.nbytes
+    for rank, _, nbytes, _, _, _ in zip(*trace.recvs.columns):
+        rx_bytes[rank] = rx_bytes.get(rank, 0.0) + nbytes
 
     points = []
     for rank, node_id in enumerate(run.rank_to_node):

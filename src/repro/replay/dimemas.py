@@ -7,7 +7,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from repro.errors import TraceError
-from repro.tracing.events import CommRecord, RecvRecord, StateRecord, Trace
+from repro.tracing.events import OP_SEND, OP_STATE, Trace
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ def replay(
 ) -> ReplayResult:
     """Re-time *trace* under *network*.
 
-    Each rank's op stream (compute bursts, sends, receives) is re-executed
+    Each rank's op stream (compute bursts, sends, receives; see
+    :meth:`~repro.tracing.events.Trace.op_table`) is re-executed
     with original compute durations (optionally scaled per-rank by
     ``compute_scale``) and transfer costs recomputed from *network*.
     Send/receive matching is FIFO per (src, dst, tag) channel, mirroring the
@@ -65,7 +66,14 @@ def replay(
         raise TraceError("compute_scale must have one entry per rank")
     scale = compute_scale or [1.0] * n
 
-    ops = [deque(trace.rank_ops(r)) for r in range(n)]
+    table = trace.op_table()
+    kinds = table.kind.tolist()
+    peers = table.peer.tolist()
+    sizes = table.nbytes.tolist()
+    tags = table.tag.tolist()
+    seconds = table.seconds.tolist()
+    bounds = table.bounds.tolist()
+    cursors, stops = bounds[:-1], bounds[1:]
     clocks = [0.0] * n
     arrivals: dict[tuple[int, int, int], deque[float]] = defaultdict(deque)
     messages = 0
@@ -80,29 +88,30 @@ def replay(
             bw, lat = network.bandwidth, network.latency
         return lat + (nbytes / bw if math.isfinite(bw) else 0.0)
 
-    remaining = sum(len(q) for q in ops)
+    remaining = bounds[-1] - bounds[0]
     while remaining:
         progressed = False
         for rank in range(n):
-            queue = ops[rank]
-            while queue:
-                op = queue[0]
-                if isinstance(op, StateRecord):
-                    clocks[rank] += op.seconds * scale[rank]
-                elif isinstance(op, CommRecord):
-                    cost = transfer_cost(op.src, op.dst, op.nbytes)
+            first = i = cursors[rank]
+            stop = stops[rank]
+            while i < stop:
+                kind = kinds[i]
+                if kind == OP_STATE:
+                    clocks[rank] += seconds[i] * scale[rank]
+                elif kind == OP_SEND:
+                    cost = transfer_cost(rank, peers[i], sizes[i])
                     clocks[rank] += cost
-                    arrivals[(op.src, op.dst, op.tag)].append(clocks[rank])
+                    arrivals[(rank, peers[i], tags[i])].append(clocks[rank])
                     messages += 1
-                elif isinstance(op, RecvRecord):
-                    channel = arrivals[(op.src, op.rank, op.tag)]
+                else:
+                    channel = arrivals[(peers[i], rank, tags[i])]
                     if not channel:
                         break  # blocked: matching send not replayed yet
                     clocks[rank] = max(clocks[rank], channel.popleft())
-                else:  # pragma: no cover - defensive
-                    raise TraceError(f"unknown op {op!r}")
-                queue.popleft()
-                remaining -= 1
+                i += 1
+            if i > first:
+                cursors[rank] = i
+                remaining -= i - first
                 progressed = True
         if not progressed:
             raise TraceError("replay deadlocked: unmatched receive in trace")

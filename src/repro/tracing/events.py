@@ -1,10 +1,14 @@
-"""Trace record types and the Trace container."""
+"""Trace record types and the columnar, immutable Trace container."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from typing import Any
+import operator
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.errors import TraceError
 
@@ -67,21 +71,127 @@ class MarkerRecord:
     time: float
 
 
-@dataclass
+#: Column storage per field type: an ``array`` typecode for numbers; ``str``
+#: fields are kept as a tuple of str.
+_TYPECODES = {"int": "q", "float": "d", "str": ""}
+
+_LAYOUTS = {
+    record_type: tuple(_TYPECODES[f.type] for f in fields(record_type))
+    for record_type in (StateRecord, CommRecord, RecvRecord, MarkerRecord)
+}
+
+
+def new_columns(record_type: type) -> list[Any]:
+    """Empty, appendable columns for *record_type*, one per field."""
+    return [array(code) if code else [] for code in _LAYOUTS[record_type]]
+
+
+def _frozen(code: str, column: Iterable[Any]) -> Any:
+    """A read-only column: a memoryview of an array, or a tuple of str."""
+    if not code:
+        return tuple(column)
+    if not isinstance(column, array):
+        column = array(code, column)
+    return memoryview(column).toreadonly()
+
+
+class Records(Sequence):
+    """A read-only sequence of one record kind, stored one column per field.
+
+    Numeric fields are read-only views of ``array`` buffers and ``str``
+    fields are tuples, so a trace holds no per-event object for the garbage
+    collector to track.  Records are built on each access and never cached;
+    hot readers use :attr:`columns` (in the record's field order) directly.
+    """
+
+    __slots__ = ("record_type", "columns")
+
+    def __init__(self, record_type: type, columns: Sequence[Any]) -> None:
+        layout = _LAYOUTS[record_type]
+        if len(columns) != len(layout) or len({len(c) for c in columns}) > 1:
+            raise TraceError(f"malformed {record_type.__name__} columns")
+        self.record_type = record_type
+        self.columns = tuple(_frozen(code, column) for code, column in zip(layout, columns))
+
+    @classmethod
+    def from_rows(cls, record_type: type, rows: Iterable[Sequence[Any]]) -> Records:
+        """Columns holding *rows*, each a field-ordered value sequence."""
+        columns = list(zip(*rows)) or [()] * len(_LAYOUTS[record_type])
+        return cls(record_type, columns)
+
+    @classmethod
+    def of(cls, record_type: type, records: Iterable[Any]) -> Records:
+        """Columns holding *records* (each a *record_type* instance)."""
+        if isinstance(records, Records) and records.record_type is record_type:
+            return records
+        names = [f.name for f in fields(record_type)]
+        return cls.from_rows(
+            record_type, ([getattr(r, name) for name in names] for r in records)
+        )
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index: int) -> Any:
+        index = operator.index(index)
+        return self.record_type(*(column[index] for column in self.columns))
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.record_type, *self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Records):
+            return NotImplemented
+        return self.record_type is other.record_type and self.columns == other.columns
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} {self.record_type.__name__}s>"
+
+
+#: Op kinds of a replay op stream; exact ties keep this order.
+OP_STATE, OP_SEND, OP_RECV = 0, 1, 2
+
+
+class OpTable(NamedTuple):
+    """Every rank's replay op stream, as NumPy columns in replay order.
+
+    Rank *r*'s ops are positions ``bounds[r]:bounds[r + 1]``.  ``index`` is
+    the op's position in its own record kind (``kind``); ``peer`` is the
+    destination of a send and the source of a receive; ``seconds`` is a
+    state burst's duration (0 for messages).
+    """
+
+    kind: np.ndarray
+    index: np.ndarray
+    peer: np.ndarray
+    nbytes: np.ndarray
+    tag: np.ndarray
+    seconds: np.ndarray
+    bounds: np.ndarray
+
+
+@dataclass(frozen=True)
 class Trace:
-    """A finished trace: all records plus world metadata."""
+    """A finished, immutable trace: all records plus world metadata.
+
+    ``states``/``comms``/``recvs``/``markers`` accept any iterable of the
+    matching records and are stored as :class:`Records` columns.
+    """
 
     n_ranks: int
-    states: list[StateRecord] = field(default_factory=list)
-    comms: list[CommRecord] = field(default_factory=list)
-    recvs: list[RecvRecord] = field(default_factory=list)
-    markers: list[MarkerRecord] = field(default_factory=list)
+    states: Sequence[StateRecord] = ()
+    comms: Sequence[CommRecord] = ()
+    recvs: Sequence[RecvRecord] = ()
+    markers: Sequence[MarkerRecord] = ()
     t_start: float = 0.0
     t_end: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise TraceError("trace needs at least one rank")
+        for name, record_type in (("states", StateRecord), ("comms", CommRecord),
+                                  ("recvs", RecvRecord), ("markers", MarkerRecord)):
+            object.__setattr__(self, name, Records.of(record_type, getattr(self, name)))
 
     @property
     def duration(self) -> float:
@@ -93,48 +203,79 @@ class Trace:
     USEFUL_STATES = ("compute", "gpu", "copy")
 
     def compute_seconds(self, rank: int, states: tuple[str, ...] | None = None) -> float:
-        """Total useful (compute/gpu/copy) time of *rank*."""
-        states = states or self.USEFUL_STATES
-        return sum(s.seconds for s in self.states if s.rank == rank and s.state in states)
+        """Total time of *rank* in *states* (default: the useful states)."""
+        if states is None:
+            states = self.USEFUL_STATES
+        return sum(
+            end - start
+            for r, state, start, end in zip(*self.states.columns)
+            if r == rank and state in states
+        )
 
     def compute_seconds_all(self) -> list[float]:
         """Useful time per rank, rank-ordered."""
         totals = [0.0] * self.n_ranks
-        for s in self.states:
-            if s.state in self.USEFUL_STATES:
-                totals[s.rank] += s.seconds
+        useful = self.USEFUL_STATES
+        for rank, state, start, end in zip(*self.states.columns):
+            if state in useful:
+                totals[rank] += end - start
         return totals
 
     def bytes_sent(self, rank: int) -> float:
         """Total bytes sent by *rank*."""
-        return sum(c.nbytes for c in self.comms if c.src == rank)
+        srcs, _, nbytes, _, _, _ = self.comms.columns
+        return sum(n for src, n in zip(srcs, nbytes) if src == rank)
 
     def total_network_bytes(self) -> float:
         """All bytes on the wire (excluding loopback, which the fabric skips)."""
-        return sum(c.nbytes for c in self.comms)
+        return sum(self.comms.columns[2])
+
+    def op_table(self) -> OpTable:
+        """Every rank's op stream (useful states, sends, receives), ordered.
+
+        This is the replay engine's input.  One stable lexsort over the
+        concatenated columns orders each rank's ops by (start, end): an op
+        that *ends* at time t (e.g. a receive completing) precedes an op that
+        *starts* at t (the compute it unblocked), preserving program order.
+        Exact ties keep states before sends before receives, each in trace
+        order.  Overlapped bursts (e.g. hpl look-ahead) are not useful
+        states and are left out: the sequential replay would wrongly
+        serialize them.
+        """
+        s_rank, s_name, s_start, s_end = self.states.columns
+        c_src, c_dst, c_nbytes, c_start, c_end, c_tag = map(np.asarray, self.comms.columns)
+        r_rank, r_src, r_nbytes, r_start, r_end, r_tag = map(np.asarray, self.recvs.columns)
+        useful = np.flatnonzero(
+            np.fromiter((s in self.USEFUL_STATES for s in s_name), bool, len(s_name))
+        )
+        s_start, s_end = np.asarray(s_start)[useful], np.asarray(s_end)[useful]
+        counts = (len(useful), len(c_src), len(r_rank))
+        no_peer = np.zeros(counts[0], dtype=np.int64)
+        rank = np.concatenate((np.asarray(s_rank)[useful], c_src, r_rank))
+        order = np.lexsort((
+            np.concatenate((s_end, c_end, r_end)),
+            np.concatenate((s_start, c_start, r_start)),
+            rank,
+        ))
+        return OpTable(
+            kind=np.repeat((OP_STATE, OP_SEND, OP_RECV), counts)[order],
+            index=np.concatenate((useful, np.arange(counts[1]), np.arange(counts[2])))[order],
+            peer=np.concatenate((no_peer, c_dst, r_src))[order],
+            nbytes=np.concatenate((np.zeros(counts[0]), c_nbytes, r_nbytes))[order],
+            tag=np.concatenate((no_peer, c_tag, r_tag))[order],
+            seconds=np.concatenate((s_end - s_start, np.zeros(counts[1] + counts[2])))[order],
+            bounds=np.searchsorted(rank[order], np.arange(self.n_ranks + 1)),
+        )
 
     def rank_ops(self, rank: int) -> list[object]:
-        """The rank's ordered op stream (states, sends, recvs) by start time.
-
-        This is the replay engine's input.
-        """
-        ops: list[tuple[float, float, object]] = []
-        for s in self.states:
-            if s.rank == rank and s.state in self.USEFUL_STATES:
-                # Overlapped bursts (e.g. hpl look-ahead) are excluded: the
-                # sequential replay would wrongly serialize them.
-                ops.append((s.start, s.end, s))
-        for c in self.comms:
-            if c.src == rank:
-                ops.append((c.start, c.end, c))
-        for r in self.recvs:
-            if r.rank == rank:
-                ops.append((r.start, r.end, r))
-        # Sort by (start, end): an op that *ends* at time t (e.g. a receive
-        # completing) precedes an op that *starts* at t (the compute it
-        # unblocked), preserving program order in the replayed stream.
-        ops.sort(key=lambda item: (item[0], item[1]))
-        return [op for _, _, op in ops]
+        """The rank's ordered op stream as records (see :meth:`op_table`)."""
+        if not 0 <= rank < self.n_ranks:
+            raise TraceError(f"rank {rank} outside [0, {self.n_ranks})")
+        table = self.op_table()
+        lo, hi = table.bounds[rank], table.bounds[rank + 1]
+        kinds = (self.states, self.comms, self.recvs)
+        return [kinds[k][i] for k, i in zip(table.kind[lo:hi].tolist(),
+                                             table.index[lo:hi].tolist())]
 
 
 def match_fifo(

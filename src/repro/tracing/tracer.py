@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.errors import TraceError
-from repro.telemetry.sink import NULL
 from repro.tracing.events import (
     CommRecord,
     MarkerRecord,
     RecvRecord,
+    Records,
     StateRecord,
     Trace,
+    new_columns,
 )
 
 
@@ -18,7 +19,10 @@ class Tracer:
 
     The MPI layer calls :meth:`record_comm` / :meth:`record_recv`; rank
     contexts call :meth:`record_state`; workloads call :meth:`mark` at
-    iteration boundaries so Paraver-style chopping can find them.
+    iteration boundaries so Paraver-style chopping can find them.  Each
+    record is appended field by field to per-kind columns (see
+    :class:`~repro.tracing.events.Records`); once :meth:`finalize` has
+    returned, the trace is immutable and every record call raises.
 
     When a telemetry sink is attached with :meth:`bind_telemetry`, every
     record is also mirrored onto the sink's per-rank tracks as spans on the
@@ -29,74 +33,104 @@ class Tracer:
         if n_ranks < 1:
             raise TraceError("tracer needs at least one rank")
         self.n_ranks = n_ranks
-        self._states: list[StateRecord] = []
-        self._comms: list[CommRecord] = []
-        self._recvs: list[RecvRecord] = []
-        self._markers: list[MarkerRecord] = []
-        self._telemetry = telemetry if telemetry is not None else NULL
+        self._states = new_columns(StateRecord)
+        self._comms = new_columns(CommRecord)
+        self._recvs = new_columns(RecvRecord)
+        self._markers = new_columns(MarkerRecord)
+        self._finalized = False
+        self.bind_telemetry(telemetry)
 
     def bind_telemetry(self, telemetry) -> None:
-        """Mirror all subsequent records onto *telemetry* (``None`` detaches)."""
-        self._telemetry = telemetry if telemetry is not None else NULL
+        """Mirror all subsequent records onto *telemetry* (``None`` detaches).
+
+        A disabled sink is not called at all: its spans would be dropped.
+        """
+        self._sink = telemetry if telemetry is not None and telemetry.enabled else None
 
     def record_state(self, rank: int, state: str, start: float, end: float) -> None:
         """One compute/GPU burst on *rank*."""
-        self._check_rank(rank)
-        if end < start:
-            raise TraceError(f"state ends before it starts: {start} > {end}")
-        self._states.append(StateRecord(rank, state, start, end))
-        self._telemetry.record_span(f"rank{rank}", state, "rank", start, end)
+        self._check(rank, start, end)
+        ranks, states, starts, ends = self._states
+        ranks.append(rank)
+        states.append(state)
+        starts.append(start)
+        ends.append(end)
+        if self._sink is not None:
+            self._sink.record_span(f"rank{rank}", state, "rank", start, end)
 
     def record_comm(
         self, src: int, dst: int, nbytes: float, start: float, end: float, tag: int
     ) -> None:
         """One send from *src* to *dst* (called by the MPI layer)."""
-        self._check_rank(src)
+        self._check(src, start, end, nbytes)
         self._check_rank(dst)
-        self._comms.append(CommRecord(src, dst, nbytes, start, end, tag))
-        self._telemetry.record_span(
-            f"rank{src}", f"comm->r{dst}", "rank", start, end,
-            kind="async", nbytes=nbytes, tag=tag,
-        )
+        srcs, dsts, sizes, starts, ends, tags = self._comms
+        srcs.append(src)
+        dsts.append(dst)
+        sizes.append(nbytes)
+        starts.append(start)
+        ends.append(end)
+        tags.append(tag)
+        if self._sink is not None:
+            self._sink.record_span(
+                f"rank{src}", f"comm->r{dst}", "rank", start, end,
+                kind="async", nbytes=nbytes, tag=tag,
+            )
 
     def record_recv(
         self, rank: int, src: int, nbytes: float, start: float, end: float, tag: int
     ) -> None:
         """One completed receive on *rank* from *src*."""
-        self._check_rank(rank)
-        self._recvs.append(RecvRecord(rank, src, nbytes, start, end, tag))
-        self._telemetry.record_span(
-            f"rank{rank}", f"recv<-r{src}", "rank", start, end,
-            kind="async", nbytes=nbytes, tag=tag,
-        )
+        self._check(rank, start, end, nbytes)
+        ranks, srcs, sizes, starts, ends, tags = self._recvs
+        ranks.append(rank)
+        srcs.append(src)
+        sizes.append(nbytes)
+        starts.append(start)
+        ends.append(end)
+        tags.append(tag)
+        if self._sink is not None:
+            self._sink.record_span(
+                f"rank{rank}", f"recv<-r{src}", "rank", start, end,
+                kind="async", nbytes=nbytes, tag=tag,
+            )
 
     def mark(self, rank: int, label: str, time: float) -> None:
         """A phase/iteration boundary."""
-        self._check_rank(rank)
-        self._markers.append(MarkerRecord(rank, label, time))
-        self._telemetry.record_span(
-            f"rank{rank}", label, "rank", time, time, kind="instant",
-        )
+        self._check(rank, time, time)
+        ranks, labels, times = self._markers
+        ranks.append(rank)
+        labels.append(label)
+        times.append(time)
+        if self._sink is not None:
+            self._sink.record_span(
+                f"rank{rank}", label, "rank", time, time, kind="instant",
+            )
 
     def finalize(self, t_start: float = 0.0, t_end: float | None = None) -> Trace:
         """Freeze into a :class:`Trace`; *t_end* defaults to the last record."""
+        self._finalized = True
         if t_end is None:
-            candidates = (
-                [s.end for s in self._states]
-                + [c.end for c in self._comms]
-                + [r.end for r in self._recvs]
-                + [m.time for m in self._markers]
-            )
-            t_end = max(candidates, default=t_start)
+            ends = (self._states[3], self._comms[4], self._recvs[4], self._markers[2])
+            t_end = max((max(column) for column in ends if column), default=t_start)
         return Trace(
             n_ranks=self.n_ranks,
-            states=list(self._states),
-            comms=list(self._comms),
-            recvs=list(self._recvs),
-            markers=list(self._markers),
+            states=Records(StateRecord, self._states),
+            comms=Records(CommRecord, self._comms),
+            recvs=Records(RecvRecord, self._recvs),
+            markers=Records(MarkerRecord, self._markers),
             t_start=t_start,
             t_end=t_end,
         )
+
+    def _check(self, rank: int, start: float, end: float, nbytes: float = 0.0) -> None:
+        if self._finalized:
+            raise TraceError("trace already finalized: records are immutable")
+        self._check_rank(rank)
+        if not end >= start:
+            raise TraceError(f"record ends before it starts: {start} > {end}")
+        if not nbytes >= 0:
+            raise TraceError(f"negative message size: {nbytes}")
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:

@@ -162,17 +162,20 @@ def test_spec_wire_round_trip_preserves_digest():
 
 def test_cached_runs_do_not_share_mutable_state():
     first = run_workload("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
+    states = list(first.trace.states)
     # Vandalize everything mutable on the first handle.
     first.result.rank_values.clear()
     first.result.counters.clear()
     first.result.failures[0] = "vandalized"
-    first.trace.states.clear()
     first.rank_to_node.append(99)
+    # The trace is immutable, so memo snapshots share it.
+    with pytest.raises(AttributeError):
+        first.trace.states.clear()
     second = run_workload("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
     assert second.result.rank_values
     assert second.result.counters
     assert not second.result.failures
-    assert second.trace.states
+    assert states and list(second.trace.states) == states
     assert second.rank_to_node == [0, 1]
 
 

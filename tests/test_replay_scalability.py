@@ -1,8 +1,11 @@
 """Unit + integration tests for DIMEMAS-style replay and the scalability math."""
 
 import math
+from collections import defaultdict, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, Job
 from repro.cluster.cluster import tx1_cluster_spec
@@ -18,6 +21,7 @@ from repro.replay import (
 )
 from repro.scalability import fit_usl, parallel_efficiency, r_squared
 from repro.tracing import Tracer
+from repro.tracing.events import CommRecord, StateRecord, Trace
 from repro.units import mib
 
 PROFILE = WorkloadCPUProfile(name="t", working_set_per_rank_bytes=mib(4))
@@ -67,6 +71,111 @@ def test_replay_dependency_chains():
     # 1s (r0) -> 1s (r1) -> 1s (r2) after initial parallel 1s each: critical
     # path = r0 compute (1) + r1 compute (1) + r2 compute (1) = 3.
     assert result.runtime == pytest.approx(3.0)
+
+
+# -- columnar replay vs. a record-stream reference -------------------------------
+
+
+def reference_rank_ops(trace, rank):
+    """The record-at-a-time op stream: useful states, sends, receives, then a
+    stable sort by (start, end)."""
+    ops = [(s.start, s.end, s) for s in trace.states
+           if s.rank == rank and s.state in Trace.USEFUL_STATES]
+    ops += [(c.start, c.end, c) for c in trace.comms if c.src == rank]
+    ops += [(r.start, r.end, r) for r in trace.recvs if r.rank == rank]
+    ops.sort(key=lambda item: (item[0], item[1]))
+    return [op for _, _, op in ops]
+
+
+def reference_replay(trace, network, compute_scale=None, rank_to_node=None):
+    """Replay over per-rank deques of records, one ``isinstance`` per op."""
+    n = trace.n_ranks
+    scale = compute_scale or [1.0] * n
+    ops = [deque(reference_rank_ops(trace, r)) for r in range(n)]
+    clocks = [0.0] * n
+    arrivals = defaultdict(deque)
+    messages = 0
+
+    def transfer_cost(src, dst, nbytes):
+        if rank_to_node is not None and rank_to_node[src] == rank_to_node[dst]:
+            bw, lat = network.local_bandwidth, network.local_latency
+        else:
+            bw, lat = network.bandwidth, network.latency
+        return lat + (nbytes / bw if math.isfinite(bw) else 0.0)
+
+    remaining = sum(len(q) for q in ops)
+    while remaining:
+        progressed = False
+        for rank in range(n):
+            queue = ops[rank]
+            while queue:
+                op = queue[0]
+                if isinstance(op, StateRecord):
+                    clocks[rank] += op.seconds * scale[rank]
+                elif isinstance(op, CommRecord):
+                    clocks[rank] += transfer_cost(op.src, op.dst, op.nbytes)
+                    arrivals[(op.src, op.dst, op.tag)].append(clocks[rank])
+                    messages += 1
+                else:  # a RecvRecord
+                    channel = arrivals[(op.src, op.rank, op.tag)]
+                    if not channel:
+                        break
+                    clocks[rank] = max(clocks[rank], channel.popleft())
+                queue.popleft()
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise TraceError("replay deadlocked: unmatched receive in trace")
+    return (max(clocks) if clocks else 0.0), tuple(clocks), messages
+
+
+def _outcome(replay_fn, trace, network, **kwargs):
+    """The replay's exact result (as reprs: bit for bit), or the deadlock."""
+    try:
+        result = replay_fn(trace, network, **kwargs)
+    except TraceError:
+        return "deadlock"
+    if not isinstance(result, tuple):
+        result = (result.runtime, result.rank_finish_times, result.messages_replayed)
+    return repr(result)
+
+
+# Few distinct times and durations, so (start, end) ties across kinds abound.
+_TIMES = st.sampled_from((0.0, 0.5, 1.0, 1.5))
+_SPANS = st.sampled_from((0.0, 0.5, 1.0))
+_STATES = st.tuples(st.integers(0, 3), st.sampled_from(("compute", "gpu", "copy", "overlap")),
+                    _TIMES, _SPANS)
+_MESSAGES = st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from((0, 1, 7)),
+                      st.sampled_from((0.0, 64.0, 1e6)), _TIMES, _SPANS, _TIMES, _SPANS)
+_NETWORK = NetworkParams(latency=1e-4, bandwidth=1.25e8,
+                         local_bandwidth=7e9, local_latency=1e-6)
+
+
+@given(st.lists(_STATES, max_size=14), st.lists(_MESSAGES, max_size=14),
+       st.lists(st.sampled_from((0.5, 1.0, 3.0)), min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_columnar_replay_matches_record_reference(states, messages, scale):
+    tracer = Tracer(4)
+    for rank, state, start, span in states:
+        tracer.record_state(rank, state, start, start + span)
+    for src, dst, tag, nbytes, start, span, _, _ in messages:
+        tracer.record_comm(src, dst, nbytes, start, start + span, tag)
+    # A receive starts and ends no earlier than its send, as in a simulated
+    # run, so no generated trace deadlocks the replay.
+    for src, dst, tag, nbytes, start, span, wait, delay in messages:
+        end = start + span + delay
+        tracer.record_recv(dst, src, nbytes, max(start, min(wait, end)), end, tag)
+    trace = tracer.finalize()
+    for rank in range(4):
+        assert trace.rank_ops(rank) == reference_rank_ops(trace, rank)
+    # Ranks 0-1 and 2-3 share a node: local and remote pairs both occur.
+    for network, kwargs in (
+        (_NETWORK, {"rank_to_node": [0, 0, 1, 1], "compute_scale": scale}),
+        (_NETWORK, {}),
+        (IDEAL_NETWORK, {}),
+    ):
+        assert (_outcome(replay, trace, network, **kwargs)
+                == _outcome(reference_replay, trace, network, **kwargs))
 
 
 def test_replay_unmatched_recv_deadlocks():

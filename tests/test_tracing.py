@@ -1,13 +1,24 @@
 """Unit tests for tracing, Paraver chopping, and trace integration with jobs."""
 
+import dataclasses
+import gc
+import math
+
 import pytest
 
+from repro.bench.runner import run_workload
 from repro.cluster import Cluster, Job
 from repro.cluster.cluster import tx1_cluster_spec
 from repro.errors import TraceError
 from repro.hardware.cpu import WorkloadCPUProfile
 from repro.tracing import Tracer, chop_iterations, chop_window
-from repro.tracing.events import CommRecord, RecvRecord, StateRecord, Trace
+from repro.tracing.events import (
+    CommRecord,
+    MarkerRecord,
+    RecvRecord,
+    StateRecord,
+    Trace,
+)
 from repro.units import mib
 
 PROFILE = WorkloadCPUProfile(name="t", working_set_per_rank_bytes=mib(4))
@@ -30,6 +41,93 @@ def test_tracer_rank_validation():
         tracer.record_state(5, "compute", 0.0, 1.0)
     with pytest.raises(TraceError):
         tracer.record_state(0, "compute", 2.0, 1.0)
+
+
+# One entry per record path: a call that is valid on a fresh two-rank tracer.
+VALID_RECORDS = {
+    "state": lambda t: t.record_state(0, "compute", 0.0, 1.0),
+    "comm": lambda t: t.record_comm(0, 1, 8.0, 0.0, 1.0, tag=0),
+    "recv": lambda t: t.record_recv(1, 0, 8.0, 0.0, 1.0, tag=0),
+    "mark": lambda t: t.mark(0, "iteration", 1.0),
+}
+
+INVALID_RECORDS = {
+    "state-ends-first": lambda t: t.record_state(0, "compute", 2.0, 1.0),
+    "comm-ends-first": lambda t: t.record_comm(0, 1, 8.0, 2.0, 1.0, tag=0),
+    "comm-negative-bytes": lambda t: t.record_comm(0, 1, -8.0, 0.0, 1.0, tag=0),
+    "recv-ends-first": lambda t: t.record_recv(1, 0, 8.0, 2.0, 1.0, tag=0),
+    "recv-negative-bytes": lambda t: t.record_recv(1, 0, -8.0, 0.0, 1.0, tag=0),
+    "mark-nan-time": lambda t: t.mark(0, "iteration", math.nan),
+}
+
+
+def _record_count(trace: Trace) -> int:
+    return len(trace.states) + len(trace.comms) + len(trace.recvs) + len(trace.markers)
+
+
+@pytest.mark.parametrize("path", sorted(INVALID_RECORDS))
+def test_invalid_record_raises_and_is_not_kept(path):
+    tracer = Tracer(2)
+    with pytest.raises(TraceError):
+        INVALID_RECORDS[path](tracer)
+    assert _record_count(tracer.finalize()) == 0
+
+
+@pytest.mark.parametrize("path", sorted(VALID_RECORDS))
+def test_record_after_finalize_raises(path):
+    tracer = Tracer(2)
+    VALID_RECORDS[path](tracer)
+    trace = tracer.finalize()
+    with pytest.raises(TraceError):
+        VALID_RECORDS[path](tracer)
+    assert _record_count(trace) == 1
+
+
+def test_compute_seconds_with_no_states_is_zero():
+    tracer = Tracer(1)
+    tracer.record_state(0, "compute", 0.0, 1.0)
+    trace = tracer.finalize()
+    assert trace.compute_seconds(0, states=()) == 0.0
+    assert trace.compute_seconds(0, states=("gpu",)) == 0.0
+    assert trace.compute_seconds(0) == 1.0
+
+
+def test_record_views_are_read_only_and_built_on_demand():
+    records = [StateRecord(0, "compute", 0.0, 1.0), StateRecord(1, "gpu", 0.5, 2.5)]
+    trace = Trace(2, states=records)
+    states = trace.states
+    assert len(states) == 2
+    assert list(states) == records
+    assert states[1] == records[1] and states[-1] == records[1]
+    assert states[0] is not states[0]  # built per access, never cached
+    assert states == Trace(2, states=records).states
+    assert states != Trace(2, states=records[:1]).states
+    with pytest.raises(TypeError):
+        states[0:1]
+    with pytest.raises(AttributeError):
+        states.append(records[0])
+    with pytest.raises(TypeError):
+        states.columns[2][0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.states = ()
+
+
+def test_traced_run_holds_no_per_event_gc_objects():
+    trace = run_workload("jacobi", nodes=2, traced=True).trace
+    # Walk every GC-tracked object reachable from the trace (record classes
+    # are types, whose referents lead to their modules, so stop there).
+    reached = {}
+    frontier = [trace]
+    while frontier:
+        for ref in gc.get_referents(frontier.pop()):
+            if gc.is_tracked(ref) and not isinstance(ref, type) and id(ref) not in reached:
+                reached[id(ref)] = ref
+                frontier.append(ref)
+    record_types = (StateRecord, CommRecord, RecvRecord, MarkerRecord)
+    assert not [obj for obj in reached.values() if isinstance(obj, record_types)]
+    # A few objects per column, however many records the trace holds.
+    assert _record_count(trace) > 1000
+    assert len(reached) < 100
 
 
 def test_trace_bytes_accounting():
