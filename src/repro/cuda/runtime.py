@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cuda.events import CopyRecord, KernelRecord, Profiler
 from repro.errors import CudaError
@@ -105,6 +106,8 @@ class CudaContext:
             "cuda_copy_bytes_total", "bytes moved by copies and migrations",
             unit="bytes", labelnames=("kind",),
         )
+        #: Bound (copies, bytes) counter children per copy kind.
+        self._copy_counters: dict[str, tuple[Any, Any]] = {}
         self._l2_bytes_counter = tm.counter(
             "cuda_l2_bytes_total", "kernel L2-level request traffic",
             unit="bytes",
@@ -194,9 +197,7 @@ class CudaContext:
                 yield req
                 yield self.env.timeout(self._copy_seconds(size))
         self.node.dram.record_copy_traffic(size)
-        self._copies_counter.inc(kind=kind)
-        self._copy_bytes_counter.inc(size, kind=kind)
-        self._copy_bytes_histogram.observe(size)
+        self._count_copy(kind, size)
         self.profiler.record_copy(CopyRecord(kind, start, self.env.now, size))
 
     def migrate(self, buf: Buffer, nbytes: float | None = None):
@@ -212,10 +213,21 @@ class CudaContext:
                 yield req
                 yield self.env.timeout(self.migration_overhead + self._copy_seconds(size))
         self.node.dram.record_copy_traffic(size)
-        self._copies_counter.inc(kind="migration")
-        self._copy_bytes_counter.inc(size, kind="migration")
-        self._copy_bytes_histogram.observe(size)
+        self._count_copy("migration", size)
         self.profiler.record_copy(CopyRecord("migration", start, self.env.now, size))
+
+    def _count_copy(self, kind: str, size: float) -> None:
+        """Copy-kind counters and the copy-size histogram for one copy."""
+        bound = self._copy_counters.get(kind)
+        if bound is None:
+            bound = self._copy_counters[kind] = (
+                self._copies_counter.labels(kind=kind),
+                self._copy_bytes_counter.labels(kind=kind),
+            )
+        copies, copy_bytes = bound
+        copies.inc()
+        copy_bytes.inc(size)
+        self._copy_bytes_histogram.observe(size)
 
     # -- kernels -------------------------------------------------------------------
 

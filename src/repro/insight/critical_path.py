@@ -10,15 +10,20 @@ attribution the paper's Figs. 5-6 discussion does by hand.
 
 The walk is deterministic: ops are totally ordered, ties break on explicit
 keys, and every step strictly decreases the cursor time, so the same trace
-always yields the same path.
+always yields the same path.  It runs on the streams' columns: the op
+covering a time is found by bisecting the rank's sorted starts, and a
+receive's send by its position (:meth:`~repro.insight.ops.OpStreams.senders`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import AnalysisError
-from repro.insight.ops import OpStreams, RankOp, extract_ops, match_messages
+from repro.insight.ops import OP_KINDS, RECV, SEND, OpStreams, extract_ops
 from repro.tracing.events import Trace
 
 #: Segment kinds in report order.  ``network`` covers send serialization and
@@ -91,10 +96,43 @@ def critical_path(trace: Trace) -> CriticalPath:
 
 def critical_path_of_streams(streams: OpStreams) -> CriticalPath:
     """The backward walk itself (exposed for synthetic-stream tests)."""
-    matches = match_messages(streams)
+    senders = streams.senders().tolist()
+    ranks, kinds, names = (c.tolist() for c in (streams.rank, streams.kind, streams.name))
+    starts, ends = streams.start.tolist(), streams.end.tolist()
+    bounds = streams.bounds.tolist()
+    # reach[i]: the latest end among the rank's ops up to position i.
+    reach = streams.end.copy()
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.maximum.accumulate(reach[lo:hi], out=reach[lo:hi])
+    reach = reach.tolist()
+
+    def covering_op(rank: int, t: float) -> int:
+        """The op governing rank time *t*: latest-ending op starting before *t*.
+
+        Ends are capped at *t*.  Ties (two ops ending together, e.g. a
+        sendrecv's send and recv legs) prefer receives — a receive
+        completion is the event that unblocks the program — then later
+        starts (the innermost op), then names, then stream order.  Returns
+        the op's position, or -1 when no op starts before *t*.
+        """
+        lo = bounds[rank]
+        hi = bisect_left(starts, t, lo, bounds[rank + 1])
+        if hi == lo:
+            return -1
+        capped_end = min(reach[hi - 1], t)
+        best, best_key = -1, None
+        # Ops before the first to reach capped_end all end before it.
+        for i in range(bisect_left(reach, capped_end, lo, hi), hi):
+            if ends[i] >= capped_end:
+                key = (kinds[i] == RECV, starts[i], names[i])
+                if best < 0 or key > best_key:
+                    best, best_key = i, key
+        return best
+
     # Start on the rank whose last op ends the run (lowest rank on ties).
     last_end, start_rank = max(
-        ((ops[-1].end, -rank) for rank, ops in streams.ops.items() if ops),
+        ((ends[hi - 1], -rank) for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+         if hi > lo),
         default=(0.0, 0),
     )
     rank = -start_rank
@@ -102,66 +140,46 @@ def critical_path_of_streams(streams: OpStreams) -> CriticalPath:
     segments: list[CriticalSegment] = []
     # Every iteration strictly decreases t, and each op can contribute at
     # most a handful of segments, so total steps are bounded.
-    max_steps = 4 * sum(len(ops) for ops in streams.ops.values()) + 4
+    max_steps = 4 * len(streams) + 4
     for _ in range(max_steps):
         if t <= streams.t_start:
             break
-        op = _covering_op(streams.rank_ops(rank), t)
-        if op is None:
+        op = covering_op(rank, t)
+        if op < 0:
             # Nothing recorded before t on this rank: the remainder is idle
             # (rank startup / pre-first-op time).
             segments.append(CriticalSegment(rank, "idle", "startup",
                                             streams.t_start, t))
             t = streams.t_start
             break
-        if op.end < t:
+        if ends[op] < t:
             # Gap between the op and the cursor: untracked time on the rank.
-            segments.append(CriticalSegment(rank, "idle", "idle", op.end, t))
-            t = op.end
+            segments.append(CriticalSegment(rank, "idle", "idle", ends[op], t))
+            t = ends[op]
             continue
-        if op.kind == "recv":
-            send = matches.get((op.rank, op.peer, op.end))
-            if send is not None and send.rank != rank and send.start < t:
+        if kinds[op] == RECV:
+            send = senders[op]
+            if send >= 0 and ranks[send] != rank and starts[send] < t:
                 # The receive completed when the sender's message landed:
                 # hop the message edge and resume on the sender.
                 segments.append(CriticalSegment(
-                    rank, "network", f"msg r{send.rank}->r{rank}",
-                    send.start, t,
+                    rank, "network", f"msg r{ranks[send]}->r{rank}",
+                    starts[send], t,
                 ))
-                rank = send.rank
-                t = send.start
+                rank = ranks[send]
+                t = starts[send]
                 continue
             segments.append(CriticalSegment(
-                rank, "wait", op.name, op.start, t))
-            t = op.start
+                rank, "wait", streams.names[names[op]], starts[op], t))
+            t = starts[op]
             continue
-        kind = "network" if op.kind == "send" else op.kind
-        segments.append(CriticalSegment(rank, kind, op.name, op.start, t))
-        t = op.start
+        kind = "network" if kinds[op] == SEND else OP_KINDS[kinds[op]]
+        segments.append(CriticalSegment(
+            rank, kind, streams.names[names[op]], starts[op], t))
+        t = starts[op]
     else:  # pragma: no cover - defensive: the walk above always terminates
         raise AnalysisError("critical-path walk did not terminate")
     segments.reverse()
     return CriticalPath(
         segments=tuple(segments), t_start=t, t_end=last_end,
     )
-
-
-def _covering_op(ops: list[RankOp], t: float) -> RankOp | None:
-    """The op governing rank time *t*: latest-ending op starting before *t*.
-
-    Ties (two ops ending together, e.g. a sendrecv's send and recv legs)
-    prefer receives — a receive completion is the event that unblocks the
-    program — then later starts (the innermost op).
-    """
-    best: RankOp | None = None
-    for op in ops:
-        if op.start >= t:
-            continue
-        if best is None or _cover_key(op, t) > _cover_key(best, t):
-            best = op
-    return best
-
-
-def _cover_key(op: RankOp, t: float) -> tuple:
-    capped_end = min(op.end, t)
-    return (capped_end, op.kind == "recv", op.start, op.rank, op.name)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import AnalysisError
-from repro.insight.ops import OpStreams, extract_ops
+from repro.insight.ops import KIND_CODES, RECV, SEND, OpStreams, extract_ops
 from repro.scalability import EfficiencyBreakdown, parallel_efficiency
 from repro.tracing.events import Trace
 
@@ -86,13 +88,18 @@ def decompose_streams(streams: OpStreams) -> SpanBreakdown:
     duration = streams.duration
     if duration <= 0:
         raise AnalysisError("op streams carry no time")
+    useful = np.isin(streams.kind, [KIND_CODES[state] for state in Trace.USEFUL_STATES])
+    comms = (streams.kind == SEND) | (streams.kind == RECV)
+    seconds = streams.end - streams.start
+    bounds = streams.bounds.tolist()
     activities = []
     for rank in range(streams.n_ranks):
-        ops = streams.rank_ops(rank)
-        busy = sum(op.seconds for op in ops if op.kind in Trace.USEFUL_STATES)
-        comm = _union_seconds(
-            [(op.start, op.end) for op in ops if op.kind in ("send", "recv")]
-        )
+        window = slice(bounds[rank], bounds[rank + 1])
+        # A sequential sum in stream order, like summing the records.
+        busy = sum(seconds[window][useful[window]].tolist())
+        in_mpi = comms[window]
+        comm = _union_seconds(list(zip(streams.start[window][in_mpi].tolist(),
+                                       streams.end[window][in_mpi].tolist())))
         idle = max(0.0, duration - busy - comm)
         activities.append(RankActivity(rank, busy, comm, idle))
     return SpanBreakdown(per_rank=tuple(activities), duration=duration)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.insight.critical_path import SEGMENT_KINDS, CriticalPath, critical_path
-from repro.insight.decompose import EfficiencyCrossCheck, cross_check
+from repro.insight.critical_path import SEGMENT_KINDS, CriticalPath, critical_path_of_streams
+from repro.insight.decompose import EfficiencyCrossCheck, decompose_streams
+from repro.insight.ops import extract_ops
 from repro.insight.ridgeline import (
     RidgelinePlacement,
     format_ridgeline_markdown,
@@ -30,6 +31,7 @@ from repro.insight.roofline import (
     place_run,
     place_run_hier,
 )
+from repro.scalability import parallel_efficiency
 from repro.telemetry.sink import Telemetry
 from repro.units import to_gbyte_s, to_gflops
 
@@ -93,6 +95,11 @@ def build_report(
         workload, nodes=nodes, network=network, system=system,
         traced=True, telemetry=telemetry,
     )
+    streams = extract_ops(run.trace)
+    efficiency = EfficiencyCrossCheck(
+        span=decompose_streams(streams),
+        replay=parallel_efficiency(run.trace, rank_to_node=run.rank_to_node),
+    )
     placement = None
     hier = None
     ridgeline = None
@@ -110,8 +117,8 @@ def build_report(
         runtime_seconds=run.result.elapsed_seconds,
         throughput_flops=run.result.throughput_flops,
         average_power_watts=run.result.average_power_watts,
-        path=critical_path(run.trace),
-        efficiency=cross_check(run.trace, rank_to_node=run.rank_to_node),
+        path=critical_path_of_streams(streams),
+        efficiency=efficiency,
         placement=placement,
         hier=hier,
         ridgeline=ridgeline,

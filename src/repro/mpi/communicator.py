@@ -143,14 +143,18 @@ class CommWorld:
         self._mailboxes = [Store(env) for _ in rank_to_node]
         self.stats = [CommStats() for _ in rank_to_node]
         tm = self.telemetry
-        self._messages_counter = tm.counter(
+        messages = tm.counter(
             "mpi_messages_total", "point-to-point messages delivered",
             labelnames=("kind",),
         )
-        self._bytes_counter = tm.counter(
+        wire_bytes = tm.counter(
             "mpi_bytes_total", "wire bytes moved by point-to-point traffic",
             unit="bytes", labelnames=("kind",),
         )
+        self._sent_messages = messages.labels(kind="send")
+        self._sent_bytes = wire_bytes.labels(kind="send")
+        self._received_messages = messages.labels(kind="recv")
+        self._received_bytes = wire_bytes.labels(kind="recv")
         self._retries_counter = tm.counter(
             "mpi_retries_total", "resends after a lost payload",
         )
@@ -167,8 +171,8 @@ class CommWorld:
         """Latency/size accounting when a message reaches its receiver."""
         if not self.telemetry.enabled:
             return
-        self._messages_counter.inc(kind="recv")
-        self._bytes_counter.inc(message.nbytes, kind="recv")
+        self._received_messages.inc()
+        self._received_bytes.inc(message.nbytes)
         self._latency_histogram.observe(self.env.now - message.sent_at)
         self._size_histogram.observe(message.nbytes)
 
@@ -316,8 +320,8 @@ class Communicator:
         stats.messages_sent += 1
         stats.comm_seconds += env.now - start
         if observed:
-            world._messages_counter.inc(kind="send")
-            world._bytes_counter.inc(wire_bytes, kind="send")
+            world._sent_messages.inc()
+            world._sent_bytes.inc(wire_bytes)
         if world.tracer is not None:
             world.tracer.record_comm(self.rank, dest, wire_bytes, start, env.now, tag)
 

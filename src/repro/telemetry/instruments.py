@@ -98,12 +98,40 @@ class Counter(Instrument):
         key = _label_key(self.labelnames, labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def labels(self, **labels: object) -> BoundCounter:
+        """The series selected by *labels*, validated once, for hot call sites.
+
+        As in the Prometheus client, ``counter.labels(kind="send").inc(n)``
+        equals ``counter.inc(n, kind="send")``.  The series is created on
+        the child's first ``inc``, so binding alone exports nothing.
+        """
+        return BoundCounter(self, _label_key(self.labelnames, labels))
+
     def value(self, **labels: object) -> float:
         """Current total of one series (0.0 if never incremented)."""
         return self._values.get(_label_key(self.labelnames, labels), 0.0)
 
     def series(self) -> Iterator[tuple[tuple[str, ...], float]]:
         yield from self._values.items()
+
+
+class BoundCounter:
+    """One series of a :class:`Counter`, its label key resolved at bind time."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: tuple[str, ...]) -> None:
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add *amount* (must be >= 0) to the bound series."""
+        if amount < 0:
+            raise TelemetryError(
+                f"counter {self._counter.name} cannot decrease (inc by {amount})"
+            )
+        values = self._counter._values
+        values[self._key] = values.get(self._key, 0.0) + amount
 
 
 class Gauge(Instrument):

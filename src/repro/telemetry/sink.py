@@ -178,6 +178,10 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """No-op."""
 
+    def labels(self, **labels: object) -> _NullInstrument:
+        """Itself: a bound null series is still a no-op."""
+        return self
+
     def set(self, value: float, **labels: object) -> None:
         """No-op."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import Any, NamedTuple
 
@@ -278,35 +278,42 @@ class Trace:
                                              table.index[lo:hi].tolist())]
 
 
-def match_fifo(
-    sends: Iterable[Any],
-    recvs: Iterable[Any],
-    send_link: Callable[[Any], tuple[int, int]],
-    recv_link: Callable[[Any], tuple[int, int]],
-) -> list[tuple[Any, Any]]:
-    """Pair each send with the receive that consumed its message.
+def match_fifo(sends: Sequence[Any], recvs: Sequence[Any]) -> np.ndarray:
+    """Pair each receive with the send whose message it consumed.
 
     Messages between one (src, dst) pair are delivered through a FIFO
     mailbox, so the k-th send from *src* to *dst* to complete is matched to
-    the k-th receive on *dst* from *src* to complete.  ``send_link`` and
-    ``recv_link`` map a record onto its ``(src, dst)`` pair.  Both sides are
-    ordered by ``(end, start)``; the sort is stable, so ties keep the
-    caller's order.  Returns ``(send, recv)`` for every send in that order,
-    with ``recv`` ``None`` once the pair has run out of receives.
+    the k-th receive on *dst* from *src* to complete.  *sends* and *recvs*
+    are ``(src, dst, start, end)`` columns.  Both sides are ordered by
+    ``(end, start)``, ties in column order.  Returns, for each receive, the
+    index of its send, or -1 once the pair has run out of sends.
     """
-    queues: dict[tuple[int, int], list[Any]] = {}
-    for recv in sorted(recvs, key=_by_completion):
-        queues.setdefault(recv_link(recv), []).append(recv)
-    positions: dict[tuple[int, int], int] = {}
-    pairs = []
-    for send in sorted(sends, key=_by_completion):
-        link = send_link(send)
-        queue = queues.get(link, [])
-        index = positions.get(link, 0)
-        positions[link] = index + 1
-        pairs.append((send, queue[index] if index < len(queue) else None))
-    return pairs
+    s_src, s_dst, s_start, s_end = map(np.asarray, sends)
+    r_src, r_dst, r_start, r_end = map(np.asarray, recvs)
+    src, dst = np.concatenate((s_src, r_src)), np.concatenate((s_dst, r_dst))
+    # One integer per (src, dst) pair, with ids shifted to start at 0.
+    low = min(src.min(initial=0), dst.min(initial=0))
+    width = max(src.max(initial=0), dst.max(initial=0)) - low + 1
+    link = (src - low) * width + (dst - low)
+    send_keys, send_order = _fifo_keys(link[:len(s_src)], s_start, s_end, len(link))
+    recv_keys, recv_order = _fifo_keys(link[len(s_src):], r_start, r_end, len(link))
+    senders = np.full(len(r_src), -1, np.int64)
+    if len(send_keys):
+        slot = np.minimum(np.searchsorted(send_keys, recv_keys), len(send_keys) - 1)
+        hit = send_keys[slot] == recv_keys
+        senders[recv_order[hit]] = send_order[slot[hit]]
+    return senders
 
 
-def _by_completion(record) -> tuple[float, float]:
-    return (record.end, record.start)
+def _fifo_keys(
+    link: np.ndarray, start: np.ndarray, end: np.ndarray, stride: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``link * stride + ordinal`` keys in FIFO order, and that order.
+
+    The k-th message of a link has the same key on both sides; *stride*
+    exceeds every ordinal.
+    """
+    order = np.lexsort((start, end, link))
+    link = link[order]
+    ordinal = np.arange(len(link)) - np.searchsorted(link, link)
+    return link * stride + ordinal, order

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import TraceError
 from repro.tracing.events import Trace, match_fifo
 
@@ -65,10 +67,15 @@ def to_prv_text(trace: Trace) -> str:
         key = (_ns(m.time), 2, m.rank, 0, 0)
         lines.append((key, f"2:{cpu}:1:{cpu}:1:{_ns(m.time)}:"
                            f"{MARKER_EVENT_TYPE}:1"))
-    pairs = match_fifo(trace.comms, trace.recvs,
-                       send_link=lambda c: (c.src, c.dst),
-                       recv_link=lambda r: (r.src, r.rank))
-    for comm, recv in pairs:
+    c_src, c_dst, _, c_start, c_end, _ = trace.comms.columns
+    r_rank, r_src, _, r_start, r_end, _ = trace.recvs.columns
+    senders = match_fifo((c_src, c_dst, c_start, c_end), (r_src, r_rank, r_start, r_end))
+    recv_of = np.full(len(c_src), -1, np.int64)
+    recv_of[senders[senders >= 0]] = np.flatnonzero(senders >= 0)
+    # Completion order: comm lines with equal sort keys keep it.
+    for index in np.lexsort((c_start, c_end)).tolist():
+        comm = trace.comms[index]
+        recv = trace.recvs[recv_of[index]] if recv_of[index] >= 0 else None
         scpu = comm.src + 1
         dcpu = comm.dst + 1
         if recv is not None:

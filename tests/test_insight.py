@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.runner import cache_stats, run_workload
 from repro.cli import main
@@ -14,8 +16,11 @@ from repro.insight import (
     BASELINE_WORKLOADS,
     SEGMENT_KINDS,
     CriticalPath,
+    CriticalSegment,
     OpStreams,
+    RankActivity,
     RankOp,
+    SpanBreakdown,
     build_report,
     collect_baseline,
     compare_baseline,
@@ -37,7 +42,7 @@ from repro.insight import (
     write_baseline,
 )
 from repro.telemetry import Telemetry
-from repro.tracing import CommRecord, RecvRecord, Trace
+from repro.tracing import CommRecord, RecvRecord, Trace, Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +204,51 @@ def test_path_unmatched_recv_becomes_wait():
     assert "wait" in {s.kind for s in path.segments}
 
 
+def test_path_hops_to_the_send_of_the_receive_it_reached():
+    # Rank 1's two receives from rank 0 complete together at t=5: in FIFO
+    # order the earlier-posted one consumes send A, the other send B.  The
+    # walk reaches the earlier receive through rank 1's message to rank 2,
+    # and must hop to A, not to B.
+    path = critical_path_of_streams(_streams(
+        [_op(0, "send", 0.0, 0.5, peer=1), _op(0, "send", 1.5, 2.0, peer=1)],
+        [_op(1, "recv", 1.0, 5.0, peer=0), _op(1, "send", 2.5, 3.0, peer=2),
+         _op(1, "recv", 3.0, 5.0, peer=0)],
+        [_op(2, "recv", 2.5, 3.0, peer=1), _op(2, "compute", 3.0, 7.0)],
+    ))
+    assert path.segments == (
+        CriticalSegment(1, "network", "msg r0->r1", 0.0, 2.5),
+        CriticalSegment(2, "network", "msg r1->r2", 2.5, 3.0),
+        CriticalSegment(2, "compute", "compute", 3.0, 7.0),
+    )
+
+
+def test_op_streams_views_are_read_only_and_rebuilt():
+    streams = _streams([_op(0, "compute", 0.0, 1.0)], [_op(1, "recv", 0.0, 2.0, peer=0)])
+    assert streams.rank_ops(0) == [_op(0, "compute", 0.0, 1.0)]
+    assert streams.rank_ops(0) is not streams.rank_ops(0)
+    assert streams.rank_ops(7) == []
+    assert list(streams.ops) == [0, 1]
+    with pytest.raises(TypeError):
+        streams.ops[0] = []
+    with pytest.raises(ValueError):
+        streams.start[0] = 5.0
+    assert [op.kind for op in streams.all_ops()] == ["compute", "recv"]
+
+
+@pytest.mark.parametrize("ops, match", [
+    ({0: [_op(1, "compute", 0.0, 1.0)]}, "listed under rank 0"),
+    ({0: [_op(0, "teleport", 0.0, 1.0)]}, "unknown op kind"),
+    ({0: [_op(0, "compute", 1.0, 0.5)]}, "ends before it starts"),
+    ({0: [_op(0, "compute", 0.0, float("nan"))]}, "ends before it starts"),
+    ({2: [_op(2, "compute", 0.0, 1.0)]}, "rank lies outside"),
+    ({0: [_op(0, "send", 0.0, 1.0, peer=2)]}, "peer lies outside"),
+    ({0: [_op(0, "recv", 0.0, 1.0)]}, "peer lies outside"),
+])
+def test_op_streams_reject_malformed_ops(ops, match):
+    with pytest.raises(AnalysisError, match=match):
+        OpStreams(n_ranks=2, ops=ops, t_start=0.0, t_end=1.0)
+
+
 def test_path_breakdown_sums_to_duration(clover):
     run, _ = clover
     path = critical_path(run.trace)
@@ -244,6 +294,201 @@ def test_path_fraction_rejects_unknown_kind():
 
 def test_segment_kinds_cover_report_order():
     assert SEGMENT_KINDS == ("compute", "gpu", "copy", "network", "wait", "idle")
+
+
+# ---------------------------------------------------------------------------
+# Columnar op streams vs. a record-stream reference
+# ---------------------------------------------------------------------------
+#
+# The reference keeps the object implementation the columns replaced: RankOp
+# lists sorted by a tuple key, all_ops + record-at-a-time FIFO pairing, the
+# linear covering-op scan and record sums.  Receives find their send by
+# identity.
+
+
+def _reference_key(op):
+    return (op.start, op.end, op.rank, op.kind, op.name)
+
+
+def reference_extract(trace):
+    ops = [RankOp(r.rank, r.state, r.state, r.start, r.end)
+           for r in trace.states if r.state in Trace.USEFUL_STATES]
+    ops += [RankOp(c.src, "send", f"mpi.send->r{c.dst}", c.start, c.end,
+                   peer=c.dst, nbytes=c.nbytes) for c in trace.comms]
+    ops += [RankOp(r.rank, "recv", "mpi.recv", r.start, r.end,
+                   peer=r.src, nbytes=r.nbytes) for r in trace.recvs]
+    streams = {}
+    for op in ops:
+        if op.end > op.start:
+            streams.setdefault(op.rank, []).append(op)
+    for rank_ops in streams.values():
+        rank_ops.sort(key=_reference_key)
+    return streams
+
+
+def reference_all_ops(ops):
+    return sorted((op for rank in sorted(ops) for op in ops[rank]), key=_reference_key)
+
+
+def _by_completion(op):
+    return (op.end, op.start)
+
+
+def reference_pairs(ops):
+    """``(send, recv)`` per send in completion order; ``recv`` may be None."""
+    merged = reference_all_ops(ops)
+    queues = {}
+    for recv in sorted((op for op in merged if op.kind == "recv"), key=_by_completion):
+        queues.setdefault((recv.peer, recv.rank), []).append(recv)
+    positions = {}
+    pairs = []
+    for send in sorted((op for op in merged if op.kind == "send"), key=_by_completion):
+        link = (send.rank, send.peer)
+        queue = queues.get(link, [])
+        index = positions.get(link, 0)
+        positions[link] = index + 1
+        pairs.append((send, queue[index] if index < len(queue) else None))
+    return pairs
+
+
+def _reference_cover_key(op, t):
+    return (min(op.end, t), op.kind == "recv", op.start, op.rank, op.name)
+
+
+def reference_covering_op(ops, t):
+    best = None
+    for op in ops:
+        if op.start < t and (best is None or _reference_cover_key(op, t)
+                             > _reference_cover_key(best, t)):
+            best = op
+    return best
+
+
+def reference_critical_path(ops, t_start):
+    senders = {id(recv): send for send, recv in reference_pairs(ops) if recv is not None}
+    last_end, start_rank = max(
+        ((rank_ops[-1].end, -rank) for rank, rank_ops in ops.items() if rank_ops),
+        default=(0.0, 0),
+    )
+    rank, t, segments = -start_rank, last_end, []
+    while t > t_start:
+        op = reference_covering_op(ops.get(rank, []), t)
+        if op is None:
+            segments.append(CriticalSegment(rank, "idle", "startup", t_start, t))
+            t = t_start
+        elif op.end < t:
+            segments.append(CriticalSegment(rank, "idle", "idle", op.end, t))
+            t = op.end
+        elif op.kind == "recv":
+            send = senders.get(id(op))
+            if send is not None and send.rank != rank and send.start < t:
+                segments.append(CriticalSegment(
+                    rank, "network", f"msg r{send.rank}->r{rank}", send.start, t))
+                rank, t = send.rank, send.start
+            else:
+                segments.append(CriticalSegment(rank, "wait", op.name, op.start, t))
+                t = op.start
+        else:
+            kind = "network" if op.kind == "send" else op.kind
+            segments.append(CriticalSegment(rank, kind, op.name, op.start, t))
+            t = op.start
+    segments.reverse()
+    return CriticalPath(segments=tuple(segments), t_start=t, t_end=last_end)
+
+
+def _reference_union_seconds(intervals):
+    if not intervals:
+        return 0.0
+    intervals.sort()
+    total = 0.0
+    current_start, current_end = intervals[0]
+    for start, end in intervals[1:]:
+        if start > current_end:
+            total += current_end - current_start
+            current_start, current_end = start, end
+        else:
+            current_end = max(current_end, end)
+    return total + (current_end - current_start)
+
+
+def reference_decompose(ops, n_ranks, duration):
+    activities = []
+    for rank in range(n_ranks):
+        rank_ops = ops.get(rank, [])
+        busy = sum(op.seconds for op in rank_ops if op.kind in Trace.USEFUL_STATES)
+        comm = _reference_union_seconds(
+            [(op.start, op.end) for op in rank_ops if op.kind in ("send", "recv")])
+        activities.append(RankActivity(rank, busy, comm, max(0.0, duration - busy - comm)))
+    return SpanBreakdown(per_rank=tuple(activities), duration=duration)
+
+
+def _assert_streams_match_reference(streams, ops):
+    assert repr(streams.all_ops()) == repr(reference_all_ops(ops))
+    for rank in range(streams.n_ranks):
+        assert repr(streams.rank_ops(rank)) == repr(ops.get(rank, []))
+    matches = {(recv.rank, recv.peer, recv.end): send
+               for send, recv in reference_pairs(ops) if recv is not None}
+    assert repr(sorted(match_messages(streams).items())) == repr(sorted(matches.items()))
+    assert (repr(critical_path_of_streams(streams))
+            == repr(reference_critical_path(ops, streams.t_start)))
+    assert (repr(decompose_streams(streams))
+            == repr(reference_decompose(ops, streams.n_ranks, streams.duration)))
+
+
+def assert_columns_match_reference(trace):
+    ops = reference_extract(trace)
+    if not ops:
+        with pytest.raises(AnalysisError):
+            extract_ops(trace)
+        return
+    streams = extract_ops(trace)
+    t_end = max(op.end for rank_ops in ops.values() for op in rank_ops)
+    assert (streams.t_start, streams.t_end) == (0.0, t_end)
+    _assert_streams_match_reference(streams, ops)
+    # The same lists through the RankOp constructor, in reverse order.
+    reversed_ops = {rank: rank_ops[::-1] for rank, rank_ops in ops.items()}
+    rebuilt = OpStreams(streams.n_ranks, ops=reversed_ops, t_start=0.0, t_end=t_end)
+    for rank_ops in reversed_ops.values():
+        rank_ops.sort(key=_reference_key)
+    _assert_streams_match_reference(rebuilt, reversed_ops)
+
+
+# Few distinct times, so starts and ends tie across kinds, message legs end
+# together, zero-length ops are common and ops overlap.  Ranks 4-5 of a
+# 6-rank world stay idle.
+_TIMES = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0))
+_SPANS = st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0))
+_RANKS = st.integers(0, 3)
+_STATES = st.tuples(_RANKS, st.sampled_from(("compute", "gpu", "copy", "overlap")),
+                    _TIMES, _SPANS)
+_MESSAGES = st.tuples(_RANKS, _RANKS, st.sampled_from((0.0, 64.0)), _TIMES, _SPANS,
+                      st.booleans())
+_RECVS = st.tuples(_RANKS, _RANKS, _TIMES, _SPANS)
+
+
+@given(st.sampled_from((4, 6)), st.lists(_STATES, max_size=12),
+       st.lists(_MESSAGES, max_size=14), st.lists(_RECVS, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_columnar_streams_match_record_reference(n_ranks, states, messages, recvs):
+    tracer = Tracer(n_ranks)
+    for rank, state, start, span in states:
+        tracer.record_state(rank, state, start, start + span)
+    for src, dst, nbytes, start, span, _ in messages:
+        tracer.record_comm(src, dst, nbytes, start, start + span, tag=0)
+    # Most sends are received, ending with their send or later; a few
+    # receives have no send at all.
+    for src, dst, nbytes, start, span, received in messages:
+        if received:
+            tracer.record_recv(dst, src, nbytes, start, start + span, tag=0)
+    for rank, src, start, span in recvs:
+        tracer.record_recv(rank, src, 64.0, start, start + span, tag=0)
+    assert_columns_match_reference(tracer.finalize())
+
+
+@pytest.mark.parametrize("name", ("jacobi", "cg", "hpl"))
+def test_columnar_streams_match_record_reference_on_real_traces(name):
+    run = run_workload(name, nodes=2, traced=True)
+    assert_columns_match_reference(run.trace)
 
 
 # ---------------------------------------------------------------------------

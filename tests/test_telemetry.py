@@ -97,6 +97,41 @@ class TestCounter:
     def test_unset_series_reads_zero(self):
         assert Counter("events_total").value() == 0.0
 
+    def test_bad_label_rejected_at_bind_time(self):
+        counter = Counter("messages_total", labelnames=("kind",))
+        with pytest.raises(TelemetryError, match="do not match"):
+            counter.labels(direction="send")
+        with pytest.raises(TelemetryError, match="do not match"):
+            counter.labels()
+
+    def test_bound_child_equals_labelled_inc(self):
+        bound = Counter("bytes_total", labelnames=("kind",))
+        keyed = Counter("bytes_total", labelnames=("kind",))
+        send, recv = bound.labels(kind="send"), bound.labels(kind="recv")
+        for amount in (64.0, 0.5, 1e9):
+            send.inc(amount)
+            keyed.inc(amount, kind="send")
+        recv.inc()
+        keyed.inc(kind="recv")
+        for kind in ("send", "recv"):
+            assert bound.value(kind=kind) == keyed.value(kind=kind)
+        assert list(bound.series()) == list(keyed.series())
+
+    def test_bound_child_rejects_negative_increment(self):
+        child = Counter("events_total", labelnames=("kind",)).labels(kind="a")
+        with pytest.raises(TelemetryError, match="cannot decrease"):
+            child.inc(-1.0)
+
+    def test_bound_child_never_incremented_exports_no_series(self):
+        registry = Registry()
+        counter = registry.counter("messages_total", labelnames=("kind",))
+        counter.labels(kind="send")
+        counter.labels(kind="recv").inc()
+        assert list(counter.series()) == [(("recv",), 1.0)]
+        text = to_prometheus_text(registry)
+        assert 'messages_total{kind="recv"} 1' in text
+        assert "send" not in text
+
 
 class TestGauge:
     def test_set_last_write_wins(self):
@@ -337,6 +372,7 @@ class TestNullTelemetry:
         counter.add(1.0)
         counter.observe(2.0)
         assert counter.value() == 0.0
+        assert counter.labels(kind="send") is counter
 
     def test_record_hooks_accumulate_nothing(self):
         sink = NullTelemetry()

@@ -18,6 +18,7 @@ from repro.tracing.events import (
     RecvRecord,
     StateRecord,
     Trace,
+    match_fifo,
 )
 from repro.units import mib
 
@@ -33,6 +34,19 @@ def test_tracer_collects_states():
     assert trace.compute_seconds(0) == 1.0
     assert trace.compute_seconds(1) == 2.0
     assert trace.compute_seconds_all() == [1.0, 2.0]
+
+
+def test_match_fifo_pairs_each_link_in_completion_order():
+    # Link 0->1: sends complete in the order 1, 0, 3 and receives in the
+    # order 1, 0, 3, 4, so receive 4 finds no send; link 1->0 pairs 2 with 2.
+    sends = ([0, 0, 1, 0], [1, 1, 0, 1], [0.0, 0.0, 0.0, 2.0], [2.0, 1.0, 1.0, 3.0])
+    recvs = ([0, 0, 1, 0, 0], [1, 1, 0, 1, 1],
+             [0.5, 0.0, 0.0, 1.0, 9.0], [2.5, 1.0, 1.0, 3.0, 9.5])
+    assert match_fifo(sends, recvs).tolist() == [0, 1, 2, 3, -1]
+    # Exact (end, start) ties keep column order on both sides.
+    tied = ([0, 0], [1, 1], [0.0, 0.0], [1.0, 1.0])
+    assert match_fifo(tied, tied).tolist() == [0, 1]
+    assert match_fifo(([], [], [], []), tied).tolist() == [-1, -1]
 
 
 def test_tracer_rank_validation():
