@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.analysis import build_observation_matrix, fit_pls, select_components_by_press
-from repro.bench.runner import CLUSTER_SIZES, ExperimentRun, run_workload
+from repro.bench.runner import CLUSTER_SIZES, run_workload
 from repro.core import (
     ExtendedRoofline,
     RooflinePoint,
@@ -346,19 +346,12 @@ class CollocationRow:
 def collocation_study(sizes: tuple[int, ...] = CLUSTER_SIZES) -> list[CollocationRow]:
     """Table IV: CPU-only, GPGPU, and collocated hpl under both NICs."""
     rows = []
-    for label, kwargs in (
-        ("CPU", {"mode": "cpu"}),
-        ("GPU", {"mode": "gpu"}),
-        ("CPU+GPU", None),  # collocated
-    ):
+    for label, mode in (("CPU", "cpu"), ("GPU", "gpu"), ("CPU+GPU", "collocated")):
         for network in ("1G", "10G"):
             throughput: dict[int, float] = {}
             efficiency: dict[int, float] = {}
             for nodes in sizes:
-                if kwargs is None:
-                    run = _run_collocated(nodes, network)
-                else:
-                    run = run_workload("hpl", nodes=nodes, network=network, **kwargs)
+                run = run_workload("hpl", nodes=nodes, network=network, mode=mode)
                 throughput[nodes] = to_gflops(run.result.throughput_flops)
                 efficiency[nodes] = run.result.mflops_per_watt()
             rows.append(
@@ -369,20 +362,6 @@ def collocation_study(sizes: tuple[int, ...] = CLUSTER_SIZES) -> list[Collocatio
                 )
             )
     return rows
-
-
-def _run_collocated(nodes: int, network: str) -> ExperimentRun:
-    from repro.cluster import Cluster
-    from repro.cluster.cluster import tx1_cluster_spec
-    from repro.workloads import HplCollocatedWorkload
-
-    workload = HplCollocatedWorkload()
-    cluster = Cluster(tx1_cluster_spec(nodes, network))
-    result = workload.run_on(cluster)
-    return ExperimentRun(
-        workload=workload, cluster=cluster, result=result, trace=None,
-        rank_to_node=list(range(nodes)),
-    )
 
 
 # ---------------------------------------------------------------------------

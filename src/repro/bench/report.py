@@ -1,6 +1,8 @@
-"""Experiment-result artifacts: JSON for machines, Markdown for humans.
+"""The paper's experiment registry: one id per table or figure.
 
-``write_report`` runs any subset of the paper's experiments and writes
+Each id maps to a data function and a text formatter.  ``repro
+experiment ID ...`` prints the text blocks; with ``--outdir`` it calls
+``write_report``, which writes
 
 * ``<outdir>/results.json`` — every number, keyed by experiment id, and
 * ``<outdir>/REPORT.md`` — the paper-style text blocks,
@@ -13,37 +15,88 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.bench import experiments as ex, tables
+from repro.core import render_roofline_ascii, render_table2
+from repro.errors import ConfigurationError
+
+
+def _roofline_figure() -> dict[str, dict]:
+    """Fig. 4's inputs: the per-NIC ceilings and the measured points."""
+    return {"models": ex.roofline_models(), "points": ex.roofline_points()}
+
+
+def _format_roofline_figure(figure: dict[str, dict]) -> str:
+    return "\n\n".join(
+        render_roofline_ascii(figure["models"][net], figure["points"][net])
+        for net in ("1G", "10G")
+    )
+
+
+def _ceiling_migration() -> dict[str, list]:
+    """Roofline 2.0: the CNN presets swept over batch size at 4 nodes."""
+    from repro.insight import ceiling_migration_sweep
+
+    return {
+        network: ceiling_migration_sweep(network, nodes=4)
+        for network in ("alexnet", "googlenet")
+    }
+
+
+def _format_ceiling_migration(sweeps: dict[str, list]) -> str:
+    from repro.insight import format_migration_sweep
+
+    sections = ["## Roofline 2.0: binding-ceiling migration", ""]
+    sections += [format_migration_sweep(net, rows) for net, rows in sweeps.items()]
+    return "\n".join(sections)
+
+
+_NETWORK_COMPARISON = (ex.network_comparison, tables.format_network_comparison)
 
 #: experiment id -> (data function, text formatter)
 _REGISTRY: dict[str, tuple[Callable[[], Any], Callable[[Any], str]]] = {
-    "fig1_fig2": (ex.network_comparison, tables.format_network_comparison),
+    "fig1": _NETWORK_COMPARISON,
+    "fig2": _NETWORK_COMPARISON,  # same table carries both columns
     "fig3": (ex.traffic_characterization, tables.format_traffic),
-    "table2": (
-        ex.roofline_points,
-        lambda points: __import__("repro.core", fromlist=["render_table2"]).render_table2(points),
-    ),
+    "fig4": (_roofline_figure, _format_roofline_figure),
     "fig5": (ex.gpgpu_scalability, tables.format_scalability),
     "fig6": (ex.npb_scalability, tables.format_scalability),
-    "table3": (ex.memory_model_study, tables.format_memory_models),
     "fig7": (ex.work_ratio_study, tables.format_work_ratio),
-    "table4": (ex.collocation_study, tables.format_collocation),
-    "table6": (ex.cavium_comparison, tables.format_cavium),
     "fig8": (ex.pls_study, tables.format_pls),
     "fig9": (ex.discrete_gpu_comparison, tables.format_discrete_gpu),
     "fig10": (ex.ai_balance_study, tables.format_ai_balance),
+    "table2": (ex.roofline_points, render_table2),
+    "table3": (ex.memory_model_study, tables.format_memory_models),
+    "table4": (ex.collocation_study, tables.format_collocation),
+    "table6": (ex.cavium_comparison, tables.format_cavium),
     "microbench": (ex.network_microbench, tables.format_microbench),
+    "roofline2": (_ceiling_migration, _format_ceiling_migration),
 }
-
-#: The cheap subset suitable for smoke runs.
-QUICK_EXPERIMENTS = ("microbench", "fig3", "table2", "table6", "fig10")
 
 
 def available_experiments() -> tuple[str, ...]:
-    """All experiment ids the reporter can run."""
+    """Every registered experiment id, sorted."""
     return tuple(sorted(_REGISTRY))
+
+
+def check_experiment_ids(names: Sequence[str]) -> tuple[str, ...]:
+    """*names* unchanged, or a ConfigurationError naming the valid ids."""
+    unknown = [name for name in names if name not in _REGISTRY]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
+            f"known experiments: {' '.join(available_experiments())}"
+        )
+    return tuple(names)
+
+
+def run_experiment(name: str) -> tuple[Any, str]:
+    """(data, text block) of the registered experiment *name*."""
+    check_experiment_ids((name,))
+    data_fn, formatter = _REGISTRY[name]
+    data = data_fn()
+    return data, formatter(data)
 
 
 def _jsonable(value: Any) -> Any:
@@ -68,39 +121,21 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def run_experiments(names: tuple[str, ...] | None = None) -> dict[str, dict[str, Any]]:
-    """Run *names* (default: the quick subset) and return id -> {data, text}."""
-    names = names or QUICK_EXPERIMENTS
-    results: dict[str, dict[str, Any]] = {}
-    for name in names:
-        try:
-            fn, fmt = _REGISTRY[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown experiment {name!r}; choose from {available_experiments()}"
-            ) from None
-        data = fn()
-        results[name] = {"data": _jsonable(data), "text": fmt(data)}
-    return results
-
-
-def write_report(
-    outdir: str | Path,
-    names: tuple[str, ...] | None = None,
-) -> tuple[Path, Path]:
-    """Run experiments and write results.json + REPORT.md under *outdir*."""
+def write_report(outdir: str | Path, names: Sequence[str]) -> tuple[Path, Path]:
+    """Run the experiments *names* and write results.json + REPORT.md."""
+    names = check_experiment_ids(names)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = run_experiments(names)
+    results = {name: run_experiment(name) for name in names}
 
     json_path = outdir / "results.json"
     json_path.write_text(
-        json.dumps({k: v["data"] for k, v in results.items()}, indent=2)
+        json.dumps({k: _jsonable(data) for k, (data, _) in results.items()}, indent=2)
     )
 
     md_lines = ["# Experiment report", ""]
-    for name, payload in results.items():
-        md_lines += [f"## {name}", "", "```text", payload["text"], "```", ""]
+    for name, (_, text) in results.items():
+        md_lines += [f"## {name}", "", "```text", text, "```", ""]
     md_path = outdir / "REPORT.md"
     md_path.write_text("\n".join(md_lines))
     return json_path, md_path

@@ -9,13 +9,13 @@ Commands
     Run one workload on a cluster and print the measurements (optionally a
     Paraver-style timeline and the extended-Roofline placement).
 ``experiment``
-    Regenerate one of the paper's tables/figures by id (fig1, table2, ...).
+    Regenerate the paper's tables/figures by id (fig1, table2, ...; ``list``
+    names them all) and print their text blocks; ``--outdir DIR`` writes
+    them as results.json + REPORT.md artifacts instead.
 ``report``
-    With a workload: run it instrumented and print the bottleneck report —
+    Run one workload instrumented and print the bottleneck report —
     critical path, roofline placement, LB·Ser·Trf cross-check — as text,
-    JSON, or Markdown (see ``docs/TELEMETRY.md``).  Without a workload:
-    legacy mode, run a set of experiments and write results.json +
-    REPORT.md artifacts.
+    JSON, or Markdown (see ``docs/TELEMETRY.md``).
 ``bench``
     Measure the perf-regression baseline (``--baseline FILE`` writes it;
     ``--check`` re-measures and exits non-zero on drift beyond tolerance).
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.units import to_gflops
@@ -65,12 +64,12 @@ def _require_workload(name: str) -> str:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    from repro.bench import experiments  # noqa: F401  (import check)
+    from repro.bench.report import available_experiments
 
     print("workloads (GPGPU): " + " ".join(GPGPU_NAMES))
     print("workloads (NPB)  : " + " ".join(n for n in ALL_NAMES if n not in GPGPU_NAMES))
     print("systems          : tx1 (2/4/8/16 nodes, 1G|10G), gtx980, thunderx")
-    print("experiments      : " + " ".join(sorted(_EXPERIMENTS)))
+    print("experiments      : " + " ".join(available_experiments()))
     return 0
 
 
@@ -151,13 +150,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        runner = _EXPERIMENTS[args.name]
-    except KeyError:
-        print(f"unknown experiment {args.name!r}; try: {' '.join(sorted(_EXPERIMENTS))}",
-              file=sys.stderr)
-        return 2
-    print(runner())
+    from repro.bench.report import check_experiment_ids, run_experiment, write_report
+
+    names = check_experiment_ids(args.ids)
+    if args.outdir is not None:
+        json_path, md_path = write_report(args.outdir, names)
+        print(f"wrote {json_path} and {md_path}")
+        return 0
+    for name in names:
+        print(run_experiment(name)[1])
     return 0
 
 
@@ -224,15 +225,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.workload is None:
-        # Legacy mode: experiment artifacts (results.json + REPORT.md).
-        from repro.bench.report import write_report
-
-        names = tuple(args.experiments) if args.experiments else None
-        json_path, md_path = write_report(args.outdir, names=names)
-        print(f"wrote {json_path} and {md_path}")
-        return 0
-
     from repro.insight import RENDERERS, build_report, render_ridgeline_svg
 
     report = build_report(
@@ -391,126 +383,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 _DEFAULT_SWEEP_STORE = object()
 
 
-def _exp_fig1() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_network_comparison(ex.network_comparison())
-
-
-def _exp_fig3() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_traffic(ex.traffic_characterization())
-
-
-def _exp_fig4() -> str:
-    from repro.bench import experiments as ex
-    from repro.core import render_roofline_ascii
-
-    models = ex.roofline_models()
-    points = ex.roofline_points()
-    return "\n\n".join(
-        render_roofline_ascii(models[net], points[net]) for net in ("1G", "10G")
-    )
-
-
-def _exp_table2() -> str:
-    from repro.bench import experiments as ex
-    from repro.core import render_table2
-
-    return render_table2(ex.roofline_points())
-
-
-def _exp_fig5() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_scalability(ex.gpgpu_scalability())
-
-
-def _exp_fig6() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_scalability(ex.npb_scalability())
-
-
-def _exp_table3() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_memory_models(ex.memory_model_study())
-
-
-def _exp_fig7() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_work_ratio(ex.work_ratio_study())
-
-
-def _exp_table4() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_collocation(ex.collocation_study())
-
-
-def _exp_table6() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_cavium(ex.cavium_comparison())
-
-
-def _exp_fig8() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_pls(ex.pls_study())
-
-
-def _exp_fig9() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_discrete_gpu(ex.discrete_gpu_comparison())
-
-
-def _exp_fig10() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_ai_balance(ex.ai_balance_study())
-
-
-def _exp_microbench() -> str:
-    from repro.bench import experiments as ex, tables
-
-    return tables.format_microbench(ex.network_microbench())
-
-
-def _exp_roofline2() -> str:
-    from repro.insight import ceiling_migration_sweep, format_migration_sweep
-
-    sections = ["## Roofline 2.0: binding-ceiling migration", ""]
-    for network in ("alexnet", "googlenet"):
-        rows = ceiling_migration_sweep(network, nodes=4)
-        sections.append(format_migration_sweep(network, rows))
-    return "\n".join(sections)
-
-
-_EXPERIMENTS: dict[str, Callable[[], str]] = {
-    "fig1": _exp_fig1,
-    "fig2": _exp_fig1,  # same table carries both columns
-    "fig3": _exp_fig3,
-    "fig4": _exp_fig4,
-    "fig5": _exp_fig5,
-    "fig6": _exp_fig6,
-    "fig7": _exp_fig7,
-    "fig8": _exp_fig8,
-    "fig9": _exp_fig9,
-    "fig10": _exp_fig10,
-    "table2": _exp_table2,
-    "table3": _exp_table3,
-    "table4": _exp_table4,
-    "table6": _exp_table6,
-    "microbench": _exp_microbench,
-    "roofline2": _exp_roofline2,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -533,16 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timeline width in characters")
     _add_telemetry_arguments(run_p)
 
-    exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp_p.add_argument("name", help="e.g. fig1, table2, fig8, microbench")
+    exp_p = sub.add_parser("experiment", help="regenerate paper tables/figures")
+    exp_p.add_argument("ids", nargs="+", metavar="ID",
+                       help="experiment ids, e.g. fig1 table2 microbench "
+                            "(`repro list` names them all)")
+    exp_p.add_argument("--outdir", default=None, metavar="DIR",
+                       help="write results.json + REPORT.md here instead of "
+                            "printing the text blocks")
 
-    rep_p = sub.add_parser(
-        "report",
-        help="per-workload bottleneck report (or legacy experiment artifacts)",
-    )
-    rep_p.add_argument("workload", nargs="?", default=None,
-                       help="workload to analyse; omit for the legacy "
-                            "results.json + REPORT.md artifact writer")
+    rep_p = sub.add_parser("report", help="per-workload bottleneck report")
+    rep_p.add_argument("workload", help="workload to analyse")
     rep_p.add_argument("--nodes", type=int, default=4)
     rep_p.add_argument("--network", choices=("1G", "10G"), default="10G")
     rep_p.add_argument("--system", choices=("tx1", "gtx980", "thunderx"),
@@ -559,11 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ridgeline SVG here")
     rep_p.add_argument("--out", default=None, metavar="FILE",
                        help="write the report here instead of stdout")
-    rep_p.add_argument("--outdir", default="artifacts",
-                       help="(legacy mode) artifact directory")
-    rep_p.add_argument("--experiments", nargs="*", default=None,
-                       help="(legacy mode) experiment ids "
-                            "(default: the quick subset)")
 
     bench_p = sub.add_parser(
         "bench",

@@ -18,12 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.bench.runner import ExperimentRun, run_workload
-from repro.cluster.cluster import (
-    Cluster,
-    gtx980_cluster_spec,
-    thunderx_cluster_spec,
-    tx1_cluster_spec,
-)
+from repro.campaign.spec import build_cluster_spec
+from repro.cluster.cluster import Cluster
 from repro.core import measure_roofline_point, roofline_for_cluster
 from repro.core.extended import RooflinePoint
 from repro.errors import AnalysisError, ConfigurationError, TraceError
@@ -99,16 +95,6 @@ class FaultExperimentReport:
         )
 
 
-def _cluster_for(system: str, nodes: int, network: str) -> Cluster:
-    if system == "tx1":
-        return Cluster(tx1_cluster_spec(nodes, network))
-    if system == "gtx980":
-        return Cluster(gtx980_cluster_spec(nodes))
-    if system == "thunderx":
-        return Cluster(thunderx_cluster_spec())
-    raise ConfigurationError(f"unknown system {system!r}")
-
-
 def run_degraded(
     name: str,
     schedule: FaultSchedule,
@@ -171,7 +157,7 @@ def run_degraded(
 
     for attempt_index in range(max_restarts + 1):
         workload = make_workload(name, **workload_kwargs)
-        cluster = _cluster_for(system, len(original_ids), network)
+        cluster = Cluster(build_cluster_spec(system, len(original_ids), network))
         rpn = ranks_per_node or workload.default_ranks_per_node
         tracer = Tracer(cluster.node_count * rpn)
         result = workload.run_on(

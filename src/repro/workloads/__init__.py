@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.workloads.base import GpuIterativeWorkload, Workload, block_partition
 from repro.workloads.caffe import ImageClassificationWorkload, network_spec
 from repro.workloads.cloverleaf import CloverLeafWorkload
-from repro.workloads.hpl import HplCollocatedWorkload, HplWorkload
+from repro.workloads.hpl import HplWorkload
 from repro.workloads.jacobi import JacobiWorkload
 from repro.workloads.npb import NPB_SPECS, npb_workload
 from repro.workloads.tealeaf import TeaLeaf2DWorkload, TeaLeaf3DWorkload
@@ -93,7 +93,6 @@ __all__ = [
     "GPGPU_FACTORIES",
     "GPGPU_NAMES",
     "GpuIterativeWorkload",
-    "HplCollocatedWorkload",
     "HplWorkload",
     "ImageClassificationWorkload",
     "JacobiWorkload",

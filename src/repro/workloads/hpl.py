@@ -3,13 +3,15 @@
 Right-looking blocked LU over panels in a block-cyclic column distribution:
 the panel owner factorizes on the CPU, broadcasts the panel, everyone swaps
 pivot rows with a partner and runs the trailing DGEMM update on the GPGPU.
-Three modes reproduce the paper's §III-B.6 experiments:
+The modes reproduce the paper's §III-B.6 experiments:
 
 * ``mode="gpu"`` (default) — the GPGPU-accelerated version (one CPU core
   drives communication and transfers).
 * ``mode="cpu"`` — the HPCC CPU version, all cores via 4 ranks/node.
 * ``gpu_work_ratio`` in (0, 1] — Fig. 7's split of the trailing update
   between the GPGPU and one CPU core, run concurrently.
+* ``mode="collocated"`` — Table IV: the GPGPU version runs while the other
+  three cores of every node run their share of the CPU version.
 
 The validation-scale factorization is `repro.workloads.kernels.linalg`.
 """
@@ -64,10 +66,15 @@ class HplWorkload(Workload):
     ) -> None:
         if n < nb or nb < 1:
             raise ConfigurationError("need n >= nb >= 1")
-        if mode not in ("gpu", "cpu"):
+        if mode not in ("gpu", "cpu", "collocated"):
             raise ConfigurationError(f"unknown hpl mode {mode!r}")
         if not 0.0 < gpu_work_ratio <= 1.0:
             raise ConfigurationError("gpu_work_ratio must be in (0, 1]")
+        if mode == "collocated" and gpu_work_ratio < 1.0:
+            raise ConfigurationError(
+                "collocated hpl keeps the whole trailing update on the "
+                "GPGPU; gpu_work_ratio must be 1.0"
+            )
         self.n = n
         self.nb = nb
         self.mode = mode
@@ -75,15 +82,15 @@ class HplWorkload(Workload):
 
     @property
     def uses_gpu(self) -> bool:  # type: ignore[override]
-        return self.mode == "gpu"
+        return self.mode != "cpu"
 
     @property
     def default_ranks_per_node(self) -> int:  # type: ignore[override]
-        return 1 if self.mode == "gpu" else 4
+        return 4 if self.mode == "cpu" else 1
 
     @property
     def cpu_profile(self) -> WorkloadCPUProfile:
-        return _CPU_PROFILE if self.mode == "cpu" else _DRIVER_PROFILE
+        return _DRIVER_PROFILE if self.mode == "gpu" else _CPU_PROFILE
 
     # -- cost math -----------------------------------------------------------------
 
@@ -114,6 +121,10 @@ class HplWorkload(Workload):
     def program(self, ctx):
         size, rank = ctx.size, ctx.rank
         env = ctx.env
+        cores = (
+            [env.process(self._cpu_core_share(ctx)) for _ in range(3)]
+            if self.mode == "collocated" else []
+        )
         # HPL runs a ~square 2-D process grid: broadcasts travel along one
         # grid dimension, so per-rank volumes scale with 1/sqrt(P).
         grid = max(1.0, float(size) ** 0.5)
@@ -155,13 +166,27 @@ class HplWorkload(Workload):
                 )
             # Look-ahead: the next panel's owner factorizes while everyone
             # (including it) runs the trailing DGEMM.
-            if self.mode == "gpu" and k + 1 < self.panels() and rank == (k + 1) % size:
+            if self.mode != "cpu" and k + 1 < self.panels() and rank == (k + 1) % size:
                 pending_fact = env.process(factorize(k + 1))
             flops = self.update_flops(k, size)
             yield from self._trailing_update(ctx, flops)
         if pending_fact is not None:
             yield pending_fact
+        for core in cores:
+            yield core
         return self.total_flops()
+
+    def _cpu_core_share(self, ctx):
+        """One CPU core's slice of the CPU hpl's trailing updates.
+
+        Each core updates what one rank of the 4-rank-per-node CPU version
+        would: a quarter of its node's share.  Three such cores run beside
+        the GPGPU version's driver core.
+        """
+        for k in range(self.panels()):
+            flops = self.update_flops(k, ctx.size) / 4.0
+            instr = flops / _CPU_PROFILE.flops_per_instruction
+            yield from ctx.cpu_compute(_CPU_PROFILE, instr, state="overlap")
 
     def _trailing_update(self, ctx, flops: float):
         if self.mode == "cpu":
@@ -184,36 +209,3 @@ class HplWorkload(Workload):
             yield proc
         # Driver-core overhead for transfers/communication bookkeeping.
         yield from ctx.cpu_compute(_DRIVER_PROFILE, 2.0e5)
-
-
-class HplCollocatedWorkload(Workload):
-    """Table IV's collocation: the CPU hpl on 3 cores runs at the same time
-    as the GPGPU hpl (1 driver core + GPU), one instance of each per node."""
-
-    name = "hpl-collocated"
-    uses_gpu = True
-    default_ranks_per_node = 1
-
-    def __init__(self, n: int = 16384, nb: int = 256) -> None:
-        self.gpu_part = HplWorkload(n=n, nb=nb, mode="gpu")
-        # The CPU instance solves its own (smaller) problem on 3 cores; the
-        # per-rank share is one third of a node's 4-core run.
-        self.cpu_part = HplWorkload(n=n, nb=nb, mode="cpu")
-
-    @property
-    def cpu_profile(self) -> WorkloadCPUProfile:
-        return _CPU_PROFILE
-
-    def program(self, ctx):
-        def cpu_core_share():
-            # One CPU core's slice of the CPU-hpl trailing updates.
-            for k in range(self.cpu_part.panels()):
-                flops = self.cpu_part.update_flops(k, ctx.size) / 4.0
-                instr = flops / _CPU_PROFILE.flops_per_instruction
-                yield from ctx.cpu_compute(_CPU_PROFILE, instr, state="overlap")
-
-        cores = [ctx.env.process(cpu_core_share()) for _ in range(3)]
-        gpu_flops = yield from self.gpu_part.program(ctx)
-        for core in cores:
-            yield core
-        return gpu_flops

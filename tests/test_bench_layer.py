@@ -124,6 +124,38 @@ def test_work_ratio_small():
     assert "GPU ratio" in tables.format_work_ratio(study)
 
 
+def test_collocation_study_measures_through_one_run_path(monkeypatch):
+    """Every Table IV run, collocated hpl included, is simulated by the
+    runner's one cold-run function, never by a private cluster."""
+    from repro.bench import runner
+    from repro.workloads.base import Workload
+
+    depth = [0]
+    inside_simulate = []
+    simulate, run_on = runner._simulate, Workload.run_on
+
+    def counting_simulate(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return simulate(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting_run_on(self, *args, **kwargs):
+        inside_simulate.append(depth[0] > 0)
+        return run_on(self, *args, **kwargs)
+
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    monkeypatch.setattr(runner, "_cache", {})
+    monkeypatch.setattr(runner, "_simulate", counting_simulate)
+    monkeypatch.setattr(Workload, "run_on", counting_run_on)
+    rows = ex.collocation_study(sizes=(2,))
+    assert [row.config for row in rows] == [
+        "CPU+1G", "CPU+10G", "GPU+1G", "GPU+10G", "CPU+GPU+1G", "CPU+GPU+10G",
+    ]
+    assert inside_simulate == [True] * 6
+
+
 def test_microbench_values():
     data = ex.network_microbench()
     assert data["10G"]["iperf_gbit"] > data["1G"]["iperf_gbit"]

@@ -194,8 +194,9 @@ def test_cli_rejects_unknown_workload():
         build_parser().parse_args(["run", "doom3"])
 
 
+
 def test_cli_report(tmp_path, capsys):
-    assert main(["report", "--outdir", str(tmp_path), "--experiments",
-                 "microbench"]) == 0
+    # The results.json/REPORT.md artifacts are written by `experiment --outdir`.
+    assert main(["experiment", "microbench", "--outdir", str(tmp_path)]) == 0
     assert (tmp_path / "results.json").exists()
     assert (tmp_path / "REPORT.md").exists()

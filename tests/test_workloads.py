@@ -15,7 +15,6 @@ from repro.workloads import (
     GPGPU_NAMES,
     NPB_NAMES,
     HplWorkload,
-    HplCollocatedWorkload,
     ImageClassificationWorkload,
     JacobiWorkload,
     TeaLeaf3DWorkload,
@@ -181,7 +180,7 @@ def test_hpl_work_ratio_slows_and_drains_efficiency():
 def test_hpl_collocated_improves_throughput():
     """Table IV: CPU+GPU collocation beats GPU-only throughput."""
     gpu, _ = run(HplWorkload(n=8192, nb=1024), nodes=2)
-    both, _ = run(HplCollocatedWorkload(n=8192, nb=1024), nodes=2)
+    both, _ = run(HplWorkload(n=8192, nb=1024, mode="collocated"), nodes=2)
     assert both.total_flops > gpu.total_flops
     assert both.throughput_flops > gpu.throughput_flops
 
@@ -193,6 +192,8 @@ def test_hpl_validation():
         HplWorkload(mode="fpga")
     with pytest.raises(ConfigurationError):
         HplWorkload(gpu_work_ratio=0.0)
+    with pytest.raises(ConfigurationError, match="gpu_work_ratio"):
+        HplWorkload(mode="collocated", gpu_work_ratio=0.8)
 
 
 # -- caffe ------------------------------------------------------------------------
