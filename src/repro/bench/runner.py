@@ -52,8 +52,8 @@ class ExperimentRun:
         return self.result.elapsed_seconds
 
 
-_cache: dict[tuple, tuple[RunSpec, ExperimentRun]] = {}
-_stats = {"memory_hits": 0, "memory_misses": 0, "disk_hits": 0, "disk_misses": 0}
+_cache: dict[tuple, tuple[RunSpec, ExperimentRun]] = {}  # repro: noqa[RL300] deliberate per-process memo: workers publish results through the fingerprinted ResultStore; this dict only warms repeat calls within one process and run_workload snapshots defensively
+_stats = {"memory_hits": 0, "memory_misses": 0, "disk_hits": 0, "disk_misses": 0}  # repro: noqa[RL300] advisory hit/miss counters surfaced by bench --check; divergence across worker processes is acceptable for diagnostics
 
 
 def clear_cache() -> None:

@@ -3,8 +3,8 @@
 Everything else in this tree measures the *simulated* machine on the
 simulated clock; this package reads the *host* clock — how a campaign's
 workers spend their hours.  It is the only package allowed to read the
-wall clock (``wallclock-exempt`` / ``taint-exempt`` in pyproject.toml
-scope RL001/RL100 to it), and the clock-domain lint rule (RL500) keeps the
+wall clock (``LintConfig.wallclock_exempt`` / ``taint_exempt`` scope
+RL001/RL100 to it), and the clock-domain lint rule (RL500) keeps the
 dependency arrow one-way: simulation-domain packages never import from
 here.
 

@@ -8,7 +8,7 @@ its timestamps through it (or through an injected fake, which is how the
 tests stay deterministic).
 
 The lint configuration scopes the wall-clock exemption to this package
-(``wallclock-exempt`` in pyproject.toml) and the clock-domain rule (RL500)
+(``LintConfig.wallclock_exempt``) and the clock-domain rule (RL500)
 rejects any simulation-domain import of it, so the dependency arrow only
 ever points from host observability *into* the simulator, never back.
 """

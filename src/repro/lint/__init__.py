@@ -6,24 +6,27 @@ pack (RL001–RL007) covers determinism, sim-kernel correctness, MPI
 call-shape hygiene, unit safety, the error taxonomy, float-comparison
 discipline, and diagnostic channels.  The whole-program families ride a
 project-wide symbol table and import/call graph: RL100 propagates
-wall-clock/RNG/set-order taint interprocedurally, RL200 checks unit
-*dimensions* (seconds, bytes, flops, joules and their rates), RL300
-checks cache/process safety for campaign workers, and RL400 checks
-telemetry span balance.  See ``docs/LINT.md`` for the rule catalogue.
+wall-clock/RNG/set-order taint interprocedurally, RL300 checks
+cache/process safety for campaign workers, RL400 checks telemetry span
+balance, and RL500 keeps ``repro.hostprof`` out of the simulation domain.
+Findings are suppressed only inline, by a ``repro: noqa[RLxxx]`` comment
+that carries its justification.  See ``docs/LINT.md`` for the rule
+catalogue.
 
-Programmatic use::
+Programmatic use (the :class:`LintConfig` defaults are the project's
+configuration)::
 
-    from repro.lint import lint_project, load_config
-    result = lint_project(["src/repro"], config=load_config("pyproject.toml"))
+    from repro.lint import LintConfig, lint_project
+    result = lint_project(["src/repro"], config=LintConfig())
     for finding in result.findings:
         print(finding.render())
 
 Command line::
 
-    python -m repro lint [paths ...] [--format json|sarif] [--no-cache]
+    python -m repro lint [paths ...] [--format json] [--select RL001,RL004]
 """
 
-from repro.lint.config import LintConfig, find_pyproject, load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import (
     ALL_RULES,
     RULES,
@@ -41,7 +44,6 @@ from repro.lint.engine import (
 )
 from repro.lint.findings import Finding, Severity
 from repro.lint.reporters import parse_json, render_json, render_text
-from repro.lint.sarif import render_sarif
 
 # Importing the rule packs populates the registry.
 from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
@@ -59,15 +61,12 @@ __all__ = [
     "Rule",
     "Severity",
     "SuppressionStats",
-    "find_pyproject",
     "lint_paths",
     "lint_project",
     "lint_source",
-    "load_config",
     "parse_json",
     "register",
     "render_json",
-    "render_sarif",
     "render_text",
     "suppressions",
 ]

@@ -10,17 +10,16 @@ analyzer code).  So the cache keys are exactly those three things —
   order (any edit anywhere invalidates it — interprocedural facts are
   global);
 * both carry an **analysis fingerprint** — a hash of the lint package's
-  own sources plus the resolved configuration — so editing a rule or a
-  config knob invalidates everything without version bookkeeping.
+  own sources plus the :class:`LintConfig` in force — so editing a rule or
+  a config default invalidates everything without version bookkeeping.
 
 Storage rides the existing campaign :class:`~repro.campaign.store.ResultStore`
 (atomic writes, fingerprint validation, advisory misses), rooted at
 ``<cache-root>/lint`` and honouring ``REPRO_CACHE_DIR`` /
 ``REPRO_DISK_CACHE=0`` like every other cache in the tree.
 
-Suppressions and the baseline are applied *outside* the cache, on raw
-findings, so adding a ``noqa`` or accepting a finding never poisons a
-cached entry.
+Suppressions are applied *outside* the cache, on raw findings, so adding
+or removing a ``noqa`` never poisons a cached entry.
 """
 
 from __future__ import annotations
@@ -68,14 +67,12 @@ def _package_digest() -> str:
 
 
 def analysis_fingerprint(config: LintConfig) -> str:
-    """The invalidation key: analyzer sources + resolved configuration."""
+    """The invalidation key: analyzer sources + configuration."""
     payload = json.dumps(
         {
             "schema": CACHE_SCHEMA,
             "package": _package_digest(),
-            "config": {
-                k: v for k, v in asdict(config).items() if k != "root"
-            },
+            "config": asdict(config),
         },
         sort_keys=True,
     )

@@ -1,11 +1,12 @@
 """The ``python -m repro lint`` entry point.
 
 Exit codes: 0 when the tree is clean, 1 when findings exist, 2 on usage
-errors (bad paths, bad config).
+errors (bad paths, unknown rule ids).  With no path argument it lints the
+``repro`` package it runs from, under the :class:`LintConfig` defaults.
 
-Stream discipline: the findings report (text/json/sarif) goes to stdout;
-everything advisory — cache status, suppression statistics, stale-noqa
-and stale-baseline notices — goes to stderr.  CI relies on this split:
+Stream discipline: the findings report (text/json) goes to stdout;
+everything advisory — cache status, suppression statistics, stale and
+unjustified ``noqa`` notices — goes to stderr.  CI relies on this split:
 cold and warm runs must produce byte-identical stdout while stderr says
 which one hit the cache.
 """
@@ -17,43 +18,36 @@ import sys
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.lint.config import LintConfig, find_pyproject, load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import RULES, LintResult, lint_project
 from repro.lint.reporters import render_json, render_text
-from repro.lint.sarif import render_sarif
+
+#: The ``repro`` package this linter ships in: the default lint target.
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
+
+def _rule_ids(value: str) -> tuple[str, ...]:
+    """``"RL004,RL006"`` -> ``("RL004", "RL006")``."""
+    return tuple(r.strip() for r in value.split(",") if r.strip())
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint options to *parser* (shared with the repro CLI)."""
     parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: paths from [tool.repro.lint])",
+        help="files/directories to lint (default: the repro package)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--select", nargs="*", metavar="RLxxx", default=None,
-        help="run only these rule ids",
+        "--select", type=_rule_ids, metavar="RLxxx[,RLxxx...]", default=(),
+        help="run only these comma-separated rule ids",
     )
     parser.add_argument(
-        "--ignore", nargs="*", metavar="RLxxx", default=None,
-        help="skip these rule ids",
-    )
-    parser.add_argument(
-        "--config", default=None,
-        help="pyproject.toml to read [tool.repro.lint] from "
-             "(default: nearest one above the cwd)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of accepted findings "
-             "(default: the configured [tool.repro.lint] baseline)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        "--ignore", type=_rule_ids, metavar="RLxxx[,RLxxx...]", default=(),
+        help="skip these comma-separated rule ids",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -65,26 +59,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_config(args: argparse.Namespace) -> LintConfig:
-    if args.config is not None:
-        config = load_config(args.config)
-    else:
-        pyproject = find_pyproject(Path.cwd())
-        config = load_config(pyproject) if pyproject is not None else LintConfig()
-    overrides = {}
-    if args.select is not None:
-        overrides["select"] = tuple(args.select)
-    if args.ignore is not None:
-        overrides["ignore"] = tuple(args.ignore)
-    if getattr(args, "baseline", None) is not None:
-        overrides["baseline"] = args.baseline
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config
-
-
 def _list_rules() -> str:
     lines = []
     for rule_id in sorted(RULES):
@@ -94,7 +68,7 @@ def _list_rules() -> str:
 
 
 def _report_advisories(result: LintResult) -> None:
-    """Cache/suppression/baseline accounting, on stderr only."""
+    """Cache and suppression accounting, on stderr only."""
     print(result.cache_status, file=sys.stderr)
     if result.suppressions.used:
         counts = ", ".join(
@@ -107,31 +81,12 @@ def _report_advisories(result: LintResult) -> None:
             f"stale suppression: {path}:{line} noqa[{label}] matched no finding",
             file=sys.stderr,
         )
-    if result.baselined:
-        print(f"baseline: {result.baselined} finding(s) accepted", file=sys.stderr)
-    for entry in result.stale_baseline:
-        print(f"stale baseline entry: {entry}", file=sys.stderr)
-
-
-def _update_baseline(result: LintResult, config: LintConfig) -> int:
-    from repro.lint.baseline import baseline_path, load_baseline, write_baseline
-
-    path = baseline_path(config)
-    if path is None:
+    for path, line in result.suppressions.unjustified:
         print(
-            "repro lint: --update-baseline needs a baseline path "
-            "(--baseline or [tool.repro.lint] baseline)",
+            f"unjustified suppression: {path}:{line} bare noqa ignored — "
+            "add the reason after the marker",
             file=sys.stderr,
         )
-        return 2
-    # Re-apply nothing: the baseline should hold every *current* finding,
-    # including ones the old baseline already accepted.
-    previous = load_baseline(config)
-    survivors = list(result.findings)
-    count = write_baseline(path, survivors, previous=previous)
-    print(f"baseline: wrote {count} entr{'y' if count == 1 else 'ies'} to {path}",
-          file=sys.stderr)
-    return 0
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -140,39 +95,21 @@ def run_lint(args: argparse.Namespace) -> int:
         print(_list_rules())
         return 0
     try:
-        config = _resolve_config(args)
-        unknown = [
-            r for r in (*config.select, *config.ignore) if r not in RULES
-        ]
+        unknown = [r for r in (*args.select, *args.ignore) if r not in RULES]
         if unknown:
             raise ConfigurationError(f"unknown rule ids: {', '.join(unknown)}")
-        targets = [Path(p) for p in args.paths] if args.paths else config.resolved_paths()
-        if not targets:
-            raise ConfigurationError("nothing to lint: no paths given or configured")
-        lint_config = config
-        if args.update_baseline:
-            # The new baseline must hold *every* current finding, including
-            # ones the old baseline already accepts — lint unbaselined.
-            from dataclasses import replace
-
-            lint_config = replace(config, baseline="")
+        config = LintConfig(select=args.select, ignore=args.ignore)
+        targets = [Path(p) for p in args.paths] or [_PACKAGE_DIR]
         result = lint_project(
-            targets, config=lint_config, use_cache=not args.no_cache
+            targets, config=config, use_cache=not args.no_cache
         )
     except ConfigurationError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        return _update_baseline(result, config)
     _report_advisories(result)
     findings = result.findings
-    if args.format == "json":
-        report = render_json(findings)
-    elif args.format == "sarif":
-        report = render_sarif(findings)
-    else:
-        report = render_text(findings)
-    print(report)
+    render = render_json if args.format == "json" else render_text
+    print(render(findings))
     return 1 if findings else 0
 
 
@@ -181,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="Whole-program static analysis for the repro simulator "
-                    "(determinism, unit dimensions, process safety, spans).",
+                    "(determinism, process safety, spans, clock domains).",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

@@ -1,65 +1,39 @@
-"""Lint configuration, loadable from ``[tool.repro.lint]`` in pyproject.toml.
+"""Lint configuration: the rule scopes the shipped tree is checked under.
 
-Keys (all optional):
+The defaults *are* the project's configuration — there is no config file.
+Tests (and programmatic callers) pass other values by constructing a
+:class:`LintConfig` directly.
 
-``select``
-    Rule ids to run (default: every registered rule).
-``ignore``
-    Rule ids to skip even if selected.
-``paths``
-    Default lint targets, relative to the pyproject.toml directory.
-``unit-exempt``
-    Path fragments exempt from the unit-safety rule (RL004).  The
-    ``repro.units`` module itself defines the conversions, so it is exempt
-    by default.
-``float-eq-paths``
+``select`` / ``ignore``
+    Rule ids to run (empty: every registered rule) and to skip even if
+    selected; ``repro lint --select/--ignore`` set these.
+``unit_exempt``
+    Path fragments exempt from the unit-safety rule (RL004):
+    ``repro/units.py`` defines the conversions everyone else must use.
+``float_eq_paths``
     Path fragments where the float-equality rule (RL006) applies.
-``diagnostic-exempt``
+``diagnostic_exempt``
     Path fragments exempt from the diagnostic-channel rule (RL007): the
-    CLI layer and the linter's own reporters print by design.
-``taint-exempt``
-    Path fragments exempt from the interprocedural determinism rule
-    (RL100).
-``wallclock-exempt``
+    CLI layer, the linter's own reporters, and the result store's
+    advisory channel print by design.
+``wallclock_exempt`` / ``taint_exempt``
     Path fragments where direct wall-clock reads are allowed (RL001's
-    wall-clock check is skipped; RNG checks still apply).  Scoped to
+    wall-clock check is skipped; RNG checks still apply) and which the
+    interprocedural determinism rule (RL100) skips.  Both are scoped to
     ``repro/hostprof/`` — the host-observability package is the only
     blessed clock-domain crossing, and RL500 keeps simulation-domain
     packages from importing it.
-``process-roots``
+``process_roots``
     Module names treated as campaign-worker entry points for the
     process-safety rule (RL300); every module importable from a root is
     worker-visible.
-``baseline``
-    Path (relative to the config root) of the committed baseline of
-    accepted findings; empty disables baselining.
-
-Python 3.10 has no ``tomllib``; a tiny fallback parser handles the subset
-of TOML this section needs (string values and string arrays) so the linter
-never requires a third-party dependency.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
-
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 only
-    tomllib = None  # type: ignore[assignment]
-
-#: Where RL006 (float equality) applies unless configured otherwise.
-DEFAULT_FLOAT_EQ_PATHS = ("sim/", "core/", "analysis/")
-#: Path fragments exempt from RL004 unless configured otherwise.
-DEFAULT_UNIT_EXEMPT = ("units.py",)
-#: Path fragments exempt from RL007 unless configured otherwise.
-DEFAULT_DIAGNOSTIC_EXEMPT = ("cli.py", "lint/")
-#: Worker entry-point modules for RL300 unless configured otherwise.
-DEFAULT_PROCESS_ROOTS = ("repro.campaign.runner", "repro.bench.runner")
+_HOSTPROF = ("repro/hostprof/",)
 
 
 @dataclass(frozen=True)
@@ -68,126 +42,19 @@ class LintConfig:
 
     select: tuple[str, ...] = ()  # empty = all registered rules
     ignore: tuple[str, ...] = ()
-    paths: tuple[str, ...] = ("src/repro",)
-    unit_exempt: tuple[str, ...] = DEFAULT_UNIT_EXEMPT
-    float_eq_paths: tuple[str, ...] = DEFAULT_FLOAT_EQ_PATHS
-    diagnostic_exempt: tuple[str, ...] = DEFAULT_DIAGNOSTIC_EXEMPT
-    taint_exempt: tuple[str, ...] = ()
-    wallclock_exempt: tuple[str, ...] = ()
-    process_roots: tuple[str, ...] = DEFAULT_PROCESS_ROOTS
-    #: Baseline file path relative to the config root; '' disables it.
-    baseline: str = ""
-    #: Directory the config file lives in; '' when defaulted.
-    root: str = ""
+    unit_exempt: tuple[str, ...] = ("repro/units.py",)
+    float_eq_paths: tuple[str, ...] = ("sim/", "core/", "analysis/")
+    diagnostic_exempt: tuple[str, ...] = ("cli.py", "lint/", "campaign/store.py")
+    taint_exempt: tuple[str, ...] = _HOSTPROF
+    wallclock_exempt: tuple[str, ...] = _HOSTPROF
+    process_roots: tuple[str, ...] = (
+        "repro.campaign.runner",
+        "repro.campaign.supervisor",
+        "repro.bench.runner",
+    )
 
     def enabled(self, rule_id: str) -> bool:
         """Whether *rule_id* should run under this config."""
         if rule_id in self.ignore:
             return False
         return not self.select or rule_id in self.select
-
-    def resolved_paths(self) -> list[Path]:
-        """The configured lint targets, anchored at the config root."""
-        base = Path(self.root) if self.root else Path(".")
-        return [base / p for p in self.paths]
-
-
-def _as_str_tuple(value: object, key: str) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    raise ConfigurationError(f"[tool.repro.lint] {key} must be a string or string list")
-
-
-_SECTION_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-_ARRAY_RE = re.compile(r"^(?P<key>[\w-]+)\s*=\s*\[(?P<body>.*)\]\s*$")
-_STRING_RE = re.compile(r"^(?P<key>[\w-]+)\s*=\s*\"(?P<value>[^\"]*)\"\s*$")
-_ITEM_RE = re.compile(r"\"([^\"]*)\"")
-
-
-def _parse_lint_section(text: str) -> dict[str, object]:
-    """Minimal TOML-subset parse of the ``[tool.repro.lint]`` section.
-
-    Handles exactly what the lint config uses — one flat section with string
-    and string-array values — so 3.10 works without tomllib.
-    """
-    section: dict[str, object] = {}
-    in_section = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip() if not raw.lstrip().startswith('"') else raw
-        if not line.strip():
-            continue
-        header = _SECTION_RE.match(line.strip())
-        if header:
-            in_section = header.group("name").strip() == "tool.repro.lint"
-            continue
-        if not in_section:
-            continue
-        array = _ARRAY_RE.match(line.strip())
-        if array:
-            section[array.group("key")] = _ITEM_RE.findall(array.group("body"))
-            continue
-        string = _STRING_RE.match(line.strip())
-        if string:
-            section[string.group("key")] = string.group("value")
-    return section
-
-
-def _lint_table(pyproject: Path) -> dict[str, object]:
-    text = pyproject.read_text(encoding="utf-8")
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        table = data.get("tool", {}).get("repro", {}).get("lint", {})
-        if not isinstance(table, dict):
-            raise ConfigurationError("[tool.repro.lint] must be a table")
-        return table
-    return _parse_lint_section(text)
-
-
-def load_config(pyproject: Path | str) -> LintConfig:
-    """Build a :class:`LintConfig` from a pyproject.toml file."""
-    pyproject = Path(pyproject)
-    if not pyproject.is_file():
-        raise ConfigurationError(f"no such config file: {pyproject}")
-    table = _lint_table(pyproject)
-    kwargs: dict[str, object] = {}
-    mapping = {
-        "select": "select",
-        "ignore": "ignore",
-        "paths": "paths",
-        "unit-exempt": "unit_exempt",
-        "float-eq-paths": "float_eq_paths",
-        "diagnostic-exempt": "diagnostic_exempt",
-        "taint-exempt": "taint_exempt",
-        "wallclock-exempt": "wallclock_exempt",
-        "process-roots": "process_roots",
-        "baseline": "baseline",
-    }
-    for toml_key, attr in mapping.items():
-        if toml_key not in table:
-            continue
-        if attr == "baseline":
-            if not isinstance(table[toml_key], str):
-                raise ConfigurationError(
-                    "[tool.repro.lint] baseline must be a string"
-                )
-            kwargs[attr] = table[toml_key]
-        else:
-            kwargs[attr] = _as_str_tuple(table[toml_key], toml_key)
-    unknown = set(table) - set(mapping)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown [tool.repro.lint] keys: {', '.join(sorted(unknown))}"
-        )
-    return LintConfig(root=str(pyproject.parent), **kwargs)
-
-
-def find_pyproject(start: Path | str = ".") -> Path | None:
-    """Walk up from *start* to locate the governing pyproject.toml."""
-    here = Path(start).resolve()
-    for candidate in (here, *here.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.is_file():
-            return pyproject
-    return None

@@ -5,16 +5,17 @@ Two rule flavours share one registry:
 * a per-file :class:`Rule` parses one file at a time (the RL001–RL007
   pack);
 * a :class:`ProjectRule` sees the whole program at once through a
-  :class:`ProjectContext` — symbol table, import/call graph, taint and
-  dimension analyses — and powers the RL100–RL400 families.
+  :class:`ProjectContext` — symbol table, import/call graph and taint
+  analysis — and powers RL100, RL300 and RL500.
 
 ``lint_project`` is the full pipeline: per-file rules served from the
 fingerprint-keyed incremental cache under ``.repro-cache/lint/``, the
-interprocedural pass cached on the whole-project digest, inline
-``noqa[RLxxx]`` suppressions (with per-rule usage statistics and
-stale-suppression detection), and the committed baseline of accepted
-findings.  ``lint_source``/``lint_paths`` remain as the simple front
-doors used by tests and tooling.
+interprocedural pass cached on the whole-project digest, then inline
+``noqa[RLxxx] <justification>`` suppressions — the one suppression
+mechanism — with per-rule usage statistics, stale-suppression detection,
+and a refusal to honour a ``noqa`` that carries no justification.
+``lint_source``/``lint_paths`` remain as the simple front doors used by
+tests and tooling.
 """
 
 from __future__ import annotations
@@ -30,9 +31,13 @@ from repro.errors import ConfigurationError
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
 
-#: Matches the inline suppression marker, bare or with ``[RL001, RL004]``.
+#: Matches the inline suppression marker, bare or with ``[RL001, RL004]``,
+#: and the justification text that must follow it.  The justification
+#: stops at the next ``#``, so another tool's trailing comment does not
+#: count as one.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>\s*RL\d+(?:\s*,\s*RL\d+)*\s*)\])?"
+    r"(?P<why>[^#]*)"
 )
 
 #: Sentinel meaning "every rule suppressed on this line".
@@ -56,16 +61,15 @@ class FileContext:
 class ProjectContext:
     """The whole-program view shared by every :class:`ProjectRule`.
 
-    The graph and the (expensive) taint/dimension analyses are built
-    lazily and memoized, so a run with the interprocedural families
-    disabled never pays for them.
+    The graph and the (expensive) taint analysis are built lazily and
+    memoized, so a run with the interprocedural families disabled never
+    pays for them.
     """
 
     def __init__(self, files: Iterable[FileContext]) -> None:
         self.files: tuple[FileContext, ...] = tuple(files)
         self._graph = None
         self._taints = None
-        self._dimensions = None
 
     @property
     def graph(self):
@@ -84,15 +88,6 @@ class ProjectContext:
 
             self._taints = TaintAnalysis(self.graph)
         return self._taints
-
-    @property
-    def dimensions(self):
-        """The :class:`~repro.lint.dimensions.DimensionAnalysis`."""
-        if self._dimensions is None:
-            from repro.lint.dimensions import DimensionAnalysis
-
-            self._dimensions = DimensionAnalysis(self.graph)
-        return self._dimensions
 
     def context_for(self, module: str) -> FileContext | None:
         """The file context holding *module*, if any."""
@@ -187,12 +182,21 @@ def project_rules() -> list[str]:
     return sorted(r for r in RULES if isinstance(RULES[r], ProjectRule))
 
 
-def suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number -> rule ids suppressed there (:data:`ALL_RULES` = all)."""
+def suppressions(source: str) -> tuple[dict[int, set[str]], list[int]]:
+    """Parse every ``repro: noqa`` marker in *source* once.
+
+    Returns ``(table, bare)``: *table* maps line number -> rule ids
+    suppressed there (:data:`ALL_RULES` = all); *bare* lists the lines
+    whose marker carries no justification and so suppresses nothing.
+    """
     table: dict[int, set[str]] = {}
+    bare: list[int] = []
     for lineno, line in enumerate(source.splitlines(), start=1):
         match = _NOQA_RE.search(line)
-        if not match:
+        if match is None:
+            continue
+        if not match.group("why").strip():
+            bare.append(lineno)
             continue
         rules = match.group("rules")
         if rules is None:
@@ -201,7 +205,7 @@ def suppressions(source: str) -> dict[int, set[str]]:
             table.setdefault(lineno, set()).update(
                 r.strip() for r in rules.split(",")
             )
-    return table
+    return table, bare
 
 
 @dataclass
@@ -212,25 +216,27 @@ class SuppressionStats:
     used: dict[str, int] = field(default_factory=dict)
     #: (path, line, rule-or-``*``) noqa entries that matched no finding.
     stale: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def merge(self, other: "SuppressionStats") -> None:
-        for rule, count in other.used.items():
-            self.used[rule] = self.used.get(rule, 0) + count
-        self.stale.extend(other.stale)
+    #: (path, line) of noqa markers ignored for lacking a justification.
+    unjustified: list[tuple[str, int]] = field(default_factory=list)
 
 
 def apply_suppressions(
     findings: Iterable[Finding],
-    tables: dict[str, dict[int, set[str]]],
+    parsed: dict[str, tuple[dict[int, set[str]], list[int]]],
 ) -> tuple[list[Finding], SuppressionStats]:
-    """Drop suppressed findings; account for usage and staleness.
+    """Drop suppressed findings; account for usage, staleness, bare markers.
 
-    *tables* maps file path -> the file's :func:`suppressions` table.  A
+    *parsed* maps file path -> the file's :func:`suppressions` result.  A
     noqa entry that suppressed nothing is *stale* — the code it excused
     has moved or been fixed — and is reported so suppressions cannot
     quietly outlive their justification.
     """
-    stats = SuppressionStats()
+    tables = {path: table for path, (table, _) in parsed.items()}
+    stats = SuppressionStats(
+        unjustified=[
+            (path, line) for path in sorted(parsed) for line in parsed[path][1]
+        ]
+    )
     kept: list[Finding] = []
     hit: set[tuple[str, int, str]] = set()
     for finding in findings:
@@ -258,10 +264,6 @@ class LintResult:
 
     findings: list[Finding]
     suppressions: SuppressionStats
-    #: Findings accepted by the committed baseline (dropped from findings).
-    baselined: int = 0
-    #: Baseline entries that matched nothing this run.
-    stale_baseline: list[str] = field(default_factory=list)
     #: Incremental-cache accounting for this run.
     files_total: int = 0
     files_from_cache: int = 0
@@ -360,10 +362,9 @@ def lint_project(
     Per-file findings are served from the incremental cache when the
     file's content (and the analysis fingerprint) is unchanged; the
     interprocedural pass is cached on the whole-project digest.  Inline
-    suppressions and the configured baseline are applied *after* caching,
-    so cached entries stay valid when only a noqa or the baseline moves.
+    suppressions are applied *after* caching, so cached entries stay
+    valid when only a noqa moves.
     """
-    from repro.lint.baseline import apply_baseline, load_baseline
     from repro.lint.cache import LintCache, file_digest, project_digest
 
     config = config or LintConfig()
@@ -432,12 +433,9 @@ def lint_project(
         if cache is not None:
             cache.put_project(proj_digest, project_findings)
 
-    tables = {path: suppressions(source) for path, source, _ in files}
-    kept, result.suppressions = apply_suppressions(raw, tables)
-
-    baseline = load_baseline(config)
-    kept, result.baselined, result.stale_baseline = apply_baseline(kept, baseline)
-
+    kept, result.suppressions = apply_suppressions(
+        raw, {path: suppressions(source) for path, source, _ in files}
+    )
     result.findings = sorted(kept, key=Finding.sort_key)
     return result
 

@@ -1,10 +1,10 @@
 """Project-wide symbol table and import/call graph.
 
-The whole-program rule families (RL100 determinism taint, RL200 unit
-dimensions, RL300 process safety) need to see across file boundaries: a
-wall-clock read three frames below ``Job.run``, a dimension conversion
-applied in a helper, module state reachable from a campaign worker.  This
-module turns a set of parsed files into that view:
+The whole-program rule families (RL100 determinism taint, RL300 process
+safety, RL500 clock domains) need to see across file boundaries: a
+wall-clock read three frames below ``Job.run``, module state reachable
+from a campaign worker, a simulation-domain module importing
+``repro.hostprof``.  This module turns a set of parsed files into that view:
 
 * every file becomes a :class:`ModuleInfo` with a dotted module name, its
   import table (local alias -> fully-qualified target), its top-level

@@ -8,10 +8,6 @@ RL100       interproc-         run-to-run identical figures against nondetermini
                                callee transitively returns a wall-clock read or
                                global-RNG draw, and iteration over a call that
                                returns a bare ``set`` (hash order)
-RL200       unit-dimensions    the roofline/energy axes against dimensional
-                               nonsense built from blessed helpers: seconds+bytes
-                               arithmetic, unit-mismatched ``repro.units`` calls,
-                               and double conversions
 RL300       process-safety     campaign workers against module-level mutable
                                state: globals mutated inside functions in modules
                                importable from the worker entry points, and
@@ -26,9 +22,9 @@ RL500       clock-domain       the two-clock firewall: simulation-domain package
                                on the simulator, never the reverse
 ==========  =================  ====================================================
 
-RL100–RL300 and RL500 are :class:`~repro.lint.engine.ProjectRule`\\ s — they
-need the project graph; RL400 is per-file.  All five ride the standard
-Finding/noqa/baseline machinery.
+RL100, RL300 and RL500 are :class:`~repro.lint.engine.ProjectRule`\\ s —
+they need the project graph; RL400 is per-file.  All four ride the
+standard Finding/noqa machinery.
 """
 
 from __future__ import annotations
@@ -115,40 +111,6 @@ class InterprocDeterminismRule(ProjectRule):
                     "returns a bare set: ordering is hash-dependent; sort "
                     "it (or return a list) before it feeds scheduling",
                 )
-
-
-# ---------------------------------------------------------------------------
-# RL200 — unit dimensions
-# ---------------------------------------------------------------------------
-
-
-@register
-class UnitDimensionRule(ProjectRule):
-    """RL200: dimensional contradictions across the project."""
-
-    rule_id = "RL200"
-    name = "unit-dimensions"
-    summary = (
-        "mixed-dimension arithmetic (seconds + bytes), unit-mismatched "
-        "repro.units calls, and double conversions corrupt the roofline "
-        "and energy axes"
-    )
-
-    def check_project(
-        self, project: ProjectContext, config: LintConfig
-    ) -> Iterator[Finding]:
-        dims = project.dimensions
-        graph = project.graph
-        for module_name in sorted(graph.modules):
-            info = graph.modules[module_name]
-            if _in_scope(info.path, config.unit_exempt):
-                continue
-            for local in sorted(info.functions):
-                func = info.functions[local]
-                for mismatch in dims.check_function(func):
-                    yield self.finding_at(
-                        info.path, mismatch.node, mismatch.message
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,6 @@ class TestSweepIntegration:
 # The lint firewall
 # ---------------------------------------------------------------------------
 
-_EXEMPT = LintConfig(
-    wallclock_exempt=("repro/hostprof/",),
-    taint_exempt=("repro/hostprof/",),
-)
-
 _CLOCK_SOURCE = (
     "import time\n\n\n"
     "def stamp():\n"
@@ -239,29 +234,36 @@ _CLOCK_SOURCE = (
 class TestLintFirewall:
     def test_wall_clock_outside_hostprof_fails_rl001_and_rl100(self):
         findings = lint_source(
-            _CLOCK_SOURCE, path="src/repro/sim/leak.py", config=_EXEMPT
+            _CLOCK_SOURCE, path="src/repro/sim/leak.py", config=LintConfig()
         )
         assert {f.rule for f in findings} >= {"RL001", "RL100"}
 
     def test_wall_clock_inside_hostprof_is_exempt(self):
         findings = lint_source(
-            _CLOCK_SOURCE, path="src/repro/hostprof/clock2.py", config=_EXEMPT
+            _CLOCK_SOURCE, path="src/repro/hostprof/clock2.py", config=LintConfig()
         )
         assert [f.rule for f in findings] == []
 
     def test_default_config_still_bans_hostprof_paths(self):
-        # The exemption is opt-in via pyproject; a bare LintConfig keeps
-        # the tree-wide ban.
+        # The default exemption names the package directory, so a file
+        # that merely mentions hostprof elsewhere is still banned ...
+        findings = lint_source(
+            _CLOCK_SOURCE, path="src/repro/sim/hostprof_shim.py",
+            config=LintConfig(),
+        )
+        assert {f.rule for f in findings} >= {"RL001", "RL100"}
+        # ... and the exemption lives in the config, not in the rules:
+        # without it the hostprof package itself is banned too.
         findings = lint_source(
             _CLOCK_SOURCE, path="src/repro/hostprof/clock2.py",
-            config=LintConfig(),
+            config=LintConfig(wallclock_exempt=(), taint_exempt=()),
         )
         assert any(f.rule == "RL001" for f in findings)
 
     def test_sim_domain_import_of_hostprof_fails_rl500(self):
         findings = lint_source(
             "from repro.hostprof import Stopwatch\n",
-            path="src/repro/network/fabric2.py", config=_EXEMPT,
+            path="src/repro/network/fabric2.py", config=LintConfig(),
         )
         assert [f.rule for f in findings] == ["RL500"]
 
@@ -270,7 +272,7 @@ class TestLintFirewall:
             "def run():\n"
             "    import repro.hostprof.clock\n"
             "    return repro.hostprof.clock\n",
-            path="src/repro/mpi/comm2.py", config=_EXEMPT,
+            path="src/repro/mpi/comm2.py", config=LintConfig(),
         )
         assert [f.rule for f in findings] == ["RL500"]
 
@@ -279,17 +281,12 @@ class TestLintFirewall:
             "from repro.hostprof.clock import Stopwatch\n\n\n"
             "def time_task():\n"
             "    return Stopwatch()\n",
-            path="src/repro/campaign/worker2.py", config=_EXEMPT,
+            path="src/repro/campaign/worker2.py", config=LintConfig(),
         )
         assert findings == []
 
     def test_pyproject_scopes_the_exemption_to_hostprof_only(self):
-        from pathlib import Path
-
-        from repro.lint import load_config
-
-        config = load_config(
-            Path(__file__).resolve().parent.parent / "pyproject.toml"
-        )
+        # The shipped configuration is LintConfig's defaults.
+        config = LintConfig()
         assert config.wallclock_exempt == ("repro/hostprof/",)
         assert config.taint_exempt == ("repro/hostprof/",)

@@ -21,14 +21,11 @@ from repro.lint import (
     lint_paths,
     lint_project,
     lint_source,
-    load_config,
     parse_json,
     render_json,
-    render_sarif,
     render_text,
     suppressions,
 )
-from repro.lint.config import _parse_lint_section
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,11 +76,6 @@ POSITIVE = {
         "    return time.time()\n\n\n"
         "def step(env):\n"
         "    return stamp()\n",
-    ),
-    "RL200": (
-        "src/repro/insight/toy.py",
-        "def total(elapsed_seconds, network_bytes):\n"
-        "    return elapsed_seconds + network_bytes\n",
     ),
     "RL300": (
         "src/repro/campaign/toy.py",
@@ -155,11 +147,6 @@ NEGATIVE = {
         "    return x + 1\n\n\n"
         "def step(x):\n"
         "    return base(x)\n",
-    ),
-    "RL200": (
-        "src/repro/insight/toy.py",
-        "def total(compute_seconds, comm_seconds):\n"
-        "    return compute_seconds + comm_seconds\n",
     ),
     "RL300": (
         "src/repro/campaign/toy.py",
@@ -348,24 +335,43 @@ def test_blanket_noqa_suppresses_each_rule(rule_id):
     path, source = POSITIVE[rule_id]
     lines = source.splitlines()
     for finding in lint_source(source, path=path):
-        lines[finding.line - 1] += "  # repro: noqa"
+        lines[finding.line - 1] += "  # repro: noqa test justification"
     assert lint_source("\n".join(lines) + "\n", path=path) == []
 
 
 def test_noqa_for_other_rule_does_not_suppress():
     path, source = POSITIVE["RL005"]
     lines = source.splitlines()
-    lines[2] += "  # repro: noqa[RL001]"
+    lines[2] += "  # repro: noqa[RL001] wrong rule on purpose"
     found = lint_source("\n".join(lines) + "\n", path=path)
     assert [f.rule for f in found] == ["RL005"]
 
 
 def test_suppression_table_parses_lists():
-    table = suppressions(
-        "x = 1  # repro: noqa[RL001, RL004]\ny = 2  # repro: noqa\n"
+    table, bare = suppressions(
+        "x = 1  # repro: noqa[RL001, RL004] both intended\n"
+        "y = 2  # repro: noqa whole line intended\n"
+        "z = 3  # repro: noqa[RL005]\n"
+        "w = 4  # repro: noqa[RL006]  # type: ignore\n"
     )
-    assert table[1] == {"RL001", "RL004"}
-    assert table[2] == {"*"}
+    assert table == {1: {"RL001", "RL004"}, 2: {"*"}}
+    # Line 3 has no text and line 4 only another tool's comment: both bare.
+    assert bare == [3, 4]
+
+
+@pytest.mark.parametrize("marker", ["# repro: noqa[RL005]", "# repro: noqa  "])
+def test_noqa_without_justification_does_not_suppress(tmp_path, capsys, marker):
+    from repro.lint.cli import main
+
+    _write(tmp_path, "f.py",
+           "def check(x):\n"
+           "    if x < 0:\n"
+           f"        raise ValueError('bad')  {marker}\n")
+    assert main([str(tmp_path / "f.py")]) == 1
+    captured = capsys.readouterr()
+    assert "f.py:3:" in captured.out and "RL005" in captured.out
+    assert "unjustified suppression" in captured.err
+    assert "f.py:3 bare noqa ignored" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -401,57 +407,12 @@ def test_render_text_has_file_line_and_summary():
 
 
 # ---------------------------------------------------------------------------
-# Config
-# ---------------------------------------------------------------------------
-
-
-def test_load_config_reads_lint_table(tmp_path):
-    pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text(
-        "[project]\nname = \"x\"\n\n"
-        "[tool.repro.lint]\n"
-        "select = [\"RL001\", \"RL005\"]\n"
-        "ignore = [\"RL005\"]\n"
-        "paths = [\"src\"]\n",
-        encoding="utf-8",
-    )
-    config = load_config(pyproject)
-    assert config.enabled("RL001")
-    assert not config.enabled("RL005")  # ignored beats selected
-    assert not config.enabled("RL002")  # not selected
-    assert config.resolved_paths() == [tmp_path / "src"]
-
-
-def test_load_config_rejects_unknown_keys(tmp_path):
-    pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text("[tool.repro.lint]\nbogus = \"x\"\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="unknown"):
-        load_config(pyproject)
-
-
-def test_mini_toml_fallback_parser_matches_expectations():
-    # The 3.10 fallback path, exercised on every version.
-    section = _parse_lint_section(
-        "[tool.other]\nselect = [\"nope\"]\n"
-        "[tool.repro.lint]\n"
-        "select = [\"RL001\", \"RL002\"]  # trailing comment\n"
-        "unit-exempt = [\"units.py\"]\n"
-        "[tool.after]\nx = \"y\"\n"
-    )
-    assert section == {
-        "select": ["RL001", "RL002"],
-        "unit-exempt": ["units.py"],
-    }
-
-
-# ---------------------------------------------------------------------------
 # CLI exit codes and the dirty-fixture acceptance path
 # ---------------------------------------------------------------------------
 
 
 def _write_fixture_tree(root: Path) -> None:
-    """A tree violating every rule, plus a hermetic config."""
-    (root / "pyproject.toml").write_text("[tool.repro.lint]\n", encoding="utf-8")
+    """A tree violating every rule."""
     sim = root / "sim"
     sim.mkdir()
     (sim / "bad_sim.py").write_text(
@@ -482,8 +443,6 @@ def _write_fixture_tree(root: Path) -> None:
         "    return time.time()\n\n\n"                   # RL001 (source)
         "def step(env):\n"
         "    return stamp()\n\n\n"                       # RL100
-        "def total(elapsed_seconds, network_bytes):\n"
-        "    return elapsed_seconds + network_bytes\n\n\n"   # RL200
         "def trace(telemetry):\n"
         "    telemetry.span('phase')\n",                 # RL400
         encoding="utf-8",
@@ -510,10 +469,8 @@ def _write_fixture_tree(root: Path) -> None:
 def test_cli_exit_zero_on_clean_tree(tmp_path, capsys):
     from repro.lint.cli import main
 
-    (tmp_path / "pyproject.toml").write_text("[tool.repro.lint]\n", encoding="utf-8")
     (tmp_path / "clean.py").write_text("x = 1\n", encoding="utf-8")
-    code = main([str(tmp_path / "clean.py"),
-                 "--config", str(tmp_path / "pyproject.toml")])
+    code = main([str(tmp_path / "clean.py")])
     assert code == 0
     assert capsys.readouterr().out.strip().endswith("0 findings")
 
@@ -522,7 +479,7 @@ def test_cli_exit_one_with_text_findings_on_dirty_tree(tmp_path, capsys):
     from repro.lint.cli import main
 
     _write_fixture_tree(tmp_path)
-    code = main([str(tmp_path), "--config", str(tmp_path / "pyproject.toml")])
+    code = main([str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
     for rule_id in RULES:
@@ -534,8 +491,7 @@ def test_cli_json_format_on_dirty_tree(tmp_path, capsys):
     from repro.lint.cli import main
 
     _write_fixture_tree(tmp_path)
-    code = main([str(tmp_path), "--format", "json",
-                 "--config", str(tmp_path / "pyproject.toml")])
+    code = main([str(tmp_path), "--format", "json"])
     assert code == 1
     data = json.loads(capsys.readouterr().out)
     assert data["count"] == len(data["findings"]) >= 6
@@ -547,29 +503,40 @@ def test_cli_select_and_ignore(tmp_path, capsys):
     from repro.lint.cli import main
 
     _write_fixture_tree(tmp_path)
-    config = str(tmp_path / "pyproject.toml")
-    assert main([str(tmp_path), "--config", config, "--select", "RL005"]) == 1
+    assert main([str(tmp_path), "--select", "RL005"]) == 1
     out = capsys.readouterr().out
     assert "RL005" in out and "RL001" not in out
-    assert main([str(tmp_path), "--config", config,
-                 "--ignore", *sorted(RULES)]) == 0
+    assert main([str(tmp_path), "--ignore", ",".join(sorted(RULES))]) == 0
+    capsys.readouterr()
+    assert main([str(tmp_path), "--select", "RL004,RL007"]) == 1
+    rules = {line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]}
+    assert rules == {"RL004", "RL007"}
+
+
+def test_cli_rule_flags_leave_following_paths_alone(tmp_path, capsys):
+    # A path after --select/--ignore is a lint target, not a rule id.
+    from repro.lint.cli import main
+
+    _write_fixture_tree(tmp_path)
+    assert main(["--select", "RL004", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "bad_mpi.py:2:" in out and out.strip().endswith("1 finding")
+    assert main(["--ignore", "RL004", str(tmp_path / "workloads")]) == 1
+    assert "RL004" not in capsys.readouterr().out
 
 
 def test_cli_exit_two_on_bad_path(tmp_path, capsys):
     from repro.lint.cli import main
 
-    assert main([str(tmp_path / "missing"),
-                 "--config", str(tmp_path / "nope.toml")]) == 2
+    assert main([str(tmp_path / "missing")]) == 2
     assert "repro lint:" in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_unknown_rule(tmp_path, capsys):
     from repro.lint.cli import main
 
-    (tmp_path / "pyproject.toml").write_text("[tool.repro.lint]\n", encoding="utf-8")
     (tmp_path / "f.py").write_text("x = 1\n", encoding="utf-8")
-    assert main([str(tmp_path), "--config", str(tmp_path / "pyproject.toml"),
-                 "--select", "RL999"]) == 2
+    assert main([str(tmp_path), "--select", "RL999"]) == 2
     assert "unknown rule ids" in capsys.readouterr().err
 
 
@@ -585,10 +552,8 @@ def test_cli_list_rules(capsys):
 def test_repro_cli_wires_lint_subcommand(tmp_path, capsys):
     from repro.cli import main as repro_main
 
-    (tmp_path / "pyproject.toml").write_text("[tool.repro.lint]\n", encoding="utf-8")
     (tmp_path / "clean.py").write_text("x = 1\n", encoding="utf-8")
-    code = repro_main(["lint", str(tmp_path / "clean.py"),
-                       "--config", str(tmp_path / "pyproject.toml")])
+    code = repro_main(["lint", str(tmp_path / "clean.py")])
     assert code == 0
 
 
@@ -636,34 +601,6 @@ def test_rl100_flags_iteration_over_helper_returned_set(tmp_path):
     assert "hash-dependent" in found[0].message
 
 
-def test_rl200_flags_cross_file_dimension_mismatch(tmp_path):
-    # duration() returns seconds (inferred from its own returns); adding
-    # bytes to its result two modules away is the contradiction.
-    _write(tmp_path, "src/repro/util/t.py",
-           "def duration(a_seconds, b_seconds):\n"
-           "    return a_seconds + b_seconds\n")
-    _write(tmp_path, "src/repro/insight/mix.py",
-           "from repro.util.t import duration\n\n\n"
-           "def broken(total_bytes, x_seconds, y_seconds):\n"
-           "    return total_bytes + duration(x_seconds, y_seconds)\n")
-    found = [f for f in lint_paths([tmp_path / "src"]) if f.rule == "RL200"]
-    assert len(found) == 1
-    assert found[0].path.endswith("mix.py")
-    assert "bytes + seconds" in found[0].message
-
-
-def test_rl200_flags_double_conversion():
-    src = (
-        "from repro.units import to_gflops\n\n\n"
-        "def report(throughput_flops):\n"
-        "    return to_gflops(to_gflops(throughput_flops))\n"
-    )
-    found = [f for f in lint_source(src, path="src/repro/insight/r.py")
-             if f.rule == "RL200"]
-    assert len(found) == 1
-    assert "already-converted" in found[0].message
-
-
 def test_rl300_scopes_to_worker_reachable_modules(tmp_path):
     # state.py is imported by the worker entry point; colors.py is not.
     _write(tmp_path, "src/repro/campaign/runner.py",
@@ -698,8 +635,7 @@ def test_rl400_accepts_bound_span_used_in_with():
 
 def _dirty_tree_result(tmp_path):
     _write_fixture_tree(tmp_path)
-    config = load_config(tmp_path / "pyproject.toml")
-    return lint_project([tmp_path], config=config)
+    return lint_project([tmp_path], config=LintConfig())
 
 
 def test_lint_cache_warm_run_is_byte_identical(tmp_path, monkeypatch):
@@ -707,13 +643,11 @@ def test_lint_cache_warm_run_is_byte_identical(tmp_path, monkeypatch):
     cold = _dirty_tree_result(tmp_path)
     assert cold.cache_enabled and not cold.project_from_cache
     assert cold.files_from_cache == 0 and cold.files_total > 0
-    config = load_config(tmp_path / "pyproject.toml")
-    warm = lint_project([tmp_path], config=config)
+    warm = lint_project([tmp_path], config=LintConfig())
     assert warm.project_from_cache
     assert warm.files_from_cache == warm.files_total == cold.files_total
     assert warm.findings == cold.findings
     assert render_json(warm.findings) == render_json(cold.findings)
-    assert render_sarif(warm.findings) == render_sarif(cold.findings)
     assert "warm" in warm.cache_status and "cold" in cold.cache_status
 
 
@@ -724,8 +658,7 @@ def test_lint_cache_invalidates_on_edit(tmp_path, monkeypatch):
     # every other file stays cached.
     target = tmp_path / "flow" / "bad_state.py"
     target.write_text(target.read_text() + "\n# edited\n", encoding="utf-8")
-    config = load_config(tmp_path / "pyproject.toml")
-    warm = lint_project([tmp_path], config=config)
+    warm = lint_project([tmp_path], config=LintConfig())
     assert not warm.project_from_cache
     assert warm.files_from_cache == cold.files_total - 1
     assert warm.findings == cold.findings  # a comment changes nothing
@@ -743,10 +676,9 @@ def test_lint_cache_flag_bypass(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     _write_fixture_tree(tmp_path)
-    config = str(tmp_path / "pyproject.toml")
-    assert main([str(tmp_path), "--config", config]) == 1
+    assert main([str(tmp_path)]) == 1
     capsys.readouterr()
-    assert main([str(tmp_path), "--config", config, "--no-cache"]) == 1
+    assert main([str(tmp_path), "--no-cache"]) == 1
     assert "lint cache: disabled" in capsys.readouterr().err
 
 
@@ -759,8 +691,8 @@ def test_suppression_stats_count_used_and_stale(tmp_path):
     _write(tmp_path, "src/repro/x.py",
            "def check(x):\n"
            "    if x < 0:\n"
-           "        raise ValueError('bad')  # repro: noqa[RL005]\n"
-           "    return x  # repro: noqa[RL001]\n")
+           "        raise ValueError('bad')  # repro: noqa[RL005] test-only raise\n"
+           "    return x  # repro: noqa[RL001] nothing to suppress here\n")
     result = lint_project([tmp_path / "src"], config=LintConfig())
     assert result.findings == []
     assert result.suppressions.used == {"RL005": 1}
@@ -772,14 +704,12 @@ def test_suppression_stats_count_used_and_stale(tmp_path):
 def test_cli_reports_suppression_stats_on_stderr(tmp_path, capsys):
     from repro.lint.cli import main
 
-    (tmp_path / "pyproject.toml").write_text("[tool.repro.lint]\n", encoding="utf-8")
     _write(tmp_path, "f.py",
            "def check(x):\n"
            "    if x < 0:\n"
-           "        raise ValueError('bad')  # repro: noqa[RL005]\n"
-           "    return x  # repro: noqa[RL001]\n")
-    code = main([str(tmp_path / "f.py"),
-                 "--config", str(tmp_path / "pyproject.toml")])
+           "        raise ValueError('bad')  # repro: noqa[RL005] test-only raise\n"
+           "    return x  # repro: noqa[RL001] nothing to suppress here\n")
+    code = main([str(tmp_path / "f.py")])
     captured = capsys.readouterr()
     assert code == 0  # stale suppressions are a notice, not a failure
     assert "suppressions used (RL005: 1)" in captured.err
@@ -787,124 +717,36 @@ def test_cli_reports_suppression_stats_on_stderr(tmp_path, capsys):
     assert "stale" not in captured.out  # report stream stays clean
 
 
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
+def test_justified_noqa_accepts_module_state_until_it_goes_stale(tmp_path, capsys):
+    # A module-level design a reviewer accepted: the RL300 finding sits on
+    # the assignment line, so the inline noqa goes there.
+    from repro.lint.cli import main
 
-
-def _baselined_tree(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro.lint]\nbaseline = \"lint-baseline.json\"\n",
+    state = _write(tmp_path, "src/state.py",
+                   "_CACHE = {}  # repro: noqa[RL300] reviewed per-process memo\n\n\n"
+                   "def remember(key, value):\n"
+                   "    _CACHE[key] = value\n"
+                   "    return dict(_CACHE)\n")
+    result = lint_project([tmp_path / "src"], config=LintConfig())
+    assert result.findings == []
+    assert result.suppressions.used == {"RL300": 1}
+    assert result.suppressions.stale == []
+    assert main([str(tmp_path / "src")]) == 0
+    assert "suppressions used (RL300: 1)" in capsys.readouterr().err
+    # Remove the mutation: the acceptance now excuses nothing.
+    state.write_text(
+        "_CACHE = {}  # repro: noqa[RL300] reviewed per-process memo\n\n\n"
+        "def remember(key, value):\n"
+        "    return value\n",
         encoding="utf-8",
     )
-    _write(tmp_path, "src/state.py",
-           "_CACHE = {}\n\n\n"
-           "def remember(key, value):\n"
-           "    _CACHE[key] = value\n"
-           "    return _CACHE[key]\n")
-    return load_config(tmp_path / "pyproject.toml")
-
-
-def test_update_baseline_then_clean(tmp_path, capsys):
-    from repro.lint.cli import main
-
-    _baselined_tree(tmp_path)
-    config_path = str(tmp_path / "pyproject.toml")
-    target = str(tmp_path / "src")
-    assert main([target, "--config", config_path]) == 1  # dirty before
-    capsys.readouterr()
-    assert main([target, "--config", config_path, "--update-baseline"]) == 0
-    data = json.loads((tmp_path / "lint-baseline.json").read_text())
-    assert data["schema"] == 1 and len(data["entries"]) == 2
-    assert all(e["rule"] == "RL300" for e in data["entries"])
-    capsys.readouterr()
-    assert main([target, "--config", config_path]) == 0  # accepted now
-    captured = capsys.readouterr()
-    assert "baseline: 2 finding(s) accepted" in captured.err
-    assert captured.out.strip().endswith("0 findings")
-
-
-def test_baseline_matches_across_absolute_and_relative_paths(tmp_path):
-    config = _baselined_tree(tmp_path)
-    from repro.lint.baseline import baseline_path, load_baseline, write_baseline
-
-    dirty = lint_project([tmp_path / "src"], config=config)
-    write_baseline(baseline_path(config), dirty.findings)
-    clean = lint_project([(tmp_path / "src").resolve()], config=config)
-    assert clean.findings == [] and clean.baselined == 2
-    assert load_baseline(config).entries  # round-trips
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    config = _baselined_tree(tmp_path)
-    from repro.lint.baseline import baseline_path, write_baseline
-
-    dirty = lint_project([tmp_path / "src"], config=config)
-    write_baseline(baseline_path(config), dirty.findings)
-    # Fix the code: the baseline entries now match nothing.
-    _write(tmp_path, "src/state.py", "def remember(key, value):\n    return value\n")
-    result = lint_project([tmp_path / "src"], config=config)
-    assert result.findings == [] and result.baselined == 0
-    assert len(result.stale_baseline) == 2
-    assert all("RL300" in entry for entry in result.stale_baseline)
-
-
-def test_baseline_keeps_justifications_on_update(tmp_path):
-    config = _baselined_tree(tmp_path)
-    from repro.lint.baseline import (
-        baseline_path, load_baseline, write_baseline,
-    )
-
-    dirty = lint_project([tmp_path / "src"], config=config)
-    path = baseline_path(config)
-    write_baseline(path, dirty.findings)
-    doc = json.loads(path.read_text())
-    doc["entries"][0]["justification"] = "reviewed: deliberate memo"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    write_baseline(path, dirty.findings, previous=load_baseline(config))
-    kept = json.loads(path.read_text())["entries"]
-    assert any(e["justification"] == "reviewed: deliberate memo" for e in kept)
-
-
-def test_baseline_rejects_malformed_file(tmp_path):
-    config = _baselined_tree(tmp_path)
-    (tmp_path / "lint-baseline.json").write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="not valid JSON"):
-        lint_project([tmp_path / "src"], config=config)
-
-
-# ---------------------------------------------------------------------------
-# SARIF
-# ---------------------------------------------------------------------------
-
-
-def test_sarif_document_shape_and_determinism(tmp_path):
-    _write_fixture_tree(tmp_path)
-    config = load_config(tmp_path / "pyproject.toml")
-    findings = lint_paths([tmp_path], config=config)
-    assert findings
-    doc = json.loads(render_sarif(findings))
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(RULES)
-    assert len(run["results"]) == len(findings)
-    first = run["results"][0]
-    region = first["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == findings[0].line
-    assert region["startColumn"] == findings[0].col + 1  # 1-based
-    assert render_sarif(findings) == render_sarif(list(findings))
-
-
-def test_cli_sarif_format(tmp_path, capsys):
-    from repro.lint.cli import main
-
-    _write_fixture_tree(tmp_path)
-    code = main([str(tmp_path), "--format", "sarif",
-                 "--config", str(tmp_path / "pyproject.toml")])
-    assert code == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["runs"][0]["results"]
+    result = lint_project([tmp_path / "src"], config=LintConfig())
+    assert result.findings == [] and result.suppressions.used == {}
+    assert [(Path(p).name, line, rule)
+            for p, line, rule in result.suppressions.stale] == [
+        ("state.py", 1, "RL300")]
+    assert main([str(tmp_path / "src")]) == 0
+    assert "stale suppression: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -913,12 +755,32 @@ def test_cli_sarif_format(tmp_path, capsys):
 
 
 def test_shipped_tree_is_lint_clean():
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    findings = lint_paths([REPO_ROOT / "src" / "repro"], config=config)
+    findings = lint_paths([REPO_ROOT / "src" / "repro"], config=LintConfig())
     assert findings == [], "\n" + render_text(findings)
 
 
+def test_cli_without_paths_lints_the_repro_package(tmp_path, monkeypatch, capsys):
+    from repro.lint.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main([]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "0 findings"
+    assert "suppressions used (RL006: 2, RL300: 2)" in captured.err
+    assert "stale suppression" not in captured.err
+
+
 def test_config_default_matches_shipped_pyproject():
-    config = load_config(REPO_ROOT / "pyproject.toml")
+    # The defaults are the project's lint configuration (there is no
+    # config file): every rule on, each exemption scoped to its owner.
+    config = LintConfig()
     assert all(config.enabled(rule_id) for rule_id in RULES)
-    assert any("units.py" in frag for frag in config.unit_exempt)
+    assert config.unit_exempt == ("repro/units.py",)
+    assert config.float_eq_paths == ("sim/", "core/", "analysis/")
+    assert config.diagnostic_exempt == ("cli.py", "lint/", "campaign/store.py")
+    assert config.wallclock_exempt == config.taint_exempt == ("repro/hostprof/",)
+    assert config.process_roots == (
+        "repro.campaign.runner",
+        "repro.campaign.supervisor",
+        "repro.bench.runner",
+    )
