@@ -11,8 +11,8 @@ The layer between one measurement and the paper's figures:
 * :func:`~repro.campaign.runner.run_campaign` — shard a grid of specs
   across worker processes under the
   :class:`~repro.campaign.supervisor.CampaignSupervisor` (retries,
-  crash recovery, quarantine, journaled resume) and merge
-  deterministically;
+  crash recovery, quarantine) and merge deterministically; the store is
+  the record of finished work, so a rerun warm-starts;
 * :mod:`~repro.campaign.chaos` — seeded fault injection for proving the
   recovery machinery converges to fault-free results;
 * ``python -m repro sweep`` — the CLI over all of it.
@@ -51,18 +51,14 @@ from repro.campaign.supervisor import (
     OUTCOME_OK,
     OUTCOME_QUARANTINED,
     OUTCOME_RETRIED,
-    CampaignJournal,
     CampaignSupervisor,
-    RetryPolicy,
     SpecRecord,
-    campaign_digest,
 )
 from repro.errors import CampaignError, SpecQuarantinedError, WorkerLostError
 
 __all__ = [
     "COMPLETED_OUTCOMES",
     "CampaignError",
-    "CampaignJournal",
     "CampaignResult",
     "CampaignRow",
     "CampaignSupervisor",
@@ -73,7 +69,6 @@ __all__ = [
     "OUTCOME_QUARANTINED",
     "OUTCOME_RETRIED",
     "ResultStore",
-    "RetryPolicy",
     "RunSpec",
     "SpecQuarantinedError",
     "SpecRecord",
@@ -81,7 +76,6 @@ __all__ = [
     "WorkerLostError",
     "build_campaign",
     "build_cluster",
-    "campaign_digest",
     "code_fingerprint",
     "corrupt_store_entry",
     "default_store",

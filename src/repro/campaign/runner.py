@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -36,13 +36,9 @@ from repro.campaign.serialize import (
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, default_store
 from repro.campaign.supervisor import (
-    COMPLETED_OUTCOMES,
     OUTCOME_OK,
-    CampaignJournal,
     CampaignSupervisor,
-    RetryPolicy,
     SpecRecord,
-    record_from_journal,
 )
 from repro.errors import ConfigurationError, SpecQuarantinedError
 from repro.telemetry.instruments import Registry
@@ -124,12 +120,8 @@ class CampaignResult:
     pool_rebuilds: int = 0
     #: Tasks culled by the per-task timeout watchdog.
     timeouts: int = 0
-    #: Specs replayed from the campaign journal (``--resume``).
-    resumed: int = 0
     #: Corrupt store entries detected, deleted, and re-run.
     store_repairs: int = 0
-    #: The journal the campaign appended to (None when storeless).
-    journal: Any = field(default=None, repr=False)
 
     @property
     def runs(self) -> int:
@@ -331,9 +323,7 @@ def _binding_for(spec: RunSpec, summary: dict[str, Any]) -> str | None:
     """The hierarchical binding level of one summary row (None if unplaceable).
 
     Pure arithmetic over the summary's byte totals plus the spec-rebuilt
-    cluster's ceilings, so cold, warm, and journal-replayed rows all land
-    on the same answer.  Rows from journals written before the summaries
-    carried GPU byte totals simply come back unplaced.
+    cluster's ceilings, so cold and warm rows land on the same answer.
     """
     from repro.campaign.spec import build_cluster
     from repro.core import (
@@ -343,16 +333,16 @@ def _binding_for(spec: RunSpec, summary: dict[str, Any]) -> str | None:
     )
     from repro.errors import AnalysisError
 
-    flops = summary.get("gpu_flops", 0.0)
-    dram = summary.get("gpu_dram_bytes", 0.0)
-    l2 = summary.get("gpu_l2_bytes", 0.0)
+    flops = summary["gpu_flops"]
+    dram = summary["gpu_dram_bytes"]
+    l2 = summary["gpu_l2_bytes"]
     if flops <= 0 or dram <= 0 or l2 <= 0:
         return None
     try:
         model = hierarchical_roofline_for_cluster(build_cluster(spec))
     except AnalysisError:
         return None
-    net_bytes = summary.get("network_bytes", 0.0)
+    net_bytes = summary["network_bytes"]
     network_intensity = flops / net_bytes if net_bytes > 0 else math.inf
     return model.binding_level(
         {L2_LEVEL: flops / l2, DRAM_LEVEL: flops / dram}, network_intensity
@@ -379,9 +369,9 @@ def _merge_row(
         outcome=outcome,
         attempts=attempts,
         error=error,
-        gpu_flops=summary.get("gpu_flops", 0.0),
-        gpu_dram_bytes=summary.get("gpu_dram_bytes", 0.0),
-        gpu_l2_bytes=summary.get("gpu_l2_bytes", 0.0),
+        gpu_flops=summary["gpu_flops"],
+        gpu_dram_bytes=summary["gpu_dram_bytes"],
+        gpu_l2_bytes=summary["gpu_l2_bytes"],
         binding_level=_binding_for(spec, summary),
     )
 
@@ -408,7 +398,7 @@ def _failure_row(spec: RunSpec, record: SpecRecord) -> CampaignRow:
 
 
 def _row_from_record(spec: RunSpec, record: SpecRecord) -> CampaignRow:
-    if record.row is not None and record.outcome in COMPLETED_OUTCOMES:
+    if record.completed:
         return _merge_row(
             spec, record.row, record.cached,
             outcome=record.outcome, attempts=record.attempts,
@@ -423,9 +413,7 @@ def run_campaign(
     store: ResultStore | None = _DEFAULT_STORE,  # type: ignore[assignment]
     retries: int = 2,
     task_timeout: float | None = None,
-    resume: bool = False,
     chaos: ChaosSchedule | None = None,
-    retry_policy: RetryPolicy | None = None,
     sleep: Any = None,
     host: Any = None,
     progress: Any = None,
@@ -436,21 +424,20 @@ def run_campaign(
     to run storeless).  With ``jobs > 1`` cold specs are sharded across a
     process pool; results always merge in spec order.  Non-revivable specs
     (enum-valued kwargs) cannot cross a process boundary and are executed
-    in-process regardless of *jobs*.
+    in-process regardless of *jobs*.  Rerunning an interrupted campaign
+    warm-starts every spec that reached the store.
 
     Supervision: failed attempts are retried up to *retries* times with
     seeded exponential backoff; a spec that keeps failing is quarantined
     (the campaign completes with a ``completed=False`` row naming it);
     worker crashes rebuild the pool and resubmit only the lost specs;
-    *task_timeout* culls hung workers.  With a store attached, terminal
-    outcomes are journaled under ``<store>/campaigns/`` and
-    ``resume=True`` replays a prior interrupted run, re-executing only
-    undecided specs.  *chaos* injects a deterministic fault schedule (see
-    :mod:`repro.campaign.chaos`).
+    *task_timeout* culls hung workers, so it needs ``jobs > 1``.  *chaos*
+    injects a deterministic fault schedule (see
+    :mod:`repro.campaign.chaos`); *sleep* replaces ``time.sleep`` for the
+    retry backoff.
 
     Host observability (both purely advisory — attach either and every
-    table, cache entry, and journal row stays byte-identical apart from
-    the extra ``host`` journal field): *host* is a
+    table and cache entry stays byte-identical): *host* is a
     :class:`repro.hostprof.CampaignHostRecorder` collecting per-spec
     wall/queue-wait/worker timings, surfaced as ``campaign_host_*``
     registry metrics; *progress* is a callable fired with each terminal
@@ -458,15 +445,20 @@ def run_campaign(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    policy = retry_policy or RetryPolicy(retries=retries)
+    if retries < 0:
+        raise ConfigurationError(f"retries must be >= 0, got {retries}")
+    if task_timeout is not None:
+        if task_timeout <= 0:
+            raise ConfigurationError(
+                f"task_timeout must be positive, got {task_timeout}"
+            )
+        if jobs == 1:
+            raise ConfigurationError(
+                "task_timeout needs jobs > 1: a serial campaign has no "
+                "worker process to cull"
+            )
     if store is _DEFAULT_STORE:
         store = default_store()
-    if resume and store is None:
-        raise ConfigurationError(
-            "--resume needs the persistent result store (it replays the "
-            "campaign journal kept there); do not combine it with "
-            "--no-cache / REPRO_DISK_CACHE=0"
-        )
     ordered: list[RunSpec] = []
     seen: set[tuple] = set()
     for spec in specs:
@@ -481,52 +473,33 @@ def run_campaign(
         for digest in chaos.corrupt:
             corrupt_store_entry(store, "run", digest)
 
-    journal = None
-    replayed: dict[str, dict[str, Any]] = {}
-    if store is not None:
-        journal = CampaignJournal.for_campaign(store.root, ordered)
-        replayed = journal.begin(ordered, resume=resume)
-
     rows: dict[str, CampaignRow] = {}
     pending: list[RunSpec] = []
     hits = 0
-    resumed = 0
     for spec in ordered:
-        entry = replayed.get(spec.digest)
-        if entry is not None:
-            record = record_from_journal(spec, entry)
-            rows[spec.digest] = _row_from_record(spec, record)
-            resumed += 1
-            if progress is not None:
-                progress(record)
-            continue
         payload = (
             store.get("run", spec.digest, spec.fingerprint)
             if store is not None else None
         )
-        if payload is not None:
-            row = summarize_payload(payload)
-            rows[spec.digest] = _merge_row(spec, row, True)
-            hits += 1
-            record = SpecRecord(
+        if payload is None:
+            pending.append(spec)
+            continue
+        row = summarize_payload(payload)
+        rows[spec.digest] = _merge_row(spec, row, True)
+        hits += 1
+        if progress is not None:
+            progress(SpecRecord(
                 spec=spec, outcome=OUTCOME_OK, attempts=1,
                 row=row, cached=True,
-            )
-            if journal is not None:
-                journal.record(record)
-            if progress is not None:
-                progress(record)
-        else:
-            pending.append(spec)
+            ))
 
     supervisor = CampaignSupervisor(
         pending,
         jobs=jobs,
         store=store,
-        policy=policy,
+        retries=retries,
         task_timeout=task_timeout,
         chaos=chaos,
-        journal=journal,
         sleep=sleep,
         host=host,
         progress=progress,
@@ -571,10 +544,6 @@ def run_campaign(
         "campaign_task_timeouts_total",
         "tasks culled by the per-task timeout watchdog",
     ).inc(supervisor.counters["timeouts"])
-    registry.counter(
-        "campaign_resumed_total",
-        "specs replayed from the campaign journal instead of re-running",
-    ).inc(resumed)
     registry.counter(
         "campaign_store_repairs_total",
         "corrupt store entries detected, deleted, and re-run",
@@ -626,9 +595,7 @@ def run_campaign(
         lost_workers=supervisor.counters["lost_workers"],
         pool_rebuilds=supervisor.counters["pool_rebuilds"],
         timeouts=supervisor.counters["timeouts"],
-        resumed=resumed,
         store_repairs=repairs,
-        journal=journal,
     )
 
 
@@ -637,9 +604,8 @@ def format_campaign_table(result: CampaignResult) -> str:
 
     Deliberately excludes cache provenance (that lives in
     :func:`format_campaign_stats`): the table is byte-identical whether
-    rows came from workers, the serial path, a warm store, a resumed
-    journal — or a fault-injected run whose transient failures all
-    retried to success.
+    rows came from workers, the serial path, a warm store — or a
+    fault-injected run whose transient failures all retried to success.
     """
     header = (
         f"{'workload':<12} {'system':<9} {'nodes':>5} {'net':>4} {'rpn':>4} "
@@ -676,8 +642,6 @@ def format_campaign_stats(result: CampaignResult) -> str:
             f"{result.timeouts} timeouts, "
             f"{result.pool_rebuilds} pool rebuilds"
         )
-    if result.resumed:
-        lines.append(f"resumed: {result.resumed} specs from the journal")
     if result.store_repairs:
         lines.append(
             f"store: {result.store_repairs} corrupt entries repaired"

@@ -155,8 +155,7 @@ def result_from_payload(document: dict[str, Any]) -> JobResult:
         ],
         failures={int(rank): text for rank, text in document["failures"].items()},
         comm_retries=document["comm_retries"],
-        # Absent in payloads written before the loopback-accounting fix.
-        loopback_bytes=document.get("loopback_bytes", 0.0),
+        loopback_bytes=document["loopback_bytes"],
     )
 
 
@@ -213,7 +212,7 @@ def summarize_payload(document: dict[str, Any]) -> dict[str, Any]:
     power = energy.average_power_watts
     gpu_l2_bytes = sum(
         _unpack(KernelRecord, values).l2_bytes
-        for profiler in result.get("gpu_profilers", [])
+        for profiler in result["gpu_profilers"]
         for values in profiler["kernels"]
     )
     return {
@@ -227,8 +226,8 @@ def summarize_payload(document: dict[str, Any]) -> dict[str, Any]:
         "completed": not result["failures"],
         # Roofline extras: the hierarchical binding level is derivable from
         # a summary row alone (runner does the placement arithmetic).
-        "gpu_flops": result.get("gpu_flops", 0.0),
-        "gpu_dram_bytes": result.get("gpu_dram_bytes", 0.0),
+        "gpu_flops": result["gpu_flops"],
+        "gpu_dram_bytes": result["gpu_dram_bytes"],
         "gpu_l2_bytes": gpu_l2_bytes,
     }
 

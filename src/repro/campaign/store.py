@@ -94,10 +94,6 @@ class ResultStore:
         shard = digest[:2] if len(digest) >= 2 else "00"
         return self.root / shard / f"{kind}-{digest}.json"
 
-    def _legacy_path(self, kind: str, digest: str) -> Path:
-        """The pre-shard flat location (read-only compatibility)."""
-        return self.root / f"{kind}-{digest}.json"
-
     # -- read path -------------------------------------------------------------
 
     def _repair(self, path: Path, why: str) -> None:
@@ -120,15 +116,9 @@ class ResultStore:
         from repro.campaign.serialize import payload_checksum
 
         path = self.entry_path(kind, digest)
-        raw: str | None = None
-        for candidate in (path, self._legacy_path(kind, digest)):
-            try:
-                raw = candidate.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            path = candidate
-            break
-        if raw is None:
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except OSError:
             self.misses += 1
             return None
         try:
@@ -243,11 +233,11 @@ class ResultStore:
                 try:
                     shard.rmdir()
                 except OSError:
-                    pass  # non-empty (journals, foreign files): keep
+                    pass  # non-empty (foreign files): keep
         return removed
 
     def __len__(self) -> int:
-        """Entry count (temp droppings and journals excluded)."""
+        """Entry count (temp droppings excluded)."""
         return len(list(self.root.rglob("*.json"))) if self.root.is_dir() else 0
 
 

@@ -1,55 +1,52 @@
-"""Supervised campaign execution: retries, crash recovery, quarantine, resume.
+"""Supervised campaign execution: retries, crash recovery, quarantine.
 
-:func:`run_campaign <repro.campaign.runner.run_campaign>` used to call
-``future.result()`` bare, so one worker exception — or a worker process
-dying and taking the whole ``ProcessPoolExecutor`` down as a
-``BrokenProcessPool`` — aborted the campaign and discarded every
-already-completed result.  This module wraps the fan-out in a supervisor
-with per-spec outcome taxonomy and failure-aware scheduling:
+:func:`run_campaign <repro.campaign.runner.run_campaign>` hands its cold
+specs to a :class:`CampaignSupervisor`, which drives each one to a
+terminal outcome instead of letting one worker exception — or a worker
+process dying and taking the whole ``ProcessPoolExecutor`` down as a
+``BrokenProcessPool`` — abort the campaign:
 
 * **ok** — completed on the first attempt;
 * **retried** — completed after >= 1 failed attempt (seeded, deterministic
-  exponential backoff between attempts);
+  exponential backoff between attempts, see :func:`_backoff`);
 * **quarantined** — a poison spec: every attempt raised inside the worker
   until the retry budget ran out; the campaign completes with a
   ``completed=False`` row naming the spec and its last error;
 * **lost-worker** — every attempt died with the worker (crash) or hit the
   per-task timeout; same terminal handling as quarantine.
 
-Crash recovery: a ``BrokenProcessPool`` cannot name the culprit (every
-in-flight future fails at once), so the first break rebuilds the pool and
-resubmits only the lost specs; a second break switches to **isolation
-mode** — remaining specs run one at a time in single-worker pools, which
-attributes every further crash to exactly the spec that caused it.
-Hang recovery: with ``task_timeout`` set, a watchdog (driven purely by
-``concurrent.futures.wait`` timeouts — no wall-clock reads in this
-module, so lint RL001/RL100 stay clean) kills and rebuilds the pool
-around a stuck task and retries it like any other failure.
+One pool loop supervises every worker.  It keeps at most ``width`` tasks
+in flight (``width`` starts at ``jobs``), so only tasks that hold a
+worker accrue watchdog time.  A ``BrokenProcessPool`` cannot name the
+culprit (every in-flight future fails at once), so the first break
+rebuilds the pool and requeues every in-flight spec uncharged; the
+second drops ``width`` to 1, where each further crash is charged to
+exactly the one spec in flight.  Hang recovery: with ``task_timeout``
+set, a watchdog (driven purely by ``concurrent.futures.wait`` timeouts —
+no wall-clock reads in this module, so lint RL001/RL100 stay clean)
+kills and rebuilds the pool around a stuck task and retries it like any
+other failure.
 
-Every terminal outcome is appended to a JSONL journal under
-``<store>/campaigns/``, making an interrupted campaign resumable:
-``repro sweep --resume`` replays journaled rows and re-runs only the
-specs that never finished.
+The result store is the only record of finished work: rerunning an
+interrupted campaign warm-starts every spec that reached the store and
+re-runs the rest, quarantined specs included.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.campaign.chaos import ChaosSchedule, apply_chaos
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore, _advise
-from repro.errors import CampaignError, ConfigurationError, WorkerLostError
+from repro.campaign.store import ResultStore
+from repro.errors import CampaignError, WorkerLostError
 from repro.hostprof.clock import Stopwatch
 
 #: Per-spec terminal outcomes (the supervisor's taxonomy).
@@ -61,45 +58,24 @@ OUTCOME_LOST_WORKER = "lost-worker"
 #: Outcomes that produced a summary row.
 COMPLETED_OUTCOMES = (OUTCOME_OK, OUTCOME_RETRIED)
 
+#: Retry backoff: the n-th failure (from 0) sleeps
+#: ``BACKOFF_BASE * BACKOFF_FACTOR ** n`` seconds, stretched by up to
+#: ``BACKOFF_JITTER`` of itself.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Seeded, deterministic retry/backoff configuration.
 
-    ``delay(digest, failure)`` is a pure function of the policy seed, the
-    spec digest, and the failure ordinal — two campaigns with the same
-    specs and policy sleep the exact same schedule (RL001: the jitter RNG
-    is explicitly seeded, never the global Mersenne state).
+def _backoff(digest: str, failure: int) -> float:
+    """Seconds to back off after *digest*'s *failure*-th failure.
+
+    A pure function of the spec digest and the failure ordinal: two
+    campaigns over the same specs sleep the exact same schedule (RL001:
+    the jitter RNG is explicitly seeded, never the global Mersenne state).
     """
-
-    retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1:
-            raise ConfigurationError(
-                f"backoff base must be >= 0 and factor >= 1, got "
-                f"base={self.backoff_base} factor={self.backoff_factor}"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def delay(self, digest: str, failure: int) -> float:
-        """Seconds to back off after *digest*'s *failure*-th failure."""
-        base = self.backoff_base * self.backoff_factor ** failure
-        if not self.jitter or not base:
-            return base
-        rng = random.Random(f"{self.seed}:{digest}:{failure}")
-        return base * (1.0 + self.jitter * rng.random())
+    base = BACKOFF_BASE * BACKOFF_FACTOR ** failure
+    rng = random.Random(f"0:{digest}:{failure}")
+    return base * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 @dataclass
@@ -112,140 +88,10 @@ class SpecRecord:
     row: dict[str, Any] | None
     cached: bool = False
     error: str | None = None
-    #: Host-clock timings (wall/queue-wait/busy) when a recorder rode along.
-    host: dict[str, Any] | None = None
 
     @property
     def completed(self) -> bool:
         return self.outcome in COMPLETED_OUTCOMES
-
-
-def campaign_digest(specs: Sequence[RunSpec]) -> str:
-    """Content address of a campaign: its spec set plus the code version.
-
-    Order-insensitive (a resumed campaign may list specs differently) and
-    fingerprint-qualified (a journal written under different simulator
-    source must not be resumed — the rows would be stale).
-    """
-    fingerprint = specs[0].fingerprint if specs else ""
-    body = fingerprint + ":" + ",".join(sorted(s.digest for s in specs))
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:24]
-
-
-class CampaignJournal:
-    """Append-only JSONL journal of terminal spec outcomes.
-
-    One line per decided spec (plus a header), flushed as written, so a
-    campaign killed mid-flight leaves a prefix that ``--resume`` replays:
-    journaled specs are served from their recorded rows (quarantined ones
-    stay quarantined — delete the journal to retry them) and only the
-    undecided remainder re-runs.  A torn trailing line (the kill landed
-    mid-write) is tolerated and simply re-run.  Journal I/O failures
-    degrade to an advisory — the journal, like the store, is never a
-    source of errors.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: Path, campaign: str) -> None:
-        self.path = path
-        self.campaign = campaign
-        self.errors = 0
-
-    @classmethod
-    def for_campaign(
-        cls, root: str | Path, specs: Sequence[RunSpec]
-    ) -> "CampaignJournal":
-        digest = campaign_digest(specs)
-        return cls(Path(root) / "campaigns" / f"{digest}.jsonl", digest)
-
-    def _header(self, specs: Sequence[RunSpec]) -> dict[str, Any]:
-        return {
-            "journal": self.VERSION,
-            "campaign": self.campaign,
-            "fingerprint": specs[0].fingerprint if specs else "",
-            "specs": len(specs),
-        }
-
-    def load(self) -> dict[str, dict[str, Any]]:
-        """Journaled terminal entries by digest (empty when unusable)."""
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return {}
-        entries: dict[str, dict[str, Any]] = {}
-        for index, line in enumerate(lines):
-            try:
-                document = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail from a mid-write kill: replay stops here
-            if index == 0:
-                if (
-                    not isinstance(document, dict)
-                    or document.get("campaign") != self.campaign
-                ):
-                    return {}  # foreign or damaged header: not resumable
-                continue
-            if isinstance(document, dict) and "digest" in document:
-                entries[document["digest"]] = document
-        return entries
-
-    def begin(
-        self, specs: Sequence[RunSpec], resume: bool
-    ) -> dict[str, dict[str, Any]]:
-        """Open the journal; returns replayable entries when *resume*."""
-        entries = self.load() if resume else {}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if entries:
-                # Keep the surviving prefix; new outcomes append after it.
-                return entries
-            self.path.write_text(
-                json.dumps(self._header(specs), sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            self._degrade(exc)
-        return entries
-
-    def record(self, record: SpecRecord) -> None:
-        """Append one terminal outcome (flushed immediately)."""
-        entry = {
-            "digest": record.spec.digest,
-            "outcome": record.outcome,
-            "attempts": record.attempts,
-            "cached": record.cached,
-            "row": record.row,
-            "error": record.error,
-        }
-        if record.host is not None:
-            # Advisory host timings ride along only when measured, so
-            # journals written without a recorder stay byte-identical.
-            entry["host"] = record.host
-        try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                handle.flush()
-        except OSError as exc:
-            self._degrade(exc)
-
-    def _degrade(self, exc: OSError) -> None:
-        self.errors += 1
-        if self.errors == 1:
-            _advise(f"campaign journal degraded ({exc}); --resume unavailable")
-
-
-def record_from_journal(spec: RunSpec, entry: dict[str, Any]) -> SpecRecord:
-    """Revive a terminal record from its journal entry."""
-    return SpecRecord(
-        spec=spec,
-        outcome=str(entry.get("outcome", OUTCOME_OK)),
-        attempts=int(entry.get("attempts", 1)),
-        row=entry.get("row"),
-        cached=True,
-        error=entry.get("error"),
-        host=entry.get("host"),
-    )
 
 
 def _campaign_worker(task: dict[str, Any]) -> dict[str, Any]:
@@ -289,7 +135,7 @@ class CampaignSupervisor:
     *undercounts* while healthy work is still completing — a hung worker
     is therefore detected at the latest once healthy work drains plus one
     ``task_timeout``.  Conservative, deterministic in structure, and
-    RL001-clean.
+    RL001-clean.  Arguments are validated by ``run_campaign``.
     """
 
     def __init__(
@@ -297,25 +143,19 @@ class CampaignSupervisor:
         specs: Sequence[RunSpec],
         jobs: int = 1,
         store: ResultStore | None = None,
-        policy: RetryPolicy | None = None,
+        retries: int = 2,
         task_timeout: float | None = None,
         chaos: ChaosSchedule | None = None,
-        journal: CampaignJournal | None = None,
         sleep: Callable[[float], None] | None = None,
         host: Any | None = None,
         progress: Callable[[SpecRecord], None] | None = None,
     ) -> None:
-        if task_timeout is not None and task_timeout <= 0:
-            raise ConfigurationError(
-                f"task_timeout must be positive, got {task_timeout}"
-            )
         self.specs = list(specs)
         self.jobs = jobs
         self.store = store
-        self.policy = policy or RetryPolicy()
+        self.retries = retries
         self.task_timeout = task_timeout
         self.chaos = chaos
-        self.journal = journal
         #: Optional CampaignHostRecorder; purely observational (advisory
         #: host timings — never steers scheduling or results).
         self.host = host
@@ -332,10 +172,7 @@ class CampaignSupervisor:
             "timeouts": 0,
         }
         self._failures: dict[str, int] = {}
-        self._last_error: dict[str, str] = {}
-        self._tick = (
-            min(0.1, task_timeout / 4) if task_timeout is not None else 0.25
-        )
+        self._tick = min(0.1, task_timeout / 4) if task_timeout else None
 
     # -- shared bookkeeping ----------------------------------------------------
 
@@ -343,15 +180,11 @@ class CampaignSupervisor:
         return self._failures.get(digest, 0)
 
     def _finalize(self, record: SpecRecord) -> None:
-        if self.host is not None and record.host is None:
-            record.host = self.host.journal_entry(record.spec.digest)
         self.records[record.spec.digest] = record
         # Both terminal failure outcomes count as quarantines: the spec is
         # out of the campaign either way; the row keeps the finer taxonomy.
         if record.outcome in (OUTCOME_QUARANTINED, OUTCOME_LOST_WORKER):
             self.counters["quarantined"] += 1
-        if self.journal is not None:
-            self.journal.record(record)
         if self.progress is not None:
             self.progress(record)
 
@@ -371,8 +204,7 @@ class CampaignSupervisor:
         """Record one attributed failed attempt; True when spec is spent."""
         digest = spec.digest
         self._failures[digest] = self._attempts(digest) + 1
-        self._last_error[digest] = error
-        if self._failures[digest] > self.policy.retries:
+        if self._failures[digest] > self.retries:
             self._finalize(SpecRecord(
                 spec=spec,
                 outcome=OUTCOME_LOST_WORKER if lost else OUTCOME_QUARANTINED,
@@ -382,7 +214,7 @@ class CampaignSupervisor:
             ))
             return True
         self.counters["retries"] += 1
-        self.sleep(self.policy.delay(digest, self._failures[digest] - 1))
+        self.sleep(_backoff(digest, self._failures[digest] - 1))
         return False
 
     # -- serial execution ------------------------------------------------------
@@ -431,21 +263,23 @@ class CampaignSupervisor:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _run_pool(self, specs: list[RunSpec]) -> None:
+        """Run *specs* in worker processes, at most ``width`` in flight."""
         queue: deque[RunSpec] = deque(specs)
+        width = self.jobs
         breaks = 0
         pool: ProcessPoolExecutor | None = None
+        #: In-flight futures, in submission order, and their watchdog time.
         futures: dict[Any, RunSpec] = {}
-        sequence: dict[Any, int] = {}
         waited: dict[Any, float] = {}
-        submitted = 0
         try:
             while queue or futures:
                 if pool is None:
                     pool = ProcessPoolExecutor(
-                        max_workers=min(self.jobs, max(len(queue), 1))
+                        max_workers=min(width, len(queue))
                     )
-                submit_broken = False
-                while queue:
+                broken = False
+                lost: list[RunSpec] = []
+                while queue and len(futures) < width:
                     spec = queue.popleft()
                     try:
                         future = pool.submit(
@@ -454,153 +288,86 @@ class CampaignSupervisor:
                     except BrokenProcessPool:
                         # The pool died while we were still feeding it.
                         queue.appendleft(spec)
-                        submit_broken = True
+                        broken = True
                         break
                     if self.host is not None:
                         self.host.spec_submitted(spec.digest, spec.label)
                     futures[future] = spec
-                    sequence[future] = submitted
                     waited[future] = 0.0
-                    submitted += 1
-                if submit_broken:
-                    breaks += 1
-                    self.counters["lost_workers"] += 1
-                    self.counters["pool_rebuilds"] += 1
-                    for spec in futures.values():
-                        queue.append(spec)
-                    futures.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-                    if breaks >= 2:
-                        self._isolation_drain(queue)
-                        return
-                    continue
-                done, not_done = wait(
-                    list(futures),
-                    timeout=self._tick if self.task_timeout else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    # A full tick elapsed with nothing finishing: charge it
-                    # to every outstanding task and fire the watchdog.
-                    hung = []
-                    for future in not_done:
-                        waited[future] += self._tick
-                        if (
-                            self.task_timeout is not None
-                            and waited[future] >= self.task_timeout
-                        ):
-                            hung.append(future)
-                    if hung:
-                        self._handle_hang(hung, futures, queue)
-                        self._terminate_pool(pool)
-                        pool = None
-                        futures.clear()
-                        self.counters["pool_rebuilds"] += 1
-                    continue
-                broken = False
-                for future in sorted(done, key=sequence.__getitem__):
-                    spec = futures.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        queue.append(spec)
-                    except Exception as exc:  # raised inside the worker
-                        if not self._failed(
-                            spec, f"{type(exc).__name__}: {exc}", False
-                        ):
-                            queue.append(spec)
-                    else:
-                        self.pids.add(outcome["pid"])
-                        if self.host is not None:
-                            self.host.spec_done(
-                                spec.digest, outcome["pid"],
-                                outcome.get("host_wall"),
+                if not broken:
+                    done, not_done = wait(
+                        list(futures), timeout=self._tick,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if not done:
+                        # A full tick elapsed with nothing finishing: charge
+                        # it to every running task and fire the watchdog.
+                        hung = []
+                        for future in not_done:
+                            waited[future] += self._tick
+                            if waited[future] >= self.task_timeout:
+                                hung.append(future)
+                        if hung:
+                            self._handle_hang(hung, futures, queue)
+                            self._terminate_pool(pool)
+                            pool = None
+                            futures.clear()
+                            waited.clear()
+                            self.counters["pool_rebuilds"] += 1
+                        continue
+                    for future in [f for f in futures if f in done]:
+                        spec = futures.pop(future)
+                        del waited[future]
+                        try:
+                            outcome = future.result()
+                        except BrokenProcessPool:
+                            broken = True
+                            lost.append(spec)
+                        except Exception as exc:  # raised inside the worker
+                            if not self._failed(
+                                spec, f"{type(exc).__name__}: {exc}", False
+                            ):
+                                queue.append(spec)
+                        else:
+                            self.pids.add(outcome["pid"])
+                            if self.host is not None:
+                                self.host.spec_done(
+                                    spec.digest, outcome["pid"],
+                                    outcome.get("host_wall"),
+                                )
+                            self._succeeded(
+                                spec, outcome["row"], outcome["cached"]
                             )
-                        self._succeeded(spec, outcome["row"], outcome["cached"])
                 if broken:
-                    # The pool is gone and the culprit is anonymous: every
-                    # still-in-flight spec goes back on the queue.  One
-                    # break is forgiven (rebuild, resubmit everything
-                    # lost); a second means a crasher is loose — switch to
-                    # isolation so the next death names its spec exactly.
-                    breaks += 1
-                    self.counters["lost_workers"] += 1
-                    self.counters["pool_rebuilds"] += 1
-                    for spec in futures.values():
-                        queue.append(spec)
+                    # The pool is gone and every in-flight spec with it.
+                    lost.extend(futures.values())
                     futures.clear()
+                    waited.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
-                    if breaks >= 2:
-                        self._isolation_drain(queue)
-                        return
+                    self.counters["lost_workers"] += 1
+                    self.counters["pool_rebuilds"] += 1
+                    if width == 1:
+                        # One spec in flight: the crash is exactly its own.
+                        for spec in lost:
+                            if not self._failed(
+                                spec,
+                                "WorkerLostError: worker process died "
+                                "(BrokenProcessPool)",
+                                True,
+                            ):
+                                queue.append(spec)
+                    else:
+                        # The culprit is anonymous: the first break is
+                        # forgiven; a second means a crasher is loose, so
+                        # narrow to one task in flight to name it.
+                        queue.extend(lost)
+                        breaks += 1
+                        if breaks == 2:
+                            width = 1
         finally:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-
-    def _isolation_drain(self, queue: deque[RunSpec]) -> None:
-        """Attribute crash blame exactly: one spec per single-worker pool."""
-        pending = deque(queue)
-        queue.clear()
-        while pending:
-            spec = pending.popleft()
-            with ProcessPoolExecutor(max_workers=1) as solo:
-                future = solo.submit(_campaign_worker, self._task(spec))
-                if self.host is not None:
-                    self.host.spec_submitted(spec.digest, spec.label)
-                waited = 0.0
-                while True:
-                    done, _ = wait(
-                        [future],
-                        timeout=self._tick if self.task_timeout else None,
-                    )
-                    if done:
-                        break
-                    waited += self._tick
-                    if (
-                        self.task_timeout is not None
-                        and waited >= self.task_timeout
-                    ):
-                        break
-                if not done:
-                    self.counters["timeouts"] += 1
-                    self.counters["lost_workers"] += 1
-                    self._terminate_pool(solo)
-                    if not self._failed(
-                        spec,
-                        f"WorkerLostError: task exceeded "
-                        f"{self.task_timeout}s timeout",
-                        True,
-                    ):
-                        pending.append(spec)
-                    continue
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    self.counters["lost_workers"] += 1
-                    self.counters["pool_rebuilds"] += 1
-                    if not self._failed(
-                        spec,
-                        "WorkerLostError: worker process died "
-                        "(BrokenProcessPool)",
-                        True,
-                    ):
-                        pending.append(spec)
-                except Exception as exc:
-                    if not self._failed(
-                        spec, f"{type(exc).__name__}: {exc}", False
-                    ):
-                        pending.append(spec)
-                else:
-                    self.pids.add(outcome["pid"])
-                    if self.host is not None:
-                        self.host.spec_done(
-                            spec.digest, outcome["pid"],
-                            outcome.get("host_wall"),
-                        )
-                    self._succeeded(spec, outcome["row"], outcome["cached"])
 
     def _handle_hang(
         self,
@@ -629,26 +396,18 @@ class CampaignSupervisor:
     # -- entry point -----------------------------------------------------------
 
     def run(self) -> dict[str, SpecRecord]:
-        """Drive every spec to a terminal record (never raises per-spec)."""
-        shardable = [s for s in self.specs if s.revivable]
-        local = [s for s in self.specs if not s.revivable]
-        if self.jobs > 1 and len(shardable) > 1:
-            self._run_pool(shardable)
-        else:
-            local = shardable + local
-        for spec in local:
-            self._execute_serial(spec)
-        missing = [s for s in self.specs if s.digest not in self.records]
-        for spec in missing:  # defensive: nothing may end undecided
-            self._finalize(SpecRecord(
-                spec=spec,
-                outcome=OUTCOME_LOST_WORKER,
-                attempts=self._attempts(spec.digest),
-                row=None,
-                error=self._last_error.get(
-                    spec.digest, "WorkerLostError: spec never completed"
-                ),
-            ))
+        """Drive every spec to a terminal record (never raises per-spec).
+
+        With ``jobs > 1`` every revivable spec runs in the pool (so
+        ``task_timeout`` always has a worker to cull); non-revivable specs
+        cannot cross a process boundary and run in-process.
+        """
+        pooled = [s for s in self.specs if self.jobs > 1 and s.revivable]
+        if pooled:
+            self._run_pool(pooled)
+        for spec in self.specs:
+            if spec.digest not in self.records:
+                self._execute_serial(spec)
         return self.records
 
 
@@ -656,15 +415,11 @@ class CampaignSupervisor:
 __all__ = [
     "COMPLETED_OUTCOMES",
     "CampaignError",
-    "CampaignJournal",
     "CampaignSupervisor",
     "OUTCOME_LOST_WORKER",
     "OUTCOME_OK",
     "OUTCOME_QUARANTINED",
     "OUTCOME_RETRIED",
-    "RetryPolicy",
     "SpecRecord",
     "WorkerLostError",
-    "campaign_digest",
-    "record_from_journal",
 ]

@@ -37,10 +37,11 @@ Commands
     from the persistent ``.repro-cache/`` result store; prints the summary
     table plus cache/worker counters.  Execution is supervised: failed
     attempts retry with seeded backoff (``--retries``), hung workers are
-    culled (``--task-timeout``), poison specs are quarantined instead of
-    aborting the campaign, and an interrupted campaign resumes from its
-    journal (``--resume``).  ``--chaos SEED`` injects a deterministic
-    fault schedule to exercise all of it.  See ``docs/CAMPAIGN.md``.
+    culled (``--task-timeout``, needs ``--jobs`` > 1), and poison specs
+    are quarantined instead of aborting the campaign.  Rerunning an
+    interrupted campaign warm-starts every spec that reached the store.
+    ``--chaos SEED`` injects a deterministic fault schedule to exercise
+    all of it.  See ``docs/CAMPAIGN.md``.
 """
 
 from __future__ import annotations
@@ -354,7 +355,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     supervision = {
         "retries": args.retries,
         "task_timeout": args.task_timeout,
-        "resume": args.resume,
         "chaos": chaos,
         "host": host,
         "progress": progress,
@@ -510,10 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="cull a worker whose task exceeds this budget "
-                              "and retry the spec (default: no timeout)")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="replay the campaign journal from an "
-                              "interrupted run; only undecided specs re-run")
+                              "and retry the spec; needs --jobs > 1 "
+                              "(default: no timeout)")
     sweep_p.add_argument("--chaos", type=int, default=None, metavar="SEED",
                          help="inject a seeded fault schedule (worker crash, "
                               "hang, in-task failure, corrupted store entry) "

@@ -64,7 +64,7 @@ class RankFailedError(MPIError):
 
 
 class CampaignError(ReproError):
-    """Raised by the campaign layer (supervised execution, journals)."""
+    """Raised by the campaign layer (supervised execution)."""
 
 
 class WorkerLostError(CampaignError):

@@ -83,18 +83,6 @@ class CampaignHostRecorder:
 
     # -- outputs ---------------------------------------------------------------
 
-    def journal_entry(self, digest: str) -> dict[str, Any] | None:
-        """The host-timing dict journaled beside a spec's outcome."""
-        record = self.records.get(digest)
-        if record is None or record["finished"] is None:
-            return None
-        return {
-            "wall_seconds": record["wall_seconds"],
-            "queue_wait_seconds": record["queue_wait_seconds"],
-            "busy_seconds": record["busy_seconds"],
-            "worker": record["worker"],
-        }
-
     def register_metrics(self, registry) -> None:
         """Surface the timings as ``campaign_host_*`` Registry metrics."""
         wall = registry.gauge(

@@ -7,15 +7,6 @@ Tests (and programmatic callers) pass other values by constructing a
 ``select`` / ``ignore``
     Rule ids to run (empty: every registered rule) and to skip even if
     selected; ``repro lint --select/--ignore`` set these.
-``unit_exempt``
-    Path fragments exempt from the unit-safety rule (RL004):
-    ``repro/units.py`` defines the conversions everyone else must use.
-``float_eq_paths``
-    Path fragments where the float-equality rule (RL006) applies.
-``diagnostic_exempt``
-    Path fragments exempt from the diagnostic-channel rule (RL007): the
-    CLI layer, the linter's own reporters, and the result store's
-    advisory channel print by design.
 ``wallclock_exempt`` / ``taint_exempt``
     Path fragments where direct wall-clock reads are allowed (RL001's
     wall-clock check is skipped; RNG checks still apply) and which the
@@ -23,10 +14,11 @@ Tests (and programmatic callers) pass other values by constructing a
     ``repro/hostprof/`` — the host-observability package is the only
     blessed clock-domain crossing, and RL500 keeps simulation-domain
     packages from importing it.
-``process_roots``
-    Module names treated as campaign-worker entry points for the
-    process-safety rule (RL300); every module importable from a root is
-    worker-visible.
+
+Scopes that never vary are constants beside the rule that reads them
+(``UNIT_EXEMPT``, ``FLOAT_EQ_PATHS`` and ``DIAGNOSTIC_EXEMPT`` in
+:mod:`repro.lint.rules`, ``PROCESS_ROOTS`` in
+:mod:`repro.lint.rules_interproc`).
 """
 
 from __future__ import annotations
@@ -42,16 +34,8 @@ class LintConfig:
 
     select: tuple[str, ...] = ()  # empty = all registered rules
     ignore: tuple[str, ...] = ()
-    unit_exempt: tuple[str, ...] = ("repro/units.py",)
-    float_eq_paths: tuple[str, ...] = ("sim/", "core/", "analysis/")
-    diagnostic_exempt: tuple[str, ...] = ("cli.py", "lint/", "campaign/store.py")
     taint_exempt: tuple[str, ...] = _HOSTPROF
     wallclock_exempt: tuple[str, ...] = _HOSTPROF
-    process_roots: tuple[str, ...] = (
-        "repro.campaign.runner",
-        "repro.campaign.supervisor",
-        "repro.bench.runner",
-    )
 
     def enabled(self, rule_id: str) -> bool:
         """Whether *rule_id* should run under this config."""

@@ -58,6 +58,18 @@ def _own_statements(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[as
         stack.extend(ast.iter_child_nodes(node))
 
 
+#: Path fragments RL004 skips: ``repro/units.py`` defines the conversions
+#: everyone else must use.
+UNIT_EXEMPT = ("repro/units.py",)
+
+#: Path fragments where RL006 applies (the numeric convergence paths).
+FLOAT_EQ_PATHS = ("sim/", "core/", "analysis/")
+
+#: Path fragments RL007 skips: the CLI layer, the linter's own reporters,
+#: and the result store's advisory channel print by design.
+DIAGNOSTIC_EXEMPT = ("cli.py", "lint/", "campaign/store.py")
+
+
 # ---------------------------------------------------------------------------
 # RL001 — determinism
 # ---------------------------------------------------------------------------
@@ -406,7 +418,7 @@ class UnitSafetyRule(Rule):
     severity = Severity.WARNING
 
     def check(self, ctx: FileContext, config: LintConfig) -> Iterator[Finding]:
-        if ctx.in_scope(config.unit_exempt):
+        if ctx.in_scope(UNIT_EXEMPT):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.BinOp):
@@ -505,7 +517,7 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, ctx: FileContext, config: LintConfig) -> Iterator[Finding]:
-        if not ctx.in_scope(config.float_eq_paths):
+        if not ctx.in_scope(FLOAT_EQ_PATHS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
@@ -552,7 +564,7 @@ class DiagnosticChannelRule(Rule):
     Simulation layers report through return values, the error taxonomy, or
     the telemetry sink; ad-hoc ``print()`` calls corrupt machine-read CLI
     output (the report artifacts) and are invisible to exporters.  The CLI
-    layer and the linter's own reporters are exempt (``diagnostic-exempt``).
+    layer and the linter's own reporters are exempt (``DIAGNOSTIC_EXEMPT``).
     """
 
     rule_id = "RL007"
@@ -564,7 +576,7 @@ class DiagnosticChannelRule(Rule):
     severity = Severity.WARNING
 
     def check(self, ctx: FileContext, config: LintConfig) -> Iterator[Finding]:
-        if ctx.in_scope(config.diagnostic_exempt):
+        if ctx.in_scope(DIAGNOSTIC_EXEMPT):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

@@ -118,6 +118,15 @@ class InterprocDeterminismRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 
+#: Campaign-worker entry points: every module importable from one of these
+#: is worker-visible.
+PROCESS_ROOTS = (
+    "repro.campaign.runner",
+    "repro.campaign.supervisor",
+    "repro.bench.runner",
+)
+
+
 @register
 class ProcessSafetyRule(ProjectRule):
     """RL300: module-level mutable state visible to campaign workers."""
@@ -135,8 +144,8 @@ class ProcessSafetyRule(ProjectRule):
         self, project: ProjectContext, config: LintConfig
     ) -> Iterator[Finding]:
         graph = project.graph
-        reachable = graph.reachable_modules(config.process_roots)
-        if not any(root in graph.modules for root in config.process_roots):
+        reachable = graph.reachable_modules(PROCESS_ROOTS)
+        if not any(root in graph.modules for root in PROCESS_ROOTS):
             # Partial tree (a subtree lint, a fixture): no worker entry
             # point in sight, so conservatively treat every module as
             # worker-visible.

@@ -76,11 +76,13 @@ class TestCampaignHostRecorder:
         recorder.spec_submitted("d1", "jacobi/tx1x2/10G")
         clock.advance(2.0)
         recorder.spec_done("d1", 111, busy_seconds=0.5)
-        entry = recorder.journal_entry("d1")
-        assert entry == {
+        assert recorder.records["d1"] == {
+            "label": "jacobi/tx1x2/10G",
+            "submitted": 1.0,
+            "finished": 3.0,
             "wall_seconds": 2.0,
-            "queue_wait_seconds": 1.5,
             "busy_seconds": 0.5,
+            "queue_wait_seconds": 1.5,
             "worker": 0,
         }
 
@@ -90,11 +92,11 @@ class TestCampaignHostRecorder:
         recorder.spec_submitted("d1", "a")
         clock.advance(1.0)
         recorder.spec_done("d1", 1)
-        assert recorder.journal_entry("d1")["queue_wait_seconds"] == 0.0
+        assert recorder.records["d1"]["queue_wait_seconds"] == 0.0
         recorder.spec_submitted("d2", "b")
         clock.advance(1.0)
         recorder.spec_done("d2", 1, busy_seconds=99.0)
-        assert recorder.journal_entry("d2")["busy_seconds"] == 1.0
+        assert recorder.records["d2"]["busy_seconds"] == 1.0
 
     def test_worker_lanes_are_dense_first_seen(self):
         clock = FakeClock()
@@ -104,13 +106,14 @@ class TestCampaignHostRecorder:
             clock.advance(1.0)
             recorder.spec_done(digest, pid)
         assert recorder.worker_lanes == {4242: 0, 17: 1}
-        assert recorder.journal_entry("c")["worker"] == 0
+        assert recorder.records["c"]["worker"] == 0
 
     def test_journal_entry_none_until_done(self):
         recorder = CampaignHostRecorder(clock=FakeClock())
-        assert recorder.journal_entry("ghost") is None
+        assert "ghost" not in recorder.records
         recorder.spec_submitted("d1", "a")
-        assert recorder.journal_entry("d1") is None
+        record = recorder.records["d1"]
+        assert record["finished"] is None and record["wall_seconds"] is None
 
     def test_register_metrics_surfaces_campaign_host_gauges(self):
         clock = FakeClock()
@@ -159,7 +162,7 @@ class TestCampaignHostRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Sweep integration: --progress heartbeat, --host-trace, journal host field
+# Sweep integration: --progress heartbeat, --host-trace
 # ---------------------------------------------------------------------------
 
 
@@ -195,15 +198,8 @@ class TestSweepIntegration:
         assert code == 0
         document = json.loads(trace_path.read_text(encoding="utf-8"))
         assert document["otherData"]["timebase"] == "host-monotonic"
-        journal = next((tmp_path / "cache" / "campaigns").glob("*.jsonl"))
-        entries = [
-            json.loads(line)
-            for line in journal.read_text(encoding="utf-8").splitlines()[1:]
-        ]
-        assert entries and all("host" in e for e in entries)
-        host = entries[0]["host"]
-        assert host["wall_seconds"] >= host["busy_seconds"] >= 0.0
-        assert host["worker"] == 0
+        names = {event.get("name") for event in document["traceEvents"]}
+        assert "jacobi/tx1x2/10G" in names
 
     def test_campaign_host_metrics_in_registry(self, tmp_path):
         from repro.campaign import build_campaign, run_campaign

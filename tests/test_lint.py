@@ -26,6 +26,8 @@ from repro.lint import (
     render_text,
     suppressions,
 )
+from repro.lint.rules import DIAGNOSTIC_EXEMPT, FLOAT_EQ_PATHS, UNIT_EXEMPT
+from repro.lint.rules_interproc import PROCESS_ROOTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -775,11 +777,11 @@ def test_config_default_matches_shipped_pyproject():
     # config file): every rule on, each exemption scoped to its owner.
     config = LintConfig()
     assert all(config.enabled(rule_id) for rule_id in RULES)
-    assert config.unit_exempt == ("repro/units.py",)
-    assert config.float_eq_paths == ("sim/", "core/", "analysis/")
-    assert config.diagnostic_exempt == ("cli.py", "lint/", "campaign/store.py")
+    assert UNIT_EXEMPT == ("repro/units.py",)
+    assert FLOAT_EQ_PATHS == ("sim/", "core/", "analysis/")
+    assert DIAGNOSTIC_EXEMPT == ("cli.py", "lint/", "campaign/store.py")
     assert config.wallclock_exempt == config.taint_exempt == ("repro/hostprof/",)
-    assert config.process_roots == (
+    assert PROCESS_ROOTS == (
         "repro.campaign.runner",
         "repro.campaign.supervisor",
         "repro.bench.runner",

@@ -1,7 +1,7 @@
-"""Tests for supervised campaign execution: retry/backoff policy, chaos
+"""Tests for supervised campaign execution: retry backoff, chaos
 injection, worker-crash recovery, hung-task culling, poison-spec
-quarantine, the resumable campaign journal, and the self-healing result
-store (checksums, degraded puts, sharded layout)."""
+quarantine, restarting from the store, and the self-healing result store
+(checksums, degraded puts, sharded layout)."""
 
 from __future__ import annotations
 
@@ -12,20 +12,18 @@ import pytest
 
 from repro.bench.runner import clear_cache
 from repro.campaign import (
-    CampaignJournal,
     ChaosSchedule,
     ResultStore,
-    RetryPolicy,
     RunSpec,
     SpecQuarantinedError,
     build_campaign,
-    campaign_digest,
     corrupt_store_entry,
     format_campaign_table,
     payload_checksum,
     run_campaign,
 )
 from repro.campaign.chaos import ChaosInjectedError, apply_chaos
+from repro.campaign.supervisor import _backoff
 from repro.errors import ConfigurationError
 
 JACOBI_SMALL = {"n": 64, "iterations": 2}
@@ -45,31 +43,29 @@ def _specs(nodes=(2, 3)):
     )
 
 
-# -- retry policy -----------------------------------------------------------------
+# -- retry backoff ----------------------------------------------------------------
 
 
 def test_retry_policy_delays_are_deterministic_and_bounded():
-    policy = RetryPolicy(retries=3, backoff_base=0.05, backoff_factor=2.0,
-                         jitter=0.25, seed=7)
-    again = RetryPolicy(retries=3, backoff_base=0.05, backoff_factor=2.0,
-                        jitter=0.25, seed=7)
     for failure in range(4):
-        delay = policy.delay("abcd", failure)
-        assert delay == again.delay("abcd", failure)  # pure function
+        delay = _backoff("abcd", failure)
+        assert delay == _backoff("abcd", failure)  # pure function
         base = 0.05 * 2.0 ** failure
         assert base <= delay <= base * 1.25
-    # Different specs and different seeds jitter differently.
-    assert policy.delay("abcd", 0) != policy.delay("efgh", 0)
-    assert policy.delay("abcd", 0) != RetryPolicy(seed=8).delay("abcd", 0)
+    # Different specs jitter differently.
+    assert _backoff("abcd", 0) != _backoff("efgh", 0)
+    # The schedule is pinned: these are the seed-0 jittered delays.
+    assert [_backoff("abcd", failure) for failure in range(4)] == [
+        0.05421039226407331,
+        0.11428143097449883,
+        0.24222626524605106,
+        0.41887426994108784,
+    ]
 
 
 def test_retry_policy_validation():
     with pytest.raises(ConfigurationError, match="retries"):
-        RetryPolicy(retries=-1)
-    with pytest.raises(ConfigurationError, match="factor"):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ConfigurationError, match="jitter"):
-        RetryPolicy(jitter=2.0)
+        run_campaign(_specs(), store=None, retries=-1)
 
 
 # -- chaos schedules --------------------------------------------------------------
@@ -131,7 +127,7 @@ def test_transient_failure_retries_to_identical_table():
     assert row.outcome == "retried" and row.attempts == 2 and row.completed
     assert result.rows[1].outcome == "ok"
     assert result.retried == 1 and result.quarantined == 0
-    assert delays == [RetryPolicy().delay(victim, 0)]  # seeded backoff
+    assert delays == [_backoff(victim, 0)]  # seeded backoff
 
 
 def test_poison_spec_quarantined_campaign_completes():
@@ -206,68 +202,62 @@ def test_task_timeout_validation():
         run_campaign(_specs(), store=None, task_timeout=0)
 
 
-# -- the campaign journal ---------------------------------------------------------
+def test_watchdog_charges_only_specs_holding_a_worker():
+    # Two hung specs occupy both workers; the two behind them have not
+    # started, so the watchdog must not charge them.
+    specs = _specs(nodes=(2, 3, 4, 5))
+    clean = run_campaign(specs, store=None)
+    chaos = ChaosSchedule(hang={specs[0].digest: 1, specs[1].digest: 1},
+                          hang_seconds=30.0)
+    result = run_campaign(specs, jobs=2, store=None, retries=0,
+                          task_timeout=3.0, chaos=chaos)
+    assert result.timeouts == 2
+    assert [row.outcome for row in result.rows[:2]] == ["lost-worker"] * 2
+    assert result.rows[2].completed and result.rows[3].completed
+    clean_lines = format_campaign_table(clean).splitlines()
+    assert format_campaign_table(result).splitlines()[4:] == clean_lines[4:]
 
 
-def test_campaign_digest_is_order_insensitive_and_fingerprint_bound():
-    specs = _specs()
-    assert campaign_digest(specs) == campaign_digest(list(reversed(specs)))
-    assert campaign_digest(specs) != campaign_digest(specs[:1])
+def test_task_timeout_culls_a_one_spec_campaign():
+    specs = _specs(nodes=(2,))
+    chaos = ChaosSchedule(hang={specs[0].digest: 1}, hang_seconds=30.0)
+    result = run_campaign(specs, jobs=2, store=None, retries=1,
+                          task_timeout=3.0, chaos=chaos)
+    assert result.timeouts == 1
+    assert result.rows[0].outcome == "retried"
+    # A serial campaign has no worker to cull, so the pairing is refused.
+    with pytest.raises(ConfigurationError, match="jobs > 1"):
+        run_campaign(specs, jobs=1, store=None, task_timeout=3.0)
 
 
-def test_resume_replays_journal_and_reruns_only_undecided(tmp_path):
-    store = ResultStore(tmp_path / "resume-store")
+# -- restarting from the store ----------------------------------------------------
+
+
+def test_restart_warm_starts_from_the_store(tmp_path):
+    store = ResultStore(tmp_path / "restart-store")
     specs = _specs(nodes=(2, 3, 4, 5))
     full = run_campaign(specs, store=store)
-    table = format_campaign_table(full)
-    journal = full.journal.path
-    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert len(lines) == 1 + len(specs)
-    # Simulate a mid-campaign kill: two decided specs survive, the third
-    # line is torn mid-write, and the store is gone with the machine.
-    journal.write_text(
-        "".join(lines[:3]) + lines[3][: len(lines[3]) // 2],
-        encoding="utf-8",
-    )
-    store.clear()
-    assert journal.exists()  # journals survive a store clear
+    # Simulate a mid-campaign kill: only the first spec reached the store.
+    for spec in specs[1:]:
+        store.entry_path("run", spec.digest).unlink()
     clear_cache()
-    resumed = run_campaign(specs, store=store, resume=True)
-    assert resumed.resumed == 2
-    assert resumed.cache_hits == 0 and resumed.cache_misses == 2
-    assert format_campaign_table(resumed) == table
+    again = run_campaign(specs, store=store)
+    assert again.cache_hits == 1 and again.cache_misses == 3
+    assert format_campaign_table(again) == format_campaign_table(full)
 
 
-def test_resume_without_store_is_rejected():
-    with pytest.raises(ConfigurationError, match="resume"):
-        run_campaign(_specs(), store=None, resume=True)
-
-
-def test_foreign_journal_is_not_replayed(tmp_path):
-    specs = _specs()
-    journal = CampaignJournal.for_campaign(tmp_path, specs)
-    journal.path.parent.mkdir(parents=True)
-    journal.path.write_text(
-        json.dumps({"journal": 1, "campaign": "someone-else"}) + "\n"
-        + json.dumps({"digest": specs[0].digest, "outcome": "ok"}) + "\n",
-        encoding="utf-8",
-    )
-    assert journal.load() == {}  # wrong campaign header: not resumable
-
-
-def test_quarantined_outcome_is_sticky_across_resume(tmp_path):
+def test_quarantined_spec_is_retried_by_the_next_run(tmp_path):
     store = ResultStore(tmp_path / "s")
     specs = _specs()
     chaos = ChaosSchedule(fail={specs[0].digest: -1})
     first = run_campaign(specs, store=store, retries=0, chaos=chaos,
                          sleep=lambda _: None)
-    assert not first.rows[0].completed
-    # Resuming replays the quarantine verdict instead of retrying it —
-    # delete the journal to get a fresh trial.
-    resumed = run_campaign(specs, store=store, resume=True)
-    assert resumed.resumed == 2
-    assert not resumed.rows[0].completed
-    assert resumed.rows[0].outcome == "quarantined"
+    assert first.rows[0].outcome == "quarantined"
+    # Nothing remembers the verdict: the next run gives it a fresh trial.
+    clear_cache()
+    second = run_campaign(specs, store=store)
+    assert second.rows[0].outcome == "ok" and second.rows[0].completed
+    assert second.cache_hits == 1 and second.cache_misses == 1
 
 
 # -- the self-healing store -------------------------------------------------------
@@ -320,15 +310,16 @@ def test_sharded_layout_and_legacy_flat_read(tmp_path):
     store = ResultStore(tmp_path / "s")
     path = store.put("run", "abcdef", "fp", {"x": 1})
     assert path.parent.name == "ab"  # digest-prefix shard
-    # Entries written by the pre-shard layout are still readable.
+    # A well-formed entry at the pre-shard flat path is not read: that
+    # layout never held a current-schema entry.
     payload = {"y": 2}
-    legacy = store._legacy_path("run", "999888")
-    legacy.write_text(json.dumps({
+    flat = store.root / "run-999888.json"
+    flat.write_text(json.dumps({
         "schema": 2, "fingerprint": "fp", "kind": "run",
         "digest": "999888", "checksum": payload_checksum(payload),
         "payload": payload,
     }), encoding="utf-8")
-    assert store.get("run", "999888", "fp") == {"y": 2}
+    assert store.get("run", "999888", "fp") is None
 
 
 def test_store_rejects_path_escaping_addresses(tmp_path):
