@@ -219,12 +219,10 @@ class Job:
         self.telemetry = telemetry if telemetry is not None else NULL
         if self.telemetry.enabled:
             # One sink observes the whole stack: kernel, fabric, MPI, CUDA,
-            # rank states (via the tracer bridge when a tracer is attached).
+            # and the rank states and markers this job dispatches.
             self.telemetry.bind_env(cluster.env)
             cluster.env.set_telemetry(self.telemetry)
             cluster.fabric.set_telemetry(self.telemetry)
-            if tracer is not None:
-                tracer.bind_telemetry(self.telemetry)
         # OS-noise stream: an injected generator wins (lets a driver share
         # one seeded stream across jobs); otherwise seeded privately so two
         # jobs with the same seed draw identical jitter.
@@ -265,22 +263,21 @@ class Job:
         return sum(1 for n in self._rank_to_node if n == node_id)
 
     def record_state(self, rank: int, state: str, start: float, end: float) -> None:
-        """One compute/GPU/copy burst: a single emission path for both consumers.
+        """One compute/GPU/copy burst, dispatched to each attached consumer.
 
-        With a tracer attached the record flows through it (and the tracer
-        mirrors it onto any bound telemetry sink); tracerless telemetry runs
-        get the span directly.  Either way exactly one span lands per burst.
+        The tracer gets a row and an enabled sink a ``rank`` span; a bare
+        run touches neither.
         """
         if self.tracer is not None:
             self.tracer.record_state(rank, state, start, end)
-        else:
+        if self.telemetry.enabled:
             self.telemetry.record_span(f"rank{rank}", state, "rank", start, end)
 
     def mark(self, rank: int, label: str, time: float) -> None:
         """A phase/iteration boundary, dispatched like :meth:`record_state`."""
         if self.tracer is not None:
             self.tracer.mark(rank, label, time)
-        else:
+        if self.telemetry.enabled:
             self.telemetry.record_span(f"rank{rank}", label, "rank", time, time,
                                        kind="instant")
 

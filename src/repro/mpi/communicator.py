@@ -633,9 +633,18 @@ class Communicator:
         world = self.world
         env = self.env
         start = env.now
-        message = yield world._mailboxes[self.rank].get(
-            filter=lambda m: m.tag == tag
-        )
+        observed = world.telemetry.enabled  # see send()
+        span = NULL_SPAN
+        if observed:
+            span = world.telemetry.async_span(
+                self._track, "mpi.recv", "mpi", source=ANY_SOURCE, tag=tag,
+            )
+        with span:
+            message = yield world._mailboxes[self.rank].get(
+                filter=lambda m: m.tag == tag
+            )
+            if observed:
+                span.set(src=message.src, nbytes=message.nbytes)
         stats = world.stats[self.rank]
         stats.bytes_received += message.nbytes
         stats.messages_received += 1

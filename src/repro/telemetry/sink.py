@@ -52,7 +52,7 @@ class Telemetry:
     enabled = True
 
     def __init__(self, sample_interval: float = 0.1) -> None:
-        if sample_interval < 0:
+        if not sample_interval >= 0:
             raise TelemetryError(
                 f"sample_interval must be >= 0, got {sample_interval}"
             )
@@ -111,8 +111,8 @@ class Telemetry:
         kind: str = "scoped",
         **args: object,
     ) -> None:
-        """Record an already-timed span (the Tracer bridge's entry point)."""
-        if end < start:
+        """Record an already-timed span (``Job``'s rank states and markers)."""
+        if not end >= start:
             raise TelemetryError(f"span ends before it starts: {start} > {end}")
         self._finish(SpanRecord(sys.intern(track), sys.intern(name), category,
                                 start, end, kind=kind, args=dict(args)))

@@ -23,13 +23,9 @@ class Tracer:
     record is appended field by field to per-kind columns (see
     :class:`~repro.tracing.events.Records`); once :meth:`finalize` has
     returned, the trace is immutable and every record call raises.
-
-    When a telemetry sink is attached with :meth:`bind_telemetry`, every
-    record is also mirrored onto the sink's per-rank tracks as spans on the
-    same simulated-time axis — one tracing system, two consumers.
     """
 
-    def __init__(self, n_ranks: int, telemetry=None) -> None:
+    def __init__(self, n_ranks: int) -> None:
         if n_ranks < 1:
             raise TraceError("tracer needs at least one rank")
         self.n_ranks = n_ranks
@@ -38,14 +34,6 @@ class Tracer:
         self._recvs = new_columns(RecvRecord)
         self._markers = new_columns(MarkerRecord)
         self._finalized = False
-        self.bind_telemetry(telemetry)
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Mirror all subsequent records onto *telemetry* (``None`` detaches).
-
-        A disabled sink is not called at all: its spans would be dropped.
-        """
-        self._sink = telemetry if telemetry is not None and telemetry.enabled else None
 
     def record_state(self, rank: int, state: str, start: float, end: float) -> None:
         """One compute/GPU burst on *rank*."""
@@ -55,8 +43,6 @@ class Tracer:
         states.append(state)
         starts.append(start)
         ends.append(end)
-        if self._sink is not None:
-            self._sink.record_span(f"rank{rank}", state, "rank", start, end)
 
     def record_comm(
         self, src: int, dst: int, nbytes: float, start: float, end: float, tag: int
@@ -71,11 +57,6 @@ class Tracer:
         starts.append(start)
         ends.append(end)
         tags.append(tag)
-        if self._sink is not None:
-            self._sink.record_span(
-                f"rank{src}", f"comm->r{dst}", "rank", start, end,
-                kind="async", nbytes=nbytes, tag=tag,
-            )
 
     def record_recv(
         self, rank: int, src: int, nbytes: float, start: float, end: float, tag: int
@@ -89,11 +70,6 @@ class Tracer:
         starts.append(start)
         ends.append(end)
         tags.append(tag)
-        if self._sink is not None:
-            self._sink.record_span(
-                f"rank{rank}", f"recv<-r{src}", "rank", start, end,
-                kind="async", nbytes=nbytes, tag=tag,
-            )
 
     def mark(self, rank: int, label: str, time: float) -> None:
         """A phase/iteration boundary."""
@@ -102,10 +78,6 @@ class Tracer:
         ranks.append(rank)
         labels.append(label)
         times.append(time)
-        if self._sink is not None:
-            self._sink.record_span(
-                f"rank{rank}", label, "rank", time, time, kind="instant",
-            )
 
     def finalize(self, t_start: float = 0.0, t_end: float | None = None) -> Trace:
         """Freeze into a :class:`Trace`; *t_end* defaults to the last record."""

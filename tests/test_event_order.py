@@ -8,8 +8,10 @@ host-cost work (DESIGN.md §8) and must never move with it:
 * the ``run_to_payload`` JSON of a traced run (rank results plus the
   ``Trace`` lists);
 * the ``Trace`` record sequence in append order, interleaved across record
-  kinds, read from the sink's ``rank`` spans (the tracer mirrors every
-  record there as it is appended);
+  kinds, read from the sink: ``Job`` records each state and marker as a
+  ``rank`` span, and the MPI layer each send and receive as an
+  ``mpi.send->rN`` / ``mpi.recv`` span, each closed as its trace row is
+  appended;
 * ``sim_events_processed_total``.
 
 A deliberate change to the simulated model re-records them; a host-time
@@ -38,7 +40,9 @@ def _sha(obj) -> str:
 def _trace_sequence(telemetry: Telemetry) -> str:
     return _sha([
         [s.track, s.name, s.start, s.end, s.kind, s.args]
-        for s in telemetry.spans if s.category == "rank"
+        for s in telemetry.spans
+        if s.category == "rank" or s.name == "mpi.recv"
+        or s.name.startswith("mpi.send->")
     ])
 
 
@@ -50,19 +54,19 @@ RUNS = {
     "jacobi@2-1G": (
         "jacobi", {"nodes": 2, "network": "1G"},
         "0f980222a8fe93eb03316e5b47f4ed27c56b40171ab7bfee49dfe8c1a35a3375",
-        "36c582978c1d81551314ef7cc632eb06d6d68188791ed2d730cc73d0294cf4b7",
+        "66a1e8d5a38e59cf057f8903c93aa0d71798899b8ff8ff16103a7dc3edcfe4a9",
         3752,
     ),
     "cg@4-10G": (
         "cg", {"nodes": 4, "network": "10G"},
         "8660fa4d7ea38929aba36a263cf7c0600410cfc6f3cc51f2f9801e1a7a10926c",
-        "2bfacfa5933de1b2f535917a39b622015c5bdb5609be237d8c2ce022bf9b193d",
+        "4ee2226d343250a15a18808eada860351d8c6a6e9dedf5872eecf26515f3c2f0",
         51811,
     ),
     "hpl@4": (
         "hpl", {"nodes": 4},
         "7ba68ded766fc406b845a70d7f413cb71248b94009575ec65a92685eab56b400",
-        "e06c46cd677850e0fc29945b4f04ab65ec6392e74a49a5723d26618235bdd1e7",
+        "8319959b1270781e7894db14c9804df95b02246fbd5aa822cd5991ef368dccb4",
         18773,
     ),
 }
@@ -87,7 +91,7 @@ def test_degraded_run_with_retries_event_order_is_pinned():
     assert report.total_retries == 19
     assert _events(telemetry) == 4225
     assert _trace_sequence(telemetry) == (
-        "63262013c8f657534fbef91eb683f2d456a4bc565b41e986053c5ce7ab403c56"
+        "b66f5326e57660bdb8d3bacf4a409a68af19147017f3d9284edc21435dd4bdf8"
     )
     assert _sha(format_report(report)) == (
         "f3373239cf6c4b7ca71f12c4c190e498d4ee9bfbf04ce54569235fbbcef8ee70"

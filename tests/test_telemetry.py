@@ -5,13 +5,14 @@ The suite covers four layers:
 * unit tests for the data model (instruments, spans, registry, sink);
 * the clock-driven :class:`UtilizationSampler` (self-termination included);
 * integration: a telemetry-enabled workload run emits spans from every
-  instrumented layer and the Tracer bridge mirrors onto the same sink;
+  instrumented layer, one record per trace event;
 * determinism: a telemetry-enabled run is bit-identical to an
   uninstrumented one, and the exporters themselves are byte-stable.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import pytest
 
 from repro.bench.runner import clear_cache, run_workload
 from repro.cli import build_parser, main
-from repro.cluster import Cluster
+from repro.cluster import Cluster, Job
 from repro.cluster.cluster import tx1_cluster_spec
 from repro.errors import TelemetryError
 from repro.faults.model import FaultSchedule, NicDegradation
@@ -301,6 +302,15 @@ class TestSpans:
         with pytest.raises(TelemetryError, match="ends before it starts"):
             telemetry.record_span("rank0", "compute", "rank", 2.0, 1.0)
 
+    @pytest.mark.parametrize("start, end", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_record_span_rejects_nan_bounds(self, start, end):
+        # A NaN bound would reach the Chrome export as a bare ``NaN``,
+        # which strict JSON parsers and Perfetto reject.
+        telemetry, _ = bound_sink()
+        with pytest.raises(TelemetryError, match="ends before it starts"):
+            telemetry.record_span("rank0", "x", "rank", start, end)
+        assert telemetry.spans == []
+
     def test_null_span_is_inert(self):
         with NULL_SPAN as handle:
             handle.set(anything="goes")
@@ -313,6 +323,10 @@ class TestSink:
     def test_negative_sample_interval_rejected(self):
         with pytest.raises(TelemetryError, match="sample_interval"):
             Telemetry(sample_interval=-0.1)
+
+    def test_nan_sample_interval_rejected(self):
+        with pytest.raises(TelemetryError, match="sample_interval"):
+            Telemetry(sample_interval=math.nan)
 
     def test_rebinding_same_env_is_idempotent(self):
         telemetry, env = bound_sink()
@@ -531,55 +545,6 @@ class TestSampler:
 
 
 # ---------------------------------------------------------------------------
-# The Tracer bridge (one tracing system, two consumers)
-# ---------------------------------------------------------------------------
-
-
-class TestTracerBridge:
-    def test_record_state_mirrors_onto_rank_track(self):
-        telemetry, _ = bound_sink()
-        tracer = Tracer(2, telemetry=telemetry)
-        tracer.record_state(0, "gpu_kernel", 0.5, 1.5)
-        (span,) = telemetry.spans
-        assert (span.track, span.name, span.category) == ("rank0", "gpu_kernel", "rank")
-        assert (span.start, span.end, span.kind) == (0.5, 1.5, "scoped")
-
-    def test_record_comm_mirrors_as_async_span(self):
-        telemetry, _ = bound_sink()
-        tracer = Tracer(4, telemetry=telemetry)
-        tracer.record_comm(1, 2, 4096.0, 0.0, 0.25, tag=7)
-        (span,) = telemetry.spans
-        assert span.name == "comm->r2"
-        assert span.kind == "async"
-        assert span.args == {"nbytes": 4096.0, "tag": 7}
-
-    def test_record_recv_mirrors_as_async_span(self):
-        telemetry, _ = bound_sink()
-        tracer = Tracer(4, telemetry=telemetry)
-        tracer.record_recv(2, 1, 4096.0, 0.0, 0.25, tag=7)
-        (span,) = telemetry.spans
-        assert span.track == "rank2"
-        assert span.name == "recv<-r1"
-
-    def test_mark_mirrors_as_instant(self):
-        telemetry, _ = bound_sink()
-        tracer = Tracer(1, telemetry=telemetry)
-        tracer.mark(0, "iteration:3", 0.75)
-        (span,) = telemetry.spans
-        assert span.kind == "instant"
-        assert span.start == span.end == 0.75
-
-    def test_bind_telemetry_none_detaches(self):
-        telemetry, _ = bound_sink()
-        tracer = Tracer(1, telemetry=telemetry)
-        tracer.bind_telemetry(None)
-        tracer.record_state(0, "compute", 0.0, 1.0)
-        assert telemetry.spans == []
-        # ...and the tracer itself still recorded it.
-        assert len(tracer.finalize().states) == 1
-
-
-# ---------------------------------------------------------------------------
 # Integration: full workload runs
 # ---------------------------------------------------------------------------
 
@@ -594,6 +559,37 @@ def traced_run():
         traced=True, use_cache=False, telemetry=telemetry,
     )
     return run, telemetry
+
+
+def _assert_one_sink_record_per_trace_event(trace, telemetry):
+    """The Trace and the sink hold each event once apiece, with equal bounds.
+
+    The MPI layer's span is the sink's record of a message, and ``Job``'s
+    ``rank`` span that of a state or marker; no rank span mirrors a message.
+    """
+    assert not [s for s in telemetry.spans
+                if s.name.startswith(("comm->", "recv<-"))]
+
+    def spans(predicate):
+        return collections.Counter(
+            (s.track, s.name, s.start, s.end) for s in telemetry.spans
+            if predicate(s)
+        )
+
+    assert spans(lambda s: s.name.startswith("mpi.send->")) == collections.Counter(
+        (f"rank{c.src}", f"mpi.send->r{c.dst}", c.start, c.end)
+        for c in trace.comms
+    )
+    assert spans(lambda s: s.name == "mpi.recv") == collections.Counter(
+        (f"rank{r.rank}", "mpi.recv", r.start, r.end) for r in trace.recvs
+    )
+    expected = collections.Counter(
+        (f"rank{s.rank}", s.state, s.start, s.end) for s in trace.states
+    )
+    expected.update(
+        (f"rank{m.rank}", m.label, m.time, m.time) for m in trace.markers
+    )
+    assert spans(lambda s: s.category == "rank") == expected
 
 
 class TestWorkloadIntegration:
@@ -651,6 +647,25 @@ class TestWorkloadIntegration:
         run, telemetry = traced_run
         gauge = telemetry.registry.get("job_elapsed_seconds")
         assert gauge.value() == pytest.approx(run.result.elapsed_seconds)
+
+    def test_one_sink_record_per_trace_event(self, traced_run):
+        run, telemetry = traced_run
+        assert run.trace.comms and run.trace.states and run.trace.markers
+        _assert_one_sink_record_per_trace_event(run.trace, telemetry)
+
+    def test_gather_receives_are_recorded_once(self):
+        telemetry = Telemetry(sample_interval=0)
+        tracer = Tracer(4)
+        job = Job(Cluster(tx1_cluster_spec(4, "10G")), tracer=tracer,
+                  telemetry=telemetry)
+
+        def program(ctx):
+            return (yield from ctx.comm.gather(ctx.rank, root=0))
+
+        assert job.run(program).rank_values[0] == [0, 1, 2, 3]
+        trace = tracer.finalize()
+        assert len(trace.recvs) == 3
+        _assert_one_sink_record_per_trace_event(trace, telemetry)
 
     def test_tracerless_run_still_emits_rank_spans(self):
         telemetry = Telemetry(sample_interval=0)
@@ -904,6 +919,16 @@ class TestCli:
         assert args.workload == "cloverleaf"
         assert args.nodes == 4
         assert args.sample_interval == 0.1
+
+    @pytest.mark.parametrize("interval", ["nan", "-1"])
+    def test_bad_sample_interval_is_a_usage_error(self, interval, capsys):
+        code = main(["telemetry", "jacobi", "--nodes", "2",
+                     "--sample-interval", interval])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro telemetry: sample_interval")
 
     def test_run_timeline_defaults(self):
         args = build_parser().parse_args(["run", "jacobi", "--timeline"])
