@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,9 +46,12 @@ def payload_nbytes(data: Any) -> float:
     return 64.0  # opaque object: a pickled-header guess
 
 
-@dataclass(frozen=True)
-class Message:
-    """One in-flight message."""
+class Message(NamedTuple):
+    """One in-flight message.
+
+    A named tuple rather than a frozen dataclass, like
+    :class:`~repro.network.fabric.TransferRecord`: every send builds one.
+    """
 
     src: int
     dst: int
@@ -90,11 +93,13 @@ class RetryPolicy:
     jitter: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        # ``not >=``/``not >`` rather than ``<``/``<=``: NaN compares false
+        # both ways and would slip through.
+        if not self.timeout > 0:
             raise MPIError(f"retry timeout must be positive, got {self.timeout}")
         if self.max_retries < 0:
             raise MPIError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
+        if not (self.backoff_base >= 0 and self.backoff_factor >= 1.0):
             raise MPIError(
                 "backoff_base must be >= 0 and backoff_factor >= 1, got "
                 f"{self.backoff_base}/{self.backoff_factor}"
@@ -265,12 +270,14 @@ class Communicator:
             raise MPIError("send tag must be non-negative")
         world = self.world
         env = self.env
-        if world.is_failed(dest):
+        # Per-message hot path: the kernel's clock and the dead-rank set are
+        # read directly rather than through ``env.now``/``world.is_failed``.
+        if dest in world._failed_ranks:
             raise RankFailedError(dest, f"send to dead rank {dest} (tag {tag})")
         wire_bytes = MESSAGE_HEADER_BYTES + (
             payload_nbytes(data) if nbytes is None else float(nbytes)
         )
-        start = env.now
+        start = env._now
         src_node = world.rank_to_node[self.rank]
         dst_node = world.rank_to_node[dest]
         stats = world.stats[self.rank]
@@ -318,12 +325,12 @@ class Communicator:
             yield world._mailboxes[dest].put(message)
         stats.bytes_sent += wire_bytes
         stats.messages_sent += 1
-        stats.comm_seconds += env.now - start
+        stats.comm_seconds += env._now - start
         if observed:
             world._sent_messages.inc()
             world._sent_bytes.inc(wire_bytes)
         if world.tracer is not None:
-            world.tracer.record_comm(self.rank, dest, wire_bytes, start, env.now, tag)
+            world.tracer.record_comm(self.rank, dest, wire_bytes, start, env._now, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              timeout: float | None = None):
@@ -337,8 +344,8 @@ class Communicator:
         """
         world = self.world
         env = self.env
-        start = env.now
-        if source != ANY_SOURCE and world.is_failed(source):
+        start = env._now  # see send()
+        if source != ANY_SOURCE and source in world._failed_ranks:
             raise RankFailedError(
                 source, f"recv on rank {self.rank} from dead rank {source} (tag {tag})"
             )
@@ -382,11 +389,11 @@ class Communicator:
         stats = world.stats[self.rank]
         stats.bytes_received += message.nbytes
         stats.messages_received += 1
-        stats.comm_seconds += env.now - start
+        stats.comm_seconds += env._now - start
         world._record_delivery(message)
         if world.tracer is not None:
             world.tracer.record_recv(
-                self.rank, message.src, message.nbytes, start, env.now, message.tag
+                self.rank, message.src, message.nbytes, start, env._now, message.tag
             )
         return message.payload
 

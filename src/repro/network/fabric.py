@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from repro.errors import (
     ConfigurationError,
@@ -16,11 +15,16 @@ from repro.network.switch import SwitchSpec
 from repro.sim import Environment
 from repro.telemetry.instruments import SIZE_BUCKETS
 from repro.telemetry.sink import NULL
+from repro.telemetry.spans import NULL_SPAN
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    """Timing breakdown of one completed transfer."""
+class TransferRecord(NamedTuple):
+    """Timing breakdown of one completed transfer.
+
+    A named tuple rather than a frozen dataclass: every transfer builds
+    one, and a frozen dataclass sets each field through
+    ``object.__setattr__`` (about 3x the construction cost).
+    """
 
     src: int
     dst: int
@@ -145,14 +149,6 @@ class Fabric:
             "completed intra-node (loopback) transfers",
         )
 
-    def _endpoint(self, node_id: int) -> Node:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise NetworkError(
-                f"node id {node_id} is not attached to this fabric"
-            ) from None
-
     def _flow_rate(self, src: Node, dst: Node) -> float:
         """Effective bytes/s for one flow given current fabric load and
         any fault-injected per-link degradation."""
@@ -185,34 +181,54 @@ class Fabric:
         raising :class:`MessageLostError`, and a transfer touching a crashed
         endpoint raises :class:`NodeFailure`.
         """
-        if nbytes < 0:
-            raise ConfigurationError("transfer size must be non-negative")
-        src = self._endpoint(src_id)
-        dst = self._endpoint(dst_id)
-        self._check_alive(src)
-        self._check_alive(dst)
+        if not nbytes >= 0:
+            # ``not >=`` rather than ``<``: a NaN size would otherwise hold
+            # both NIC slots before the kernel's timeout check rejected it.
+            raise ConfigurationError(
+                f"transfer size must be non-negative, got {nbytes}"
+            )
+        try:
+            src = self.nodes[src_id]
+            dst = self.nodes[dst_id]
+        except KeyError as exc:
+            raise NetworkError(
+                f"node id {exc.args[0]} is not attached to this fabric"
+            ) from None
+        if src.failed or dst.failed:
+            self._check_alive(src)
+            self._check_alive(dst)
         env = self.env
-        start = env.now
+        start = env._now
+        # Per-transfer hot path: with the sink disabled, skip its no-op span
+        # factory and instruments, as Communicator.send/recv do.
+        observed = self._telemetry.enabled
 
         if src_id == dst_id:
             # Loopback: a memory-to-memory copy, no NIC involvement.  It is
             # accounted under its own instruments — total_bytes stays the
             # wire-only figure JobResult.network_bytes mirrors.
             wire = 2.0 * nbytes / src.dram.spec.cpu_bandwidth
-            with self._telemetry.async_span(
-                "fabric", self._span_name(src_id, dst_id), "fabric", nbytes=nbytes
-            ):
+            if observed:
+                with self._telemetry.async_span(
+                    "fabric", self._span_name(src_id, dst_id), "fabric",
+                    nbytes=nbytes,
+                ):
+                    yield env.timeout(wire)
+                self._loopback_bytes_counter.inc(nbytes)
+                self._loopback_transfers_counter.inc()
+            else:
                 yield env.timeout(wire)
             src.record_loopback(nbytes)
             self.loopback_bytes += nbytes
             self.loopback_transfers += 1
-            self._loopback_bytes_counter.inc(nbytes)
-            self._loopback_transfers_counter.inc()
-            return TransferRecord(src_id, dst_id, nbytes, start, env.now, 0.0, wire)
+            return TransferRecord(src_id, dst_id, nbytes, start, env._now, 0.0, wire)
 
-        with self._telemetry.async_span(
-            "fabric", self._span_name(src_id, dst_id), "fabric", nbytes=nbytes
-        ) as span:
+        span = NULL_SPAN
+        if observed:
+            span = self._telemetry.async_span(
+                "fabric", self._span_name(src_id, dst_id), "fabric", nbytes=nbytes
+            )
+        with span:
             tx_req = src.nic_tx.request()
             rx_req = dst.nic_rx.request()
             granted = False
@@ -220,10 +236,11 @@ class Fabric:
             try:
                 yield env.all_of([tx_req, rx_req])
                 granted = True
-                queued = env.now - start
+                queued = env._now - start
                 self._active_flows += 1
                 rate = self._flow_rate(src, dst)
-                span.set(queue_seconds=queued, rate=rate)
+                if observed:
+                    span.set(queue_seconds=queued, rate=rate)
                 # The loss draw happens at flow start so the RNG consumption
                 # order is deterministic regardless of completion order.
                 if self._injector is not None:
@@ -240,16 +257,18 @@ class Fabric:
                 dst.nic_rx.release(rx_req)
 
             # A crash that landed mid-flight eats the payload.
-            self._check_alive(src)
-            self._check_alive(dst)
+            if src.failed or dst.failed:
+                self._check_alive(src)
+                self._check_alive(dst)
             if dropped:
                 self.dropped_bytes += nbytes
                 self.dropped_transfers += 1
-                self._drops_counter.inc()
-                self._telemetry.instant(
-                    "faults", f"message-loss n{src_id}->n{dst_id}", "fault",
-                    nbytes=nbytes,
-                )
+                if observed:
+                    self._drops_counter.inc()
+                    self._telemetry.instant(
+                        "faults", f"message-loss n{src_id}->n{dst_id}", "fault",
+                        nbytes=nbytes,
+                    )
                 raise MessageLostError(
                     f"transfer of {nbytes:.0f} B from node {src_id} to node "
                     f"{dst_id} lost on the wire at t={env.now:.6f}"
@@ -259,11 +278,12 @@ class Fabric:
             dst.record_receive(nbytes)
             self.total_bytes += nbytes
             self.total_transfers += 1
-            self._bytes_counter.inc(nbytes)
-            self._transfers_counter.inc()
-            self._seconds_histogram.observe(env.now - start)
-            self._size_histogram.observe(nbytes)
-        return TransferRecord(src_id, dst_id, nbytes, start, env.now, queued, wire)
+            if observed:
+                self._bytes_counter.inc(nbytes)
+                self._transfers_counter.inc()
+                self._seconds_histogram.observe(env._now - start)
+                self._size_histogram.observe(nbytes)
+        return TransferRecord(src_id, dst_id, nbytes, start, env._now, queued, wire)
 
     def average_traffic_rate(self, elapsed_seconds: float) -> float:
         """Mean fabric throughput over a run (Fig. 3's network-traffic axis)."""

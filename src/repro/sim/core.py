@@ -177,7 +177,14 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "throw"):
             raise SimulationError(f"process() needs a generator, got {generator!r}")
-        super().__init__(env)
+        # Event fields set inline, as in Timeout: every isend and irecv
+        # starts a process, so the super().__init__ call is worth sparing.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._triggered = False
+        self._defused = False
         self._generator = generator
         self._target: Event | None = None
         # Kick off the process at the current time.

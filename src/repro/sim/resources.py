@@ -19,7 +19,7 @@ import heapq
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.sim.core import URGENT, Environment, Event
+from repro.sim.core import _PENDING, URGENT, Environment, Event
 
 
 class Request(Event):
@@ -28,7 +28,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Event fields set inline, as in Timeout: two requests per transfer.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._triggered = False
+        self._defused = False
         self.resource = resource
         resource._do_request(self)
 
@@ -220,8 +226,18 @@ class Store:
             return ev
         # Room and no putter ahead: store it as _settle would, then hand
         # it to a waiting getter, if any.
-        self.items.append(item)
         ev.succeed()
+        if self._getters and not self.items:
+            # The new item is the only one _settle could hand out: the
+            # first getter it matches takes it, in the same order.
+            for gi, (predicate, getter) in enumerate(self._getters):
+                if predicate is None or predicate(item):
+                    del self._getters[gi]
+                    getter.succeed(item)
+                    return ev
+            self.items.append(item)
+            return ev
+        self.items.append(item)
         if self._getters:
             self._settle()
         return ev

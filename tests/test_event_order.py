@@ -14,6 +14,10 @@ host-cost work (DESIGN.md §8) and must never move with it:
   appended;
 * ``sim_events_processed_total``.
 
+Each run is pinned twice: with a sink attached, and bare (no sink, no
+cache), where the fabric and the MPI layer take their unobserved branch.
+Both must give the same payload digest.
+
 A deliberate change to the simulated model re-records them; a host-time
 change never does.
 """
@@ -69,6 +73,14 @@ RUNS = {
         "8319959b1270781e7894db14c9804df95b02246fbd5aa822cd5991ef368dccb4",
         18773,
     ),
+    # 8 ranks in CPU mode: the broadcasts run _bcast_large's isend ring,
+    # the per-message path that dominates hpl-CPU host time at 16 nodes.
+    "hpl-cpu@2": (
+        "hpl", {"nodes": 2, "mode": "cpu"},
+        "6443763ee5b0d8f41b1fe11e4223fc8eefaf2ee59e75a2f9ed5a8398bb235352",
+        "5f9bb0dc1221fd8d8d3d3a6ea6f9f39bc76921ffc9bb797e5f4e6f6555576e2a",
+        50670,
+    ),
 }
 
 
@@ -82,17 +94,37 @@ def test_traced_run_event_order_is_pinned(case):
     assert _sha(run_to_payload(run)) == payload_digest
 
 
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_bare_run_matches_the_pinned_payload(case):
+    name, kwargs, payload_digest, _, _ = RUNS[case]
+    run = run_workload(name, traced=True, use_cache=False, **kwargs)
+    assert _sha(run_to_payload(run)) == payload_digest
+
+
+_DEGRADED_REPORT_DIGEST = (
+    "f3373239cf6c4b7ca71f12c4c190e498d4ee9bfbf04ce54569235fbbcef8ee70"
+)
+
+
+def _degraded_jacobi(telemetry=None):
+    schedule = FaultSchedule((MessageLoss(probability=0.05),), seed=0)
+    return run_degraded("jacobi", schedule, nodes=2, telemetry=telemetry,
+                        use_cache=False)
+
+
 def test_degraded_run_with_retries_event_order_is_pinned():
     telemetry = Telemetry()
-    schedule = FaultSchedule((MessageLoss(probability=0.05),), seed=0)
-    report = run_degraded("jacobi", schedule, nodes=2, telemetry=telemetry,
-                          use_cache=False)
+    report = _degraded_jacobi(telemetry)
     # The retry path must actually run, or this pins nothing it claims to.
     assert report.total_retries == 19
     assert _events(telemetry) == 4225
     assert _trace_sequence(telemetry) == (
         "b66f5326e57660bdb8d3bacf4a409a68af19147017f3d9284edc21435dd4bdf8"
     )
-    assert _sha(format_report(report)) == (
-        "f3373239cf6c4b7ca71f12c4c190e498d4ee9bfbf04ce54569235fbbcef8ee70"
-    )
+    assert _sha(format_report(report)) == _DEGRADED_REPORT_DIGEST
+
+
+def test_bare_degraded_run_matches_the_pinned_report():
+    report = _degraded_jacobi()
+    assert report.total_retries == 19
+    assert _sha(format_report(report)) == _DEGRADED_REPORT_DIGEST

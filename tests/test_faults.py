@@ -236,6 +236,11 @@ def test_empty_schedule_is_bit_for_bit_noop():
         {"backoff_factor": 0.5},
         {"jitter": 1.0},
         {"jitter": -0.1},
+        # NaN compares false both ways, so a ``<=``/``<`` check lets it in.
+        {"timeout": float("nan")},
+        {"backoff_base": float("nan")},
+        {"backoff_factor": float("nan")},
+        {"jitter": float("nan")},
     ],
 )
 def test_retry_policy_validation(kwargs):

@@ -122,6 +122,59 @@ def test_negative_bytes_rejected(tx1_pair):
         env.run(until=env.process(fabric.transfer(0, 1, -5.0)))
 
 
+@pytest.mark.parametrize("dst", [1, 0], ids=["wire", "loopback"])
+def test_nan_bytes_rejected_before_any_nic_request(tx1_pair, dst):
+    # NaN compares false against 0, so a ``< 0`` check lets it through to
+    # the kernel's timeout, after both NIC slots were requested.
+    env, fabric, nodes = tx1_pair
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        env.run(until=env.process(fabric.transfer(0, dst, float("nan"))))
+    for node in nodes:
+        assert node.nic_tx.users == [] and node.nic_tx.queue == []
+        assert node.nic_rx.users == [] and node.nic_rx.queue == []
+    assert fabric.total_transfers == fabric.loopback_transfers == 0
+
+
+class _TripwireSink:
+    """A disabled sink whose span factory and instruments all raise.
+
+    The fabric asks it for instruments once, when it is attached; after
+    that an unobserved transfer must never touch it.
+    """
+
+    enabled = False
+
+    class _Tripwire:
+        def __getattr__(self, name):
+            raise AssertionError(f"disabled sink touched: .{name}")
+
+    def counter(self, *args, **kwargs):
+        return self._Tripwire()
+
+    histogram = counter
+
+    def async_span(self, *args, **kwargs):
+        raise AssertionError("disabled sink opened a span")
+
+    span = instant = async_span
+
+
+def test_unobserved_transfers_never_touch_the_sink(tx1_pair):
+    env, fabric, nodes = tx1_pair
+    fabric.set_telemetry(_TripwireSink())
+
+    def go():
+        yield from fabric.transfer(0, 1, 1000.0)
+        yield from fabric.transfer(1, 1, 500.0)
+
+    env.run(until=env.process(go()))
+    assert fabric.total_bytes == 1000.0
+    assert fabric.total_transfers == 1
+    assert fabric.loopback_bytes == 500.0
+    assert fabric.loopback_transfers == 1
+    assert nodes[1].network_bytes_received == 1000.0
+
+
 def test_duplicate_attach_rejected(tx1_pair):
     env, fabric, nodes = tx1_pair
     with pytest.raises(ConfigurationError):

@@ -264,6 +264,24 @@ def test_store_filter_get():
     assert got == ["two", "one"]
 
 
+def test_store_put_hands_item_to_first_matching_waiting_getter():
+    env = Environment()
+    store = Store(env)
+    odd = store.get(filter=lambda n: n % 2)
+    even_a = store.get(filter=lambda n: n % 2 == 0)
+    even_b = store.get(filter=lambda n: n % 2 == 0)
+    store.put(4)
+    assert even_a.triggered and not even_b.triggered and not odd.triggered
+    store.put(7)
+    assert odd.triggered and store.items == []
+    store.put(5)  # no waiting getter matches: it queues
+    assert store.items == [5] and not even_b.triggered
+    late = store.get()
+    env.run()
+    assert (odd.value, even_a.value, late.value) == (7, 4, 5)
+    assert store.items == [] and not even_b.triggered
+
+
 def test_store_multiple_consumers_each_get_one():
     env = Environment()
     store = Store(env)
