@@ -15,13 +15,14 @@ Run:  python examples/insight_tour.py
 """
 
 from repro.bench.runner import run_workload
+from repro.core import place
 from repro.insight import (
     SEGMENT_KINDS,
     build_report,
     critical_path,
     cross_check,
     extract_ops,
-    place_run,
+    intensities_from_telemetry,
     render_markdown,
     render_text,
 )
@@ -52,14 +53,16 @@ def main() -> None:
             print(f"       {kind:<8} {seconds:8.4f} s "
                   f"({100.0 * path.fraction(kind):5.1f} %)")
 
-    # 3. Roofline placement: Eq. 1/2 intensities from measured instruments
-    #    (kernel spans, cuda_copy_bytes_total, fabric_bytes_total).
-    placement = place_run(telemetry, run.cluster, name="cloverleaf")
+    # 3. Roofline placement: the run's totals read from measured instruments
+    #    (kernel spans, cuda_copy_bytes_total, fabric_bytes_total), placed
+    #    by the one placement function under the workload's precision roof.
+    placement = place(intensities_from_telemetry(telemetry), run.cluster,
+                      precision=run.workload.precision, name="cloverleaf")
     point = placement.point
     print(f"[roofline] OI={point.operational_intensity:.3f} F/B, "
           f"NI={point.network_intensity:.1f} F/B -> binding ceiling: "
-          f"{placement.binding.value} "
-          f"({placement.percent_of_roof:.1f} % of the roof)")
+          f"{point.limit.value} ({point.percent_of_peak:.1f} % of the roof); "
+          f"binding level: {placement.binding_level}")
 
     # 4. Cross-check: the op-stream LB and eta must agree with the
     #    replay-derived Eq. 4 factors — two independent pipelines, one trace.

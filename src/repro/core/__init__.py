@@ -10,9 +10,11 @@ second intensity axis::
     attainable            = min(peak, mem_bw * OI, net_bw * NI)        (Eq. 3)
 
 `repro.core.roofline` implements the classic model, `repro.core.extended`
-the extension, `repro.core.model_io` derives intensities from measured job
-results, and `repro.core.report` renders Fig. 4-style plots and the Table II
-report as text.
+the extension and `repro.core.hierarchy` its per-level form.
+`repro.core.model_io` places measured runs: one totals record, one
+placement function, used by every view (Table II, Roofline 2.0, reports,
+ridgeline, campaign rows).  `repro.core.report` renders Fig. 4-style plots
+and the Table II report as text.
 """
 
 from repro.core.roofline import RooflineModel
@@ -26,8 +28,11 @@ from repro.core.hierarchy import (
     levels_from_cache_hierarchy,
 )
 from repro.core.model_io import (
+    Placement,
+    RunTotals,
     hierarchical_roofline_for_cluster,
     measure_roofline_point,
+    place,
     roofline_for_cluster,
 )
 from repro.core.report import render_roofline_ascii, render_table2
@@ -40,11 +45,14 @@ __all__ = [
     "LevelCeiling",
     "LimitingFactor",
     "NETWORK_LEVEL",
+    "Placement",
     "RooflineModel",
     "RooflinePoint",
+    "RunTotals",
     "hierarchical_roofline_for_cluster",
     "levels_from_cache_hierarchy",
     "measure_roofline_point",
+    "place",
     "render_roofline_ascii",
     "render_table2",
     "roofline_for_cluster",

@@ -31,12 +31,16 @@ class ExtendedRoofline:
     network_bandwidth: float
 
     def __post_init__(self) -> None:
-        if min(self.peak_flops, self.memory_bandwidth, self.network_bandwidth) <= 0:
+        if not (
+            self.peak_flops > 0
+            and self.memory_bandwidth > 0
+            and self.network_bandwidth > 0
+        ):
             raise ConfigurationError(f"{self.name}: all peaks must be positive")
 
     def attainable(self, operational_intensity: float, network_intensity: float) -> float:
         """Eq. 3: min of the three roofs."""
-        if operational_intensity <= 0 or network_intensity <= 0:
+        if not (operational_intensity > 0 and network_intensity > 0):
             raise ConfigurationError("intensities must be positive")
         return min(
             self.peak_flops,
@@ -61,20 +65,6 @@ class ExtendedRoofline:
         if mem <= net and mem <= self.peak_flops:
             return LimitingFactor.OPERATIONAL
         return LimitingFactor.COMPUTE
-
-    def limiting_intensity(
-        self, operational_intensity: float, network_intensity: float
-    ) -> LimitingFactor:
-        """Table II's binary classification: which *intensity* roof is lower.
-
-        The paper's "limit" column picks between operational and network
-        only — "the limiting intensity specifies which intensity ... limits
-        the theoretical peak performance the most" — so the flat compute
-        roof is not a candidate here.
-        """
-        mem = self.memory_bandwidth * operational_intensity
-        net = self.network_bandwidth * network_intensity
-        return LimitingFactor.NETWORK if net < mem else LimitingFactor.OPERATIONAL
 
     def memory_ridge(self) -> float:
         """OI where the memory roof reaches peak compute."""
@@ -108,7 +98,13 @@ class RooflinePoint:
 
     @property
     def limit(self) -> LimitingFactor:
-        """The limiting intensity for this workload (Table II's column)."""
-        return self.model.limiting_intensity(
-            self.operational_intensity, self.network_intensity
-        )
+        """Table II's limit column: which *intensity* roof is lower.
+
+        The paper's "limit" column picks between operational and network
+        only — "the limiting intensity specifies which intensity ... limits
+        the theoretical peak performance the most" — so the flat compute
+        roof is not a candidate here, and the network loses ties.
+        """
+        mem = self.model.memory_bandwidth * self.operational_intensity
+        net = self.model.network_bandwidth * self.network_intensity
+        return LimitingFactor.NETWORK if net < mem else LimitingFactor.OPERATIONAL

@@ -17,7 +17,7 @@ model's memory-wins-ties convention.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.core.extended import ExtendedRoofline
@@ -42,7 +42,7 @@ class LevelCeiling:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("ceiling needs a level name")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ConfigurationError(f"{self.name}: bandwidth must be positive")
 
 
@@ -62,7 +62,7 @@ class HierarchicalRoofline:
     network_bandwidth: float
 
     def __post_init__(self) -> None:
-        if self.peak_flops <= 0 or self.network_bandwidth <= 0:
+        if not (self.peak_flops > 0 and self.network_bandwidth > 0):
             raise ConfigurationError(f"{self.name}: all peaks must be positive")
         if not self.levels:
             raise ConfigurationError(f"{self.name}: need at least one memory level")
@@ -91,12 +91,6 @@ class HierarchicalRoofline:
                 return lvl
         raise AnalysisError(f"{self.name}: no memory level {name!r}")
 
-    def attainable_at(self, name: str, intensity: float) -> float:
-        """One level's roof at *intensity*: min(peak, bw_level * OI_level)."""
-        if intensity <= 0:
-            raise ConfigurationError("intensities must be positive")
-        return min(self.peak_flops, self.level(name).bandwidth * intensity)
-
     def attainable(
         self, intensities: Mapping[str, float], network_intensity: float
     ) -> float:
@@ -106,18 +100,9 @@ class HierarchicalRoofline:
         intensity; a missing level is an analysis error, not silently a
         non-binding roof.
         """
-        if network_intensity <= 0:
-            raise ConfigurationError("intensities must be positive")
-        bound = min(self.peak_flops, self.network_bandwidth * network_intensity)
-        for lvl in self.levels:
-            if lvl.name not in intensities:
-                raise AnalysisError(
-                    f"{self.name}: no measured intensity for level {lvl.name!r}"
-                )
-            oi = intensities[lvl.name]
-            if oi <= 0:
-                raise ConfigurationError("intensities must be positive")
-            bound = min(bound, lvl.bandwidth * oi)
+        bound = min(self.peak_flops, self._network_roof(network_intensity))
+        for _, roof in self._level_roofs(intensities):
+            bound = min(bound, roof)
         return bound
 
     def binding_level(
@@ -125,31 +110,42 @@ class HierarchicalRoofline:
     ) -> str:
         """Which bandwidth roof binds: a level name or ``"network"``.
 
-        Like the flat model's ``limiting_intensity``, only bandwidth roofs
-        compete (the compute roof is not a candidate — the paper's limit
-        column classifies between intensities).  Ties resolve toward the
-        level nearest to compute, and the network loses all ties, so a
-        single-level hierarchy degenerates to the flat memory-wins rule.
+        Like Table II's limit column (``RooflinePoint.limit``), only
+        bandwidth roofs compete: the compute roof is not a candidate.  Ties
+        resolve toward the level nearest to compute, and the network loses
+        all ties, so a single-level hierarchy degenerates to the flat
+        memory-wins rule.  An infinite intensity (a silent axis) never
+        binds.
         """
         best_name = None
         best_roof = float("inf")
+        for lvl, roof in self._level_roofs(intensities):
+            if roof < best_roof:
+                best_name, best_roof = lvl.name, roof
+        if self._network_roof(network_intensity) < best_roof:
+            return NETWORK_LEVEL
+        if best_name is None:
+            raise AnalysisError(f"{self.name}: every bandwidth roof is silent")
+        return best_name
+
+    def _level_roofs(
+        self, intensities: Mapping[str, float]
+    ) -> Iterator[tuple[LevelCeiling, float]]:
+        """``(level, bw_level * OI_level)`` per level, nearest-first."""
         for lvl in self.levels:
             if lvl.name not in intensities:
                 raise AnalysisError(
                     f"{self.name}: no measured intensity for level {lvl.name!r}"
                 )
             oi = intensities[lvl.name]
-            if oi <= 0:
+            if not oi > 0:
                 raise ConfigurationError("intensities must be positive")
-            roof = lvl.bandwidth * oi
-            if roof < best_roof:
-                best_name, best_roof = lvl.name, roof
-        if network_intensity <= 0:
+            yield lvl, lvl.bandwidth * oi
+
+    def _network_roof(self, network_intensity: float) -> float:
+        if not network_intensity > 0:
             raise ConfigurationError("intensities must be positive")
-        if self.network_bandwidth * network_intensity < best_roof:
-            return NETWORK_LEVEL
-        assert best_name is not None  # levels is non-empty by construction
-        return best_name
+        return self.network_bandwidth * network_intensity
 
     def ridge_point(self, name: str) -> float:
         """OI where *name*'s roof reaches peak compute."""
@@ -162,8 +158,8 @@ class HierarchicalRoofline:
     def flat(self) -> ExtendedRoofline:
         """The equivalent flat model (DRAM + network roofs only).
 
-        Used as the consistency cross-check: the hierarchical placement's
-        DRAM-level point must agree exactly with `place_run` against this.
+        A :class:`~repro.core.model_io.Placement`'s flat point is placed
+        against this, so both views share their DRAM and network roofs.
         """
         return ExtendedRoofline(
             name=self.name,

@@ -16,12 +16,12 @@ class RooflineModel:
     memory_bandwidth: float  # bytes/s
 
     def __post_init__(self) -> None:
-        if self.peak_flops <= 0 or self.memory_bandwidth <= 0:
+        if not (self.peak_flops > 0 and self.memory_bandwidth > 0):
             raise ConfigurationError(f"{self.name}: peaks must be positive")
 
     def attainable(self, operational_intensity: float) -> float:
         """Attainable FLOP/s at the given operational intensity (FLOP/byte)."""
-        if operational_intensity <= 0:
+        if not operational_intensity > 0:
             raise ConfigurationError("operational intensity must be positive")
         return min(self.peak_flops, self.memory_bandwidth * operational_intensity)
 

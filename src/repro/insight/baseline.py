@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.core import place
 from repro.errors import ConfigurationError
 from repro.insight.decompose import cross_check
-from repro.insight.roofline import place_run
+from repro.insight.roofline import intensities_from_telemetry
 from repro.telemetry.sink import Telemetry
 
 #: Schema version stamped into every baseline file.
@@ -100,9 +101,12 @@ def collect_baseline(
         row["serialization"] = check.replay.serialization
         row["transfer"] = check.replay.transfer
         if name in GPGPU_NAMES:
-            placement = place_run(telemetry, run.cluster, name=name)
-            row["limit"] = placement.binding.value
-            row["percent_of_roof"] = placement.percent_of_roof
+            point = place(
+                intensities_from_telemetry(telemetry), run.cluster,
+                precision=run.workload.precision, name=name,
+            ).point
+            row["limit"] = point.limit.value
+            row["percent_of_roof"] = point.percent_of_peak
         metrics[name] = row
         if store is not None:
             store.put("baseline-row", spec.digest, spec.fingerprint, row)

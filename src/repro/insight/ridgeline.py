@@ -18,59 +18,38 @@ float formats and no wall-clock state, so outputs are diffable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core import (
     DRAM_LEVEL,
     L2_LEVEL,
-    NETWORK_LEVEL,
     HierarchicalRoofline,
-    hierarchical_roofline_for_cluster,
+    Placement,
+    RunTotals,
+    place,
 )
 from repro.errors import AnalysisError
-from repro.insight.roofline import HierarchicalPlacement, place_hier_from_run
 from repro.units import to_gflops
 
 #: Binding label for a rank that retired no GPU work.
 IDLE = "idle"
 
 
-@dataclass(frozen=True)
-class RankPoint:
-    """One rank's position on the 2D intensity plane."""
+@dataclass(frozen=True, kw_only=True)
+class RankPoint(RunTotals):
+    """One rank's totals and its position on the 2D intensity plane.
+
+    Intensities are the :class:`~repro.core.model_io.RunTotals` ones:
+    ``inf`` on an axis the rank never touched.
+    """
 
     rank: int
     node: int
-    flops: float
-    dram_bytes: float
-    l2_bytes: float
-    network_bytes: float
     #: Fraction of the run the rank spent in useful states (compute/gpu/copy).
     utilization: float
     #: Binding bandwidth ceiling for this rank's intensities (level name,
     #: ``"network"``, or ``"idle"`` when the rank retired no GPU work).
-    binding: str
-
-    @property
-    def operational_intensity(self) -> float:
-        """DRAM-level intensity; ``inf`` for a rank with no DRAM traffic."""
-        if self.dram_bytes > 0:
-            return self.flops / self.dram_bytes
-        return math.inf
-
-    @property
-    def l2_intensity(self) -> float:
-        """L2-level intensity; ``inf`` for a rank with no L2 traffic."""
-        if self.l2_bytes > 0:
-            return self.flops / self.l2_bytes
-        return math.inf
-
-    @property
-    def network_intensity(self) -> float:
-        """Network intensity; ``inf`` for a rank that touched no wire."""
-        if self.network_bytes > 0:
-            return self.flops / self.network_bytes
-        return math.inf
+    binding: str = IDLE
 
 
 @dataclass(frozen=True)
@@ -78,14 +57,17 @@ class RidgelinePlacement:
     """A whole run on the 2D plane: one point per rank plus the job point."""
 
     name: str
-    hier: HierarchicalRoofline
     points: tuple[RankPoint, ...]
-    job: HierarchicalPlacement
-    elapsed_seconds: float
+    job: Placement
+
+    @property
+    def hier(self) -> HierarchicalRoofline:
+        """The per-level ceilings every point sits under."""
+        return self.job.hier
 
     @property
     def binding_level(self) -> str:
-        """The job-level binding ceiling (from the hierarchical placement)."""
+        """The job-level binding ceiling."""
         return self.job.binding_level
 
     def spread(self) -> float:
@@ -101,55 +83,26 @@ class RidgelinePlacement:
         return high / low if low > 0 else math.inf
 
 
-def _rank_binding(
-    hier: HierarchicalRoofline,
-    flops: float,
-    level_bytes: dict[str, float],
-    network_bytes: float,
-) -> str:
-    """Nearest-wins binding over the roofs this rank actually exercised."""
-    if flops <= 0:
-        return IDLE
-    best = None
-    best_roof = math.inf
-    for lvl in hier.levels:
-        nbytes = level_bytes.get(lvl.name, 0.0)
-        if nbytes <= 0:
-            continue
-        roof = lvl.bandwidth * (flops / nbytes)
-        if roof < best_roof:
-            best, best_roof = lvl.name, roof
-    if network_bytes > 0:
-        net_roof = hier.network_bandwidth * (flops / network_bytes)
-        if net_roof < best_roof:
-            return NETWORK_LEVEL
-    return best if best is not None else IDLE
-
-
-def ridgeline_from_run(
-    run,
-    name: str = "run",
-    model: HierarchicalRoofline | None = None,
-) -> RidgelinePlacement:
+def ridgeline_from_run(run, name: str = "run") -> RidgelinePlacement:
     """Build the per-rank 2D placement of a traced GPGPU run.
 
     FLOPs and per-level bytes are attributed node-exactly (each GPU node
     has its own profiler) and split across a node's ranks by their GPU
     busy seconds from the trace (an even split when none of the node's
     ranks recorded GPU time); wire bytes are per-rank exact from the
-    trace's comm and recv records.
+    trace's comm and recv records.  The job and every busy rank are placed
+    by :func:`repro.core.place`.
     """
     if run.trace is None:
         raise AnalysisError(
             "ridgeline needs a traced run: pass traced=True to run_workload"
         )
-    if model is None:
-        model = hierarchical_roofline_for_cluster(run.cluster)
-    job = place_hier_from_run(run, name=name, model=model)
+    precision = run.workload.precision
+    job = place(
+        RunTotals.of(run.result), run.cluster, precision=precision, name=name
+    )
     trace = run.trace
     elapsed = run.result.elapsed_seconds
-    if elapsed <= 0:
-        raise AnalysisError("run has no duration")
 
     # Profilers are listed in node order over the GPU-bearing nodes.
     gpu_node_ids = [
@@ -183,28 +136,21 @@ def ridgeline_from_run(
             l2 = share * profiler.total_l2_bytes
         else:
             flops = dram = l2 = 0.0
-        network = trace.bytes_sent(rank) + rx_bytes.get(rank, 0.0)
-        points.append(
-            RankPoint(
-                rank=rank,
-                node=node_id,
-                flops=flops,
-                dram_bytes=dram,
-                l2_bytes=l2,
-                network_bytes=network,
-                utilization=min(1.0, trace.compute_seconds(rank) / elapsed),
-                binding=_rank_binding(
-                    model, flops, {L2_LEVEL: l2, DRAM_LEVEL: dram}, network
-                ),
-            )
+        point = RankPoint(
+            flops=flops,
+            dram_bytes=dram,
+            l2_bytes=l2,
+            network_bytes=trace.bytes_sent(rank) + rx_bytes.get(rank, 0.0),
+            elapsed_seconds=elapsed,
+            rank=rank,
+            node=node_id,
+            utilization=min(1.0, trace.compute_seconds(rank) / elapsed),
         )
-    return RidgelinePlacement(
-        name=name,
-        hier=model,
-        points=tuple(points),
-        job=job,
-        elapsed_seconds=elapsed,
-    )
+        if flops > 0:
+            binding = place(point, run.cluster, precision=precision).binding_level
+            point = replace(point, binding=binding)
+        points.append(point)
+    return RidgelinePlacement(name=name, points=tuple(points), job=job)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +175,7 @@ def format_ridgeline(placement: RidgelinePlacement) -> str:
         f"{'NI(F/B)':>12} {'util':>6} {'GFLOPS':>9} binding",
     ]
     for p in placement.points:
-        gflops = to_gflops(p.flops / placement.elapsed_seconds)
+        gflops = to_gflops(p.flops / p.elapsed_seconds)
         lines.append(
             f"{p.rank:>4} {p.node:>4} "
             f"{_fmt_intensity(p.operational_intensity):>10} "
@@ -259,7 +205,7 @@ def ridgeline_to_dict(placement: RidgelinePlacement) -> dict:
         },
         "binding_level": placement.binding_level,
         "level_intensities": job.level_intensities,
-        "network_intensity": job.measured.network_intensity,
+        "network_intensity": job.network_intensity,
         "ni_spread": _json_intensity(placement.spread()),
         "ranks": [
             {
@@ -458,7 +404,7 @@ class MigrationRow:
     """One batch size's hierarchical placement in a sweep."""
 
     batch_size: int
-    placement: HierarchicalPlacement
+    placement: Placement
 
     @property
     def binding_level(self) -> str:
@@ -494,7 +440,10 @@ def ceiling_migration_sweep(
             use_cache=use_cache,
             batch_size=batch,
         )
-        placement = place_hier_from_run(run, name=f"{network}-b{batch}")
+        placement = place(
+            RunTotals.of(run.result), run.cluster,
+            precision=run.workload.precision, name=f"{network}-b{batch}",
+        )
         rows.append(MigrationRow(batch_size=batch, placement=placement))
     return rows
 
@@ -515,7 +464,7 @@ def format_migration_sweep(network: str, rows: list[MigrationRow]) -> str:
             f"| {row.batch_size} "
             f"| {intensities[L2_LEVEL]:.3f} "
             f"| {intensities[DRAM_LEVEL]:.3f} "
-            f"| {p.measured.network_intensity:.1f} "
+            f"| {p.network_intensity:.1f} "
             f"| {to_gflops(p.attainable_flops):.2f} "
             f"| **{row.binding_level}** |"
         )

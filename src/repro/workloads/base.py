@@ -33,6 +33,9 @@ class Workload(abc.ABC):
     name: str = "workload"
     #: True when the heavy compute runs on the GPGPU.
     uses_gpu: bool = False
+    #: Floating-point precision of the GPU kernels (``"double"`` or
+    #: ``"single"``); the roofline's compute roof is that precision's peak.
+    precision: str = "double"
     #: Default MPI ranks per node (GPGPU codes use 1, NPB uses all cores).
     default_ranks_per_node: int = 1
 

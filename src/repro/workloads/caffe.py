@@ -227,6 +227,7 @@ class ImageClassificationWorkload(Workload):
     """
 
     uses_gpu = True
+    precision = "single"
     default_ranks_per_node = 1
 
     def __init__(
@@ -264,7 +265,7 @@ class ImageClassificationWorkload(Workload):
             flops=self.net.flops_per_image * self.batch_size,
             dram_bytes=self.net.dram_bytes_per_image(self.batch_size)
             * self.batch_size,
-            precision="single",
+            precision=self.precision,
             l2_bytes=self.net.l2_bytes_per_image() * self.batch_size,
         )
 

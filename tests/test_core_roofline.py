@@ -1,5 +1,7 @@
 """Unit tests for the classic and extended Roofline models."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -46,9 +48,13 @@ def test_classic_ridge_point_continuity():
 def test_classic_validation():
     with pytest.raises(ConfigurationError):
         RooflineModel("bad", peak_flops=0.0, memory_bandwidth=1.0)
+    with pytest.raises(ConfigurationError):
+        RooflineModel("bad", peak_flops=math.nan, memory_bandwidth=1.0)
     model = RooflineModel("m", peak_flops=1.0, memory_bandwidth=1.0)
     with pytest.raises(ConfigurationError):
         model.attainable(0.0)
+    with pytest.raises(ConfigurationError):
+        model.attainable(math.nan)
 
 
 # -- extended roofline ---------------------------------------------------------------
@@ -118,9 +124,17 @@ def test_roofline_for_cluster_requires_gpu():
 def test_extended_validation():
     with pytest.raises(ConfigurationError):
         ExtendedRoofline("bad", 0.0, 1.0, 1.0)
+    # NaN compares false both ways, so a `<= 0` check lets it through.
+    for args in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            ExtendedRoofline("x", *args)
     model = tx1_model()
     with pytest.raises(ConfigurationError):
         model.attainable(1.0, 0.0)
+    with pytest.raises(ConfigurationError):
+        model.attainable(math.nan, 1.0)
+    with pytest.raises(ConfigurationError):
+        model.attainable(1.0, math.nan)
 
 
 # -- rendering ------------------------------------------------------------------------
