@@ -44,7 +44,9 @@ def main() -> None:
 
     # 3. Place the run on the paper's extended Roofline model.
     model = roofline_for_cluster(cluster)
-    point = measure_roofline_point("jacobi", result, cluster)
+    point = measure_roofline_point(
+        "jacobi", result, cluster, precision=workload.precision
+    )
     print(f"\n[roofline] OI={point.operational_intensity:.2f} FLOP/B, "
           f"NI={point.network_intensity:.1f} FLOP/B -> "
           f"{point.percent_of_peak:.0f}% of the attainable bound "

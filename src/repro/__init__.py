@@ -13,8 +13,11 @@ Quick start::
     from repro.core import measure_roofline_point
 
     cluster = Cluster(tx1_cluster_spec(16, network="10G"))
-    result = make_workload("tealeaf3d").run_on(cluster)
-    point = measure_roofline_point("tealeaf3d", result, cluster)
+    workload = make_workload("tealeaf3d")
+    result = workload.run_on(cluster)
+    point = measure_roofline_point(
+        "tealeaf3d", result, cluster, precision=workload.precision
+    )
 
 See README.md for the architecture tour, DESIGN.md for the substitution
 rationale, EXPERIMENTS.md for paper-vs-measured, and docs/TUTORIAL.md for

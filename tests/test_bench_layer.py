@@ -223,8 +223,11 @@ def test_top_level_package_api():
 
     assert repro.__version__ == "1.0.0"
     cluster = repro.Cluster(repro.tx1_cluster_spec(2))
-    result = repro.make_workload("jacobi", iterations=4).run_on(cluster)
-    point = repro.measure_roofline_point("jacobi", result, cluster)
+    workload = repro.make_workload("jacobi", iterations=4)
+    result = workload.run_on(cluster)
+    point = repro.measure_roofline_point(
+        "jacobi", result, cluster, precision=workload.precision
+    )
     assert point.limit in (repro.LimitingFactor.OPERATIONAL,
                            repro.LimitingFactor.NETWORK)
     for name in repro.__all__:

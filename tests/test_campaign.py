@@ -149,6 +149,18 @@ def test_enum_kwargs_are_memory_tier_only():
         spec.constructor_kwargs()
 
 
+def test_non_revivable_gpgpu_row_is_placed():
+    # Placing a row must not rebuild the workload: a spec with an enum
+    # kwarg cannot, and its precision is the preset class's anyway.
+    from repro.campaign.runner import _merge_row
+    from repro.campaign.serialize import summarize_run
+
+    spec = RunSpec.normalize("jacobi", nodes=2, memory_model=MemoryModel.ZERO_COPY)
+    run = run_workload("jacobi", nodes=2, memory_model=MemoryModel.ZERO_COPY)
+    row = _merge_row(spec, summarize_run(run), cached=False)
+    assert row.binding_level is not None
+
+
 def test_spec_wire_round_trip_preserves_digest():
     spec = RunSpec.normalize("jacobi", nodes=4, traced=True, iterations=3)
     clone = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))

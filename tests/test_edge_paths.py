@@ -182,7 +182,7 @@ def test_measure_roofline_point_requires_gpu_traffic():
 
     result = job.run(cpu_only)
     with pytest.raises(AnalysisError, match="GPU FLOPs"):
-        measure_roofline_point("cpu-only", result, cluster)
+        measure_roofline_point("cpu-only", result, cluster, precision="double")
 
 
 def test_roofline_for_thunderx_rejected():

@@ -93,8 +93,11 @@ def test_custom_workload_runs_and_measures():
 
 def test_custom_workload_roofline_placement():
     cluster = Cluster(tx1_cluster_spec(4))
-    result = SpectralWorkload().run_on(cluster)
-    point = measure_roofline_point("spectral", result, cluster)
+    workload = SpectralWorkload()
+    result = workload.run_on(cluster)
+    point = measure_roofline_point(
+        "spectral", result, cluster, precision=workload.precision
+    )
     assert point.limit in (LimitingFactor.OPERATIONAL, LimitingFactor.NETWORK)
     assert 0 < point.percent_of_peak <= 100
 

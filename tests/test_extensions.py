@@ -174,6 +174,14 @@ def test_cli_run(capsys):
     assert "GFLOPS" in out and "MFLOPS/W" in out and "roofline" in out
 
 
+def test_cli_run_places_a_one_node_run(capsys):
+    # One node sends nothing over the wire: the network axis is silent
+    # (infinite intensity) and never binds.
+    assert main(["run", "hpl", "--nodes", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "roofline   : OI=5.00 F/B, NI=inf F/B, 70% of bound, limit=operational" in out
+
+
 def test_cli_run_with_timeline(capsys):
     assert main(["run", "ep", "--nodes", "2", "--timeline", "--width", "50"]) == 0
     out = capsys.readouterr().out
