@@ -23,6 +23,7 @@ import math
 import statistics
 from dataclasses import dataclass, replace
 
+from repro.bench.runner import run_workload
 from repro.cluster import Cluster, Job
 from repro.cluster.cluster import ClusterSpec, thunderx_cluster_spec, tx1_cluster_spec
 from repro.hardware import catalog
@@ -30,8 +31,7 @@ from repro.hardware.node import NodeSpec
 from repro.mpi.communicator import Communicator
 from repro.errors import AnalysisError
 from repro.units import ghz, kib
-from repro.workloads import JacobiWorkload, TeaLeaf3DWorkload, npb_workload
-from repro.workloads.base import Workload
+from repro.workloads import npb_workload
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +59,16 @@ def gpudirect_ablation(sizes: tuple[int, ...] = (4, 16),
     """tealeaf3d (the halo-heaviest code) with and without GPUDirect."""
     results = []
     for nodes in sizes:
-        staged = TeaLeaf3DWorkload().run_on(Cluster(tx1_cluster_spec(nodes, network)))
-        direct = TeaLeaf3DWorkload(gpudirect=True).run_on(
-            Cluster(tx1_cluster_spec(nodes, network))
+        staged = run_workload("tealeaf3d", nodes=nodes, network=network)
+        direct = run_workload(
+            "tealeaf3d", nodes=nodes, network=network, gpudirect=True
         )
         results.append(
             GpuDirectResult(
                 workload="tealeaf3d",
                 nodes=nodes,
-                runtime_staged=staged.elapsed_seconds,
-                runtime_gpudirect=direct.elapsed_seconds,
+                runtime_staged=staged.runtime,
+                runtime_gpudirect=direct.runtime,
             )
         )
     return results
@@ -196,16 +196,17 @@ def weak_scaling_study(
     points = []
     for nodes in sizes:
         n = int(base_n * math.sqrt(nodes))
-        workload = JacobiWorkload(n=n, iterations=30)
-        result = workload.run_on(Cluster(tx1_cluster_spec(nodes, network)))
+        runtime = run_workload(
+            "jacobi", nodes=nodes, network=network, n=n, iterations=30
+        ).runtime
         if baseline is None:
-            baseline = result.elapsed_seconds
+            baseline = runtime
         points.append(
             WeakScalingPoint(
                 nodes=nodes,
                 grid_n=n,
-                runtime=result.elapsed_seconds,
-                efficiency=baseline / result.elapsed_seconds,
+                runtime=runtime,
+                efficiency=baseline / runtime,
             )
         )
     return points

@@ -1,10 +1,10 @@
 """Shared measurement machinery for the experiments.
 
-``run_workload`` is the single funnel every figure, bench, and fault
-experiment measures through.  Requests are normalized to a
-:class:`~repro.campaign.spec.RunSpec` (defaults resolved, ignored
-dimensions canonicalized — see ``docs/CAMPAIGN.md``) and served from a
-two-tier cache:
+``run_spec`` is the one path every figure, bench, fault experiment and
+campaign worker measures through; ``run_workload`` normalizes keyword
+arguments to a :class:`~repro.campaign.spec.RunSpec` (defaults resolved,
+ignored dimensions canonicalized — see ``docs/CAMPAIGN.md``) and calls
+it.  Runs are served from a two-tier cache:
 
 * an in-process memo of live :class:`ExperimentRun` objects, and
 * the persistent :class:`~repro.campaign.store.ResultStore` under
@@ -52,7 +52,7 @@ class ExperimentRun:
         return self.result.elapsed_seconds
 
 
-_cache: dict[tuple, tuple[RunSpec, ExperimentRun]] = {}  # repro: noqa[RL300] deliberate per-process memo: workers publish results through the fingerprinted ResultStore; this dict only warms repeat calls within one process and run_workload snapshots defensively
+_cache: dict[tuple, ExperimentRun] = {}  # repro: noqa[RL300] deliberate per-process memo: workers publish results through the fingerprinted ResultStore; this dict only warms repeat calls within one process and run_workload snapshots defensively
 _stats = {"memory_hits": 0, "memory_misses": 0, "disk_hits": 0, "disk_misses": 0}  # repro: noqa[RL300] advisory hit/miss counters surfaced by bench --check; divergence across worker processes is acceptable for diagnostics
 
 
@@ -115,8 +115,9 @@ def _snapshot(spec: RunSpec, run: ExperimentRun) -> ExperimentRun:
     )
 
 
-def _simulate(spec: RunSpec, workload: Workload, telemetry: Any) -> ExperimentRun:
+def _simulate(spec: RunSpec, telemetry: Any) -> ExperimentRun:
     """One cold measurement of *spec* (no caches involved)."""
+    workload = build_workload(spec.name, spec.constructor_kwargs())
     cluster = build_cluster(spec)
     rpn = spec.ranks_per_node
     tracer = Tracer(cluster.node_count * rpn) if spec.traced else None
@@ -132,7 +133,7 @@ def _simulate(spec: RunSpec, workload: Workload, telemetry: Any) -> ExperimentRu
     )
 
 
-def _run_cached(spec: RunSpec, workload: Workload) -> ExperimentRun:
+def _run_cached(spec: RunSpec) -> ExperimentRun:
     """Serve *spec* through both cache tiers, simulating on a full miss."""
     from repro.campaign.serialize import (
         UncacheableRunError,
@@ -143,20 +144,20 @@ def _run_cached(spec: RunSpec, workload: Workload) -> ExperimentRun:
     cached = _cache.get(spec.key)
     if cached is not None:
         _stats["memory_hits"] += 1
-        return _snapshot(spec, cached[1])
+        return _snapshot(spec, cached)
     _stats["memory_misses"] += 1
     store = default_store()
-    if store is not None and spec.revivable:
+    if store is not None:
         payload = store.get("run", spec.digest, spec.fingerprint)
         if payload is not None:
             _stats["disk_hits"] += 1
             run = run_from_payload(spec, payload)
-            _cache[spec.key] = (spec, run)
+            _cache[spec.key] = run
             return _snapshot(spec, run)
         _stats["disk_misses"] += 1
-    run = _simulate(spec, workload, None)
-    _cache[spec.key] = (spec, run)
-    if store is not None and spec.revivable:
+    run = _simulate(spec, None)
+    _cache[spec.key] = run
+    if store is not None:
         try:
             store.put("run", spec.digest, spec.fingerprint, run_to_payload(run))
         except UncacheableRunError:
@@ -169,17 +170,20 @@ def run_spec(
     use_cache: bool = True,
     telemetry: Any = None,
 ) -> ExperimentRun:
-    """Run a normalized :class:`RunSpec` (the campaign workers' entry point).
+    """Run a normalized :class:`RunSpec`: the one path every run takes.
 
-    The workload is rebuilt from the spec's canonical kwargs, so the spec
-    must be revivable (specs normalized from plain values always are).
+    The workload is rebuilt from the spec's canonical kwargs, so an
+    experiment, a campaign worker and the serial path run a spec the same
+    way.  Passing a :class:`~repro.telemetry.Telemetry` sink records the
+    run; a sink is stateful (it accumulates one timeline), so such runs
+    always bypass both cache tiers.  ``use_cache=False`` also bypasses
+    both tiers and returns a run this caller exclusively owns.
     """
-    workload = build_workload(spec.name, spec.constructor_kwargs())
     if telemetry is not None and getattr(telemetry, "enabled", False):
-        return _simulate(spec, workload, telemetry)
+        return _simulate(spec, telemetry)
     if not use_cache:
-        return _simulate(spec, workload, None)
-    return _run_cached(spec, workload)
+        return _simulate(spec, None)
+    return _run_cached(spec)
 
 
 def run_workload(
@@ -197,12 +201,8 @@ def run_workload(
 
     ``system`` selects the machine: ``"tx1"`` (the proposed cluster),
     ``"gtx980"`` (discrete-GPGPU hosts), or ``"thunderx"`` (the Cavium
-    server; *nodes* is ignored, 64 ranks as in §IV-A).
-
-    Passing a :class:`~repro.telemetry.Telemetry` sink records the run; a
-    sink is stateful (it accumulates one timeline), so such runs always
-    bypass both cache tiers.  ``use_cache=False`` also bypasses both tiers
-    and returns a run this caller exclusively owns.
+    server; *nodes* is ignored, 64 ranks as in §IV-A).  The request is
+    normalized to a :class:`RunSpec` and run by :func:`run_spec`.
     """
     spec = RunSpec.normalize(
         name,
@@ -213,9 +213,4 @@ def run_workload(
         traced=traced,
         **workload_kwargs,
     )
-    workload = build_workload(name, workload_kwargs)
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        return _simulate(spec, workload, telemetry)
-    if not use_cache:
-        return _simulate(spec, workload, None)
-    return _run_cached(spec, workload)
+    return run_spec(spec, use_cache=use_cache, telemetry=telemetry)

@@ -41,7 +41,7 @@ from repro.campaign.serialize import (
     payload_checksum,
     run_from_payload,
     run_to_payload,
-    summarize_payload,
+    summarize_result,
 )
 from repro.campaign.spec import RunSpec, build_cluster, code_fingerprint
 from repro.campaign.store import ResultStore, default_store, reset_default_store
@@ -89,5 +89,5 @@ __all__ = [
     "run_campaign",
     "run_from_payload",
     "run_to_payload",
-    "summarize_payload",
+    "summarize_result",
 ]

@@ -29,9 +29,9 @@ from typing import Any, Iterable, Sequence
 from repro.campaign.chaos import ChaosSchedule, corrupt_store_entry
 from repro.campaign.serialize import (
     UncacheableRunError,
+    result_from_payload,
     run_to_payload,
-    summarize_payload,
-    summarize_run,
+    summarize_result,
 )
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, default_store
@@ -302,13 +302,14 @@ def execute_spec(spec: RunSpec, store: ResultStore | None) -> dict[str, Any]:
     from repro.bench.runner import run_spec
 
     run = run_spec(spec, use_cache=False)
-    try:
-        payload = run_to_payload(run)
-    except UncacheableRunError:
-        return summarize_run(run)
     if store is not None:
-        store.put("run", spec.digest, spec.fingerprint, payload)
-    return summarize_payload(payload)
+        try:
+            payload = run_to_payload(run)
+        except UncacheableRunError:
+            pass  # ad-hoc rank return values: summarized, not stored
+        else:
+            store.put("run", spec.digest, spec.fingerprint, payload)
+    return summarize_result(run.result)
 
 
 def _placement_for(spec: RunSpec, summary: dict[str, Any]) -> Placement | None:
@@ -333,7 +334,7 @@ def _placement_for(spec: RunSpec, summary: dict[str, Any]) -> Placement | None:
         elapsed_seconds=summary["runtime_seconds"],
     )
     # Only GPGPU presets measure GPU FLOPs; the class names the precision
-    # without rebuilding the workload (a non-revivable spec cannot).
+    # without rebuilding the workload.
     precision = GPGPU_FACTORIES[spec.name][0].precision
     return place(totals, cluster, precision=precision, name=spec.name)
 
@@ -411,10 +412,8 @@ def run_campaign(
 
     ``store`` defaults to the process-wide persistent store (pass ``None``
     to run storeless).  With ``jobs > 1`` cold specs are sharded across a
-    process pool; results always merge in spec order.  Non-revivable specs
-    (enum-valued kwargs) cannot cross a process boundary and are executed
-    in-process regardless of *jobs*.  Rerunning an interrupted campaign
-    warm-starts every spec that reached the store.
+    process pool; results always merge in spec order.  Rerunning an
+    interrupted campaign warm-starts every spec that reached the store.
 
     Supervision: failed attempts are retried up to *retries* times with
     seeded exponential backoff; a spec that keeps failing is quarantined
@@ -473,7 +472,7 @@ def run_campaign(
         if payload is None:
             pending.append(spec)
             continue
-        row = summarize_payload(payload)
+        row = summarize_result(result_from_payload(payload["result"]))
         rows[spec.digest] = _merge_row(spec, row, True)
         hits += 1
         if progress is not None:

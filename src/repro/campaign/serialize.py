@@ -196,24 +196,26 @@ def run_from_payload(spec, payload: dict[str, Any]):
     )
 
 
-def summarize_payload(document: dict[str, Any]) -> dict[str, Any]:
-    """The campaign summary row derivable from a payload (pure arithmetic).
+def summarize_result(result: JobResult) -> dict[str, Any]:
+    """The campaign summary row of one measured result (pure arithmetic).
 
-    Used identically by workers, the serial fallback, and warm-store hits,
-    so every path produces bit-identical rows.
+    Cold rows, warm store hits (via :func:`result_from_payload`), pool
+    workers and the uncacheable fallback all summarize through here, and
+    floats survive the JSON round trip exactly, so every path produces
+    bit-identical rows.
     """
     from repro.units import mflops_per_watt, to_gflops
 
-    result = document["result"]
-    elapsed = result["elapsed_seconds"]
-    flops = result["gpu_flops"] + result["cpu_flops"]
+    elapsed = result.elapsed_seconds
+    flops = result.gpu_flops + result.cpu_flops
     throughput = flops / elapsed if elapsed else 0.0
-    energy = _unpack(EnergyReport, result["energy"])
-    power = energy.average_power_watts
+    power = result.energy.average_power_watts
+    # A flat sum in kernel order, so every path adds the same floats in
+    # the same order.
     gpu_l2_bytes = sum(
-        _unpack(KernelRecord, values).l2_bytes
-        for profiler in result["gpu_profilers"]
-        for values in profiler["kernels"]
+        kernel.l2_bytes
+        for profiler in result.gpu_profilers
+        for kernel in profiler.kernels
     )
     return {
         "runtime_seconds": elapsed,
@@ -221,36 +223,12 @@ def summarize_payload(document: dict[str, Any]) -> dict[str, Any]:
         "mflops_per_watt": (
             mflops_per_watt(throughput, power) if power > 0 else 0.0
         ),
-        "energy_joules": energy.total_joules,
-        "network_bytes": result["network_bytes"],
-        "completed": not result["failures"],
+        "energy_joules": result.energy.total_joules,
+        "network_bytes": result.network_bytes,
+        "completed": not result.failures,
         # Roofline extras: the hierarchical binding level is derivable from
         # a summary row alone (runner does the placement arithmetic).
-        "gpu_flops": result["gpu_flops"],
-        "gpu_dram_bytes": result["gpu_dram_bytes"],
+        "gpu_flops": result.gpu_flops,
+        "gpu_dram_bytes": result.gpu_dram_bytes,
         "gpu_l2_bytes": gpu_l2_bytes,
     }
-
-
-def summarize_run(run) -> dict[str, Any]:
-    """:func:`summarize_payload` for a live run (uncacheable fallback path).
-
-    Routes through the exact same arithmetic, so rows match the persisted
-    path bit for bit.
-    """
-    result = run.result
-    return summarize_payload({
-        "result": {
-            "elapsed_seconds": result.elapsed_seconds,
-            "energy": _pack(result.energy),
-            "gpu_flops": result.gpu_flops,
-            "cpu_flops": result.cpu_flops,
-            "network_bytes": result.network_bytes,
-            "gpu_dram_bytes": result.gpu_dram_bytes,
-            "gpu_profilers": [
-                {"kernels": [_pack(k) for k in p.kernels]}
-                for p in result.gpu_profilers
-            ],
-            "failures": {str(r): t for r, t in result.failures.items()},
-        },
-    })

@@ -142,14 +142,14 @@ def _canonical_value(name: str, key: str, value: Any) -> Any:
 
 def _resolve_workload_kwargs(
     name: str, kwargs: dict[str, Any]
-) -> tuple[tuple[tuple[str, Any], ...], bool]:
-    """(canonical resolved kwargs, revivable) for workload *name*.
+) -> tuple[tuple[str, Any], ...]:
+    """The canonical resolved kwargs for workload *name*.
 
     Resolution fills in every constructor default so omitted-vs-explicit
     defaults key identically; unknown parameter names raise the taxonomy
-    error with the known choices.  ``revivable`` is False when a kwarg
-    carried an enum (its canonical string cannot be fed back to the
-    constructor), which confines such runs to the in-process cache.
+    error with the known choices.  Every canonical value feeds back to the
+    constructor (an enum collapses to the string its constructor coerces),
+    so every spec revives.
     """
     from repro.workloads import GPGPU_FACTORIES, NPB_SPECS
 
@@ -162,7 +162,7 @@ def _resolve_workload_kwargs(
                 f"workload {name!r} accepts no parameters; "
                 f"got {', '.join(sorted(kwargs))}"
             )
-        return (), True
+        return ()
     cls, preset = GPGPU_FACTORIES[name]
     parameters = _constructor_parameters(cls)
     fixed = sorted(set(kwargs) & set(preset))
@@ -178,7 +178,6 @@ def _resolve_workload_kwargs(
             f"unknown parameter(s) {', '.join(unknown)} for workload "
             f"{name!r}; known parameters: {', '.join(known)}"
         )
-    revivable = not any(isinstance(v, Enum) for v in kwargs.values())
     resolved: dict[str, Any] = {}
     for key in sorted(parameters):
         value = kwargs.get(key, preset.get(key, parameters[key]))
@@ -187,7 +186,7 @@ def _resolve_workload_kwargs(
                 f"workload {name!r} requires parameter {key!r}"
             )
         resolved[key] = _canonical_value(name, key, value)
-    return tuple(sorted(resolved.items())), revivable
+    return tuple(sorted(resolved.items()))
 
 
 def build_workload(name: str, kwargs: dict[str, Any]):
@@ -221,9 +220,6 @@ class RunSpec:
     workload_kwargs: tuple[tuple[str, Any], ...]
     #: Source fingerprint the persistent store validates against.
     fingerprint: str = field(default="", compare=False)
-    #: False when the kwargs cannot be fed back to the constructor (enums);
-    #: such specs stay in the in-process cache and out of campaigns.
-    revivable: bool = field(default=True, compare=False)
 
     @classmethod
     def normalize(
@@ -267,7 +263,7 @@ class RunSpec:
                 f"ranks_per_node must be a positive integer or None, "
                 f"got {ranks_per_node!r}"
             )
-        resolved, revivable = _resolve_workload_kwargs(name, workload_kwargs)
+        resolved = _resolve_workload_kwargs(name, workload_kwargs)
         workload = build_workload(name, workload_kwargs)
         if system == "thunderx":
             # The Cavium box is one server: `nodes` never reaches the
@@ -289,7 +285,6 @@ class RunSpec:
             traced=bool(traced),
             workload_kwargs=resolved,
             fingerprint=code_fingerprint(),
-            revivable=revivable,
         )
 
     # -- identity --------------------------------------------------------------
@@ -340,12 +335,7 @@ class RunSpec:
         return f"{self.name}/{self.system}x{self.nodes}/{self.network}"
 
     def constructor_kwargs(self) -> dict[str, Any]:
-        """Kwargs to rebuild the workload (revivable specs only)."""
-        if not self.revivable:
-            raise ConfigurationError(
-                f"spec {self.label} carries non-revivable parameters and "
-                f"cannot be rebuilt from its canonical form"
-            )
+        """Kwargs that rebuild the workload from the canonical form."""
         return {key: value for key, value in self.workload_kwargs}
 
     # -- wire form (campaign workers) ------------------------------------------
@@ -354,7 +344,6 @@ class RunSpec:
         """A JSON-safe form that round-trips through :meth:`from_dict`."""
         document = self.canonical_dict()
         document["fingerprint"] = self.fingerprint
-        document["revivable"] = self.revivable
         return document
 
     @classmethod
@@ -384,5 +373,4 @@ class RunSpec:
                 for key, value in kwargs.items()
             )),
             fingerprint=document.get("fingerprint", ""),
-            revivable=document.get("revivable", True),
         )

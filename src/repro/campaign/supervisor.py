@@ -96,7 +96,8 @@ class SpecRecord:
 
 def _campaign_worker(task: dict[str, Any]) -> dict[str, Any]:
     """Pool entry point: run (or warm-load) one spec in a worker process."""
-    from repro.campaign.runner import execute_spec, summarize_payload
+    from repro.campaign.runner import execute_spec
+    from repro.campaign.serialize import result_from_payload, summarize_result
 
     spec = RunSpec.from_dict(task["spec"])
     chaos = task.get("chaos")
@@ -115,7 +116,7 @@ def _campaign_worker(task: dict[str, Any]) -> dict[str, Any]:
         payload = store.get("run", spec.digest, spec.fingerprint)
         if payload is not None:
             cached = True
-            row = summarize_payload(payload)
+            row = summarize_result(result_from_payload(payload["result"]))
     if not cached:
         row = execute_spec(spec, store)
     return {
@@ -398,15 +399,13 @@ class CampaignSupervisor:
     def run(self) -> dict[str, SpecRecord]:
         """Drive every spec to a terminal record (never raises per-spec).
 
-        With ``jobs > 1`` every revivable spec runs in the pool (so
-        ``task_timeout`` always has a worker to cull); non-revivable specs
-        cannot cross a process boundary and run in-process.
+        With ``jobs > 1`` every spec runs in the pool (so ``task_timeout``
+        always has a worker to cull); otherwise they run serially.
         """
-        pooled = [s for s in self.specs if self.jobs > 1 and s.revivable]
-        if pooled:
-            self._run_pool(pooled)
-        for spec in self.specs:
-            if spec.digest not in self.records:
+        if self.jobs > 1:
+            self._run_pool(self.specs)
+        else:
+            for spec in self.specs:
                 self._execute_serial(spec)
         return self.records
 

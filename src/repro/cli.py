@@ -49,7 +49,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import ConfigurationError, TelemetryError
+from repro.errors import AnalysisError, ConfigurationError, TelemetryError
 from repro.units import to_gflops
 from repro.workloads import ALL_NAMES, GPGPU_NAMES
 
@@ -553,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, TelemetryError) as exc:
+    except (AnalysisError, ConfigurationError, TelemetryError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -97,11 +97,19 @@ class GpuIterativeWorkload(Workload):
 
     def __init__(
         self,
-        memory_model: MemoryModel | None = None,
+        memory_model: MemoryModel | str | None = None,
         gpudirect: bool = False,
     ) -> None:
         if memory_model is not None:
-            self.memory_model = memory_model
+            # The canonical string ("zero-copy") rebuilds the same workload
+            # as the enum, so every spec revives from its canonical form.
+            try:
+                self.memory_model = MemoryModel(memory_model)
+            except ValueError:
+                raise ConfigurationError(
+                    f"unknown memory model {memory_model!r}; known models: "
+                    f"{', '.join(m.value for m in MemoryModel)}"
+                ) from None
         self.gpudirect = gpudirect
 
     # Per-rank geometry hooks -------------------------------------------------

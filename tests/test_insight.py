@@ -847,6 +847,17 @@ def test_cli_report_unknown_workload_exits_2(capsys):
     assert "known workloads" in capsys.readouterr().err
 
 
+def test_cli_report_single_node_analysis_error_exits_2(capsys):
+    # One node moves no fabric bytes, so the sink's network intensity is
+    # undefined: a one-line usage error, not a traceback.
+    assert main(["report", "hpl", "--nodes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "repro report: no network traffic measured (fabric_bytes_total "
+        "recorded zero bytes): network intensity is undefined"
+    ]
+
+
 def test_cli_telemetry_unknown_workload_exits_2(capsys):
     assert main(["telemetry", "doom3"]) == 2
     assert "known workloads" in capsys.readouterr().err
