@@ -13,7 +13,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.analysis import build_observation_matrix, fit_pls, select_components_by_press
-from repro.bench.runner import CLUSTER_SIZES, run_workload
+from repro.bench.runner import CLUSTER_SIZES, prefetch, run_spec, run_workload
+from repro.campaign.spec import RunSpec
 from repro.core import (
     ExtendedRoofline,
     RooflinePoint,
@@ -75,11 +76,17 @@ def network_comparison(
 ) -> list[NetworkComparison]:
     """Runtime and energy of every workload under both NICs (Figs. 1-2)."""
     names = tuple(workloads) if workloads else GPGPU_NAMES + NPB_NAMES
+    sizes = tuple(sizes)
+    specs = {
+        (name, nodes, network): RunSpec.normalize(name, nodes=nodes, network=network)
+        for name in names for nodes in sizes for network in ("1G", "10G")
+    }
+    prefetch(specs.values())
     cells = []
     for name in names:
         for nodes in sizes:
-            one = run_workload(name, nodes=nodes, network="1G")
-            ten = run_workload(name, nodes=nodes, network="10G")
+            one = run_spec(specs[name, nodes, "1G"])
+            ten = run_spec(specs[name, nodes, "10G"])
             cells.append(
                 NetworkComparison(
                     workload=name,
@@ -200,16 +207,21 @@ class ScalabilityCurve:
 
 def _scalability_for(name: str, sizes: tuple[int, ...], ranks_per_node: int | None,
                      **kwargs) -> ScalabilityCurve:
-    base_1g = run_workload(name, nodes=1, network="1G", traced=True,
-                           ranks_per_node=ranks_per_node, **kwargs)
-    base_10g = run_workload(name, nodes=1, network="10G", traced=True,
-                            ranks_per_node=ranks_per_node, **kwargs)
+    # One curve's runs are prefetched together, not every curve's: the
+    # memory tier then holds one curve's traces while its replays run.
+    specs = {
+        (nodes, network): RunSpec.normalize(
+            name, nodes=nodes, network=network, traced=True,
+            ranks_per_node=ranks_per_node, **kwargs)
+        for nodes in (1, *sizes) for network in ("1G", "10G")
+    }
+    prefetch(specs.values())
+    base_1g = run_spec(specs[1, "1G"])
+    base_10g = run_spec(specs[1, "10G"])
     m1, m10, inet, ilb = [], [], [], []
     for nodes in sizes:
-        r1 = run_workload(name, nodes=nodes, network="1G", traced=True,
-                          ranks_per_node=ranks_per_node, **kwargs)
-        r10 = run_workload(name, nodes=nodes, network="10G", traced=True,
-                           ranks_per_node=ranks_per_node, **kwargs)
+        r1 = run_spec(specs[nodes, "1G"])
+        r10 = run_spec(specs[nodes, "10G"])
         m1.append(base_1g.runtime / r1.runtime)
         m10.append(base_10g.runtime / r10.runtime)
         # Scenario speedups are computed against a same-network replay
@@ -338,13 +350,20 @@ class CollocationRow:
 
 def collocation_study(sizes: tuple[int, ...] = CLUSTER_SIZES) -> list[CollocationRow]:
     """Table IV: CPU-only, GPGPU, and collocated hpl under both NICs."""
+    configs = (("CPU", "cpu"), ("GPU", "gpu"), ("CPU+GPU", "collocated"))
+    specs = {
+        (mode, network, nodes): RunSpec.normalize(
+            "hpl", nodes=nodes, network=network, mode=mode)
+        for _, mode in configs for network in ("1G", "10G") for nodes in sizes
+    }
+    prefetch(specs.values())
     rows = []
-    for label, mode in (("CPU", "cpu"), ("GPU", "gpu"), ("CPU+GPU", "collocated")):
+    for label, mode in configs:
         for network in ("1G", "10G"):
             throughput: dict[int, float] = {}
             efficiency: dict[int, float] = {}
             for nodes in sizes:
-                run = run_workload("hpl", nodes=nodes, network=network, mode=mode)
+                run = run_spec(specs[mode, network, nodes])
                 throughput[nodes] = to_gflops(run.result.throughput_flops)
                 efficiency[nodes] = run.result.mflops_per_watt()
             rows.append(

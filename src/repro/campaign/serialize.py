@@ -181,18 +181,16 @@ def run_from_payload(spec, payload: dict[str, Any]):
     verbatim from the payload.
     """
     from repro.bench.runner import ExperimentRun
-    from repro.campaign.spec import build_cluster, build_workload
 
     if payload.get("schema") != PAYLOAD_SCHEMA:
         raise UncacheableRunError(
             f"payload schema {payload.get('schema')!r} != {PAYLOAD_SCHEMA}"
         )
-    return ExperimentRun(
-        workload=build_workload(spec.name, spec.constructor_kwargs()),
-        cluster=build_cluster(spec),
-        result=result_from_payload(payload["result"]),
-        trace=trace_from_payload(payload.get("trace")),
-        rank_to_node=list(payload["rank_to_node"]),
+    return ExperimentRun.revive(
+        spec,
+        result_from_payload(payload["result"]),
+        trace_from_payload(payload.get("trace")),
+        payload["rank_to_node"],
     )
 
 

@@ -23,12 +23,15 @@ moves, rather than accumulating stale entries per source revision.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any
 
 from repro.cluster.cluster import (
@@ -91,13 +94,16 @@ def build_cluster(spec: "RunSpec") -> Cluster:
     return Cluster(build_cluster_spec(spec.system, spec.nodes, spec.network))
 
 
-def _constructor_parameters(cls: type) -> dict[str, Any]:
+@functools.cache
+def _constructor_parameters(cls: type) -> Mapping[str, Any]:
     """Every named constructor parameter over *cls*'s MRO, with defaults.
 
     Base-class defaults first, subclass overrides win — this resolves the
     ``**kwargs``-forwarding chains the workload hierarchy uses (a concrete
     solver forwards ``memory_model``/``gpudirect`` to its base).  Required
-    parameters map to :data:`inspect.Parameter.empty`.
+    parameters map to :data:`inspect.Parameter.empty`.  Signatures are
+    walked once per class (the walk costs more than the constructor), and
+    the shared result is read-only.
     """
     params: dict[str, Any] = {}
     for klass in reversed(cls.__mro__):
@@ -115,7 +121,7 @@ def _constructor_parameters(cls: type) -> dict[str, Any]:
             ):
                 continue
             params[parameter.name] = parameter.default
-    return params
+    return MappingProxyType(params)
 
 
 def _canonical_value(name: str, key: str, value: Any) -> Any:

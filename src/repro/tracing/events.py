@@ -147,6 +147,14 @@ class Records(Sequence):
     def __repr__(self) -> str:
         return f"<{len(self)} {self.record_type.__name__}s>"
 
+    def __reduce__(self) -> tuple[type, tuple[type, tuple[Any, ...]]]:
+        # Ship each numeric column's underlying array (a memoryview does
+        # not pickle); the constructor rebuilds read-only views over it.
+        return Records, (self.record_type, tuple(
+            column.obj if isinstance(column, memoryview) else column
+            for column in self.columns
+        ))
+
 
 #: Op kinds of a replay op stream; exact ties keep this order.
 OP_STATE, OP_SEND, OP_RECV = 0, 1, 2

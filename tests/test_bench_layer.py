@@ -149,6 +149,9 @@ def test_collocation_study_measures_through_one_run_path(monkeypatch):
     monkeypatch.setattr(runner, "_cache", {})
     monkeypatch.setattr(runner, "_simulate", counting_simulate)
     monkeypatch.setattr(Workload, "run_on", counting_run_on)
+    # One usable CPU keeps every run in this process, where the counters
+    # can see it; pool workers run the same _simulate (tests/test_campaign.py).
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     rows = ex.collocation_study(sizes=(2,))
     assert [row.config for row in rows] == [
         "CPU+1G", "CPU+10G", "GPU+1G", "GPU+10G", "CPU+GPU+1G", "CPU+GPU+10G",

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.bench import runner
 from repro.bench.runner import cache_stats, clear_cache, run_spec, run_workload
 from repro.campaign import (
     ResultStore,
@@ -663,3 +664,99 @@ def test_summary_round_trips_loopback():
     summary = summarize_result(result_from_payload(payload["result"]))
     assert summary["network_bytes"] == run.result.network_bytes
     assert payload["result"]["loopback_bytes"] == run.result.loopback_bytes
+
+
+# -- spec normalization cost ----------------------------------------------------
+
+
+def test_normalize_walks_constructor_signatures_once_per_class(monkeypatch):
+    import inspect
+
+    from repro.campaign import spec as spec_module
+
+    walked = []
+    signature = inspect.signature
+
+    def counting(obj, *args, **kwargs):
+        walked.append(obj)
+        return signature(obj, *args, **kwargs)
+
+    spec_module._constructor_parameters.cache_clear()
+    monkeypatch.setattr(inspect, "signature", counting)
+    first = RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL)
+    assert walked  # the first call walks jacobi's constructors
+    once = len(walked)
+    again = [RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL) for _ in range(3)]
+    assert len(walked) == once
+    assert all(spec == first and spec.digest == first.digest for spec in again)
+
+
+# -- parallel prefetch ----------------------------------------------------------
+
+
+def _usable_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(
+        runner.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def _small_curve():
+    from repro.bench.experiments import _scalability_for
+
+    return _scalability_for("jacobi", (2, 4), None, **JACOBI_SMALL)
+
+
+def test_prefetch_on_one_cpu_starts_no_pool(monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one CPU")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    specs = [RunSpec.normalize("jacobi", nodes=n, **JACOBI_SMALL) for n in (1, 2)]
+    runner.prefetch(specs)
+    assert not any(spec.key in runner._cache for spec in specs)
+    assert _small_curve().measured_10g  # the body runs every point itself
+
+
+def test_prefetched_curve_equals_the_serial_one_and_is_stored(monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    serial = _small_curve()
+    clear_cache()
+    monkeypatch.delenv("REPRO_DISK_CACHE")
+    _usable_cpus(monkeypatch, 2)
+    specs = [
+        RunSpec.normalize("jacobi", nodes=nodes, network=network, traced=True,
+                          **JACOBI_SMALL)
+        for nodes in (1, 2, 4) for network in ("1G", "10G")
+    ]
+    runner.prefetch(specs)
+    assert all(spec.key in runner._cache for spec in specs)
+    assert cache_stats()["memory_hits"] == 0
+    assert _small_curve() == serial
+    assert cache_stats()["memory_hits"] == len(specs)  # the body simulated none
+    # Every prefetched run is on disk, as a serial miss would leave it.
+    store = runner.default_store()
+    for spec in specs:
+        stored = store.get("run", spec.digest, spec.fingerprint)
+        serial_run = run_spec(spec, use_cache=False)
+        assert stored == json.loads(json.dumps(run_to_payload(serial_run)))
+
+
+def test_prefetch_leaves_a_failed_spec_cold(monkeypatch):
+    from repro.bench.experiments import _scalability_for
+    from repro.errors import CudaError
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    # An empty grid fails inside the simulation, in a worker as here.
+    bad = RunSpec.normalize("jacobi", nodes=2, n=0, iterations=2)
+    good = RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL)
+    runner.prefetch([bad, good])
+    assert good.key in runner._cache  # the pool ran
+    assert bad.key not in runner._cache
+    with pytest.raises(CudaError, match="allocation must be positive"):
+        run_spec(bad)
+    with pytest.raises(CudaError, match="allocation must be positive"):
+        _scalability_for("jacobi", (2, 4), None, n=0, iterations=2)

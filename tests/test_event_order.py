@@ -16,7 +16,8 @@ host-cost work (DESIGN.md §8) and must never move with it:
 
 Each run is pinned twice: with a sink attached, and bare (no sink, no
 cache), where the fabric and the MPI layer take their unobserved branch.
-Both must give the same payload digest.
+Both must give the same payload digest, and so must a bare run that
+crossed the prefetch pool and came back pickled.
 
 A deliberate change to the simulated model re-records them; a host-time
 change never does.
@@ -29,8 +30,10 @@ import json
 
 import pytest
 
+from repro.bench import runner
 from repro.bench.runner import run_workload
 from repro.campaign.serialize import run_to_payload
+from repro.campaign.spec import RunSpec
 from repro.faults.experiments import format_report, run_degraded
 from repro.faults.model import FaultSchedule, MessageLoss
 from repro.telemetry import Telemetry
@@ -94,10 +97,32 @@ def test_traced_run_event_order_is_pinned(case):
     assert _sha(run_to_payload(run)) == payload_digest
 
 
-@pytest.mark.parametrize("case", sorted(RUNS))
-def test_bare_run_matches_the_pinned_payload(case):
+def _prefetched(name: str, monkeypatch, **kwargs):
+    """The run as it comes back pickled from a two-worker prefetch pool."""
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    spec = RunSpec.normalize(name, traced=True, **kwargs)
+    # A second cold spec, so the prefetch starts a pool.
+    partner = RunSpec.normalize(name, traced=False, **kwargs)
+    runner.clear_cache()
+    try:
+        runner.prefetch([spec, partner])
+        assert spec.key in runner._cache  # installed from the pool
+        return runner.run_spec(spec)
+    finally:
+        runner.clear_cache()
+
+
+@pytest.mark.parametrize("case, route", [
+    *(pytest.param(case, "in-process", id=case) for case in sorted(RUNS)),
+    *(pytest.param(case, "prefetched", id=f"{case}-prefetched") for case in sorted(RUNS)),
+])
+def test_bare_run_matches_the_pinned_payload(case, route, monkeypatch):
     name, kwargs, payload_digest, _, _ = RUNS[case]
-    run = run_workload(name, traced=True, use_cache=False, **kwargs)
+    if route == "prefetched":
+        run = _prefetched(name, monkeypatch, **kwargs)
+    else:
+        run = run_workload(name, traced=True, use_cache=False, **kwargs)
     assert _sha(run_to_payload(run)) == payload_digest
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import pickle
 
 import pytest
 
@@ -124,6 +125,28 @@ def test_record_views_are_read_only_and_built_on_demand():
         states.columns[2][0] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.states = ()
+
+
+def test_records_pickle_round_trip_keeps_read_only_columns():
+    trace = run_workload("jacobi", nodes=2, traced=True).trace
+    clone = pickle.loads(pickle.dumps(trace))
+    assert clone == trace
+    for name in ("states", "comms", "recvs", "markers"):
+        original, revived = getattr(trace, name), getattr(clone, name)
+        assert revived.record_type is original.record_type
+        assert revived.columns == original.columns
+        for before, after in zip(original.columns, revived.columns):
+            assert type(after) is type(before)
+            assert isinstance(after, tuple) or (
+                isinstance(after, memoryview) and after.readonly
+            )
+    # The state names are a str column: still a tuple of str.
+    assert isinstance(clone.states.columns[1], tuple)
+    assert all(isinstance(state, str) for state in clone.states.columns[1])
+    assert len(clone.states) > 0 and len(clone.comms) > 0
+    assert clone.op_table().bounds.tolist() == trace.op_table().bounds.tolist()
+    with pytest.raises(TypeError):
+        clone.states.columns[2][0] = 5.0
 
 
 def test_traced_run_holds_no_per_event_gc_objects():
