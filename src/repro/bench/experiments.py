@@ -13,7 +13,13 @@ from typing import Iterable
 import numpy as np
 
 from repro.analysis import build_observation_matrix, fit_pls, select_components_by_press
-from repro.bench.runner import CLUSTER_SIZES, prefetch, run_spec, run_workload
+from repro.bench.runner import (
+    CLUSTER_SIZES,
+    ExperimentRun,
+    prefetch,
+    run_spec,
+    run_workload,
+)
 from repro.campaign.spec import RunSpec
 from repro.core import (
     ExtendedRoofline,
@@ -205,17 +211,23 @@ class ScalabilityCurve:
         }
 
 
-def _scalability_for(name: str, sizes: tuple[int, ...], ranks_per_node: int | None,
-                     **kwargs) -> ScalabilityCurve:
-    # One curve's runs are prefetched together, not every curve's: the
-    # memory tier then holds one curve's traces while its replays run.
-    specs = {
-        (nodes, network): RunSpec.normalize(
-            name, nodes=nodes, network=network, traced=True,
-            ranks_per_node=ranks_per_node, **kwargs)
-        for nodes in (1, *sizes) for network in ("1G", "10G")
-    }
-    prefetch(specs.values())
+def _what_if(spec: RunSpec, run: ExperimentRun) -> tuple[float, float, float] | None:
+    """A multi-node 10G run's replayed runtimes: under its measured network,
+    an ideal network and an ideal load balance (None for the other runs,
+    which Figs. 5-6 do not replay)."""
+    if spec.network != "10G" or spec.nodes == 1:
+        return None
+    net = network_from_nic(run.cluster.spec.nic, run.cluster.spec.switch)
+    t_replay = replay(run.trace, net, rank_to_node=run.rank_to_node).runtime
+    t_ideal = ideal_network_runtime(run.trace, rank_to_node=run.rank_to_node)
+    t_lb = ideal_load_balance_runtime(run.trace, net, rank_to_node=run.rank_to_node)
+    return t_replay, t_ideal, t_lb
+
+
+def _scalability_for(name: str, sizes: tuple[int, ...],
+                     specs: dict[tuple[int, str], RunSpec],
+                     what_if: dict[RunSpec, tuple[float, float, float] | None],
+                     ) -> ScalabilityCurve:
     base_1g = run_spec(specs[1, "1G"])
     base_10g = run_spec(specs[1, "10G"])
     m1, m10, inet, ilb = [], [], [], []
@@ -227,12 +239,9 @@ def _scalability_for(name: str, sizes: tuple[int, ...], ranks_per_node: int | No
         # Scenario speedups are computed against a same-network replay
         # baseline so replay-model bias cancels: the what-if factor is
         # (scenario replay / baseline replay), applied to the measurement.
-        net = network_from_nic(r10.cluster.spec.nic, r10.cluster.spec.switch)
-        t_replay = replay(r10.trace, net, rank_to_node=r10.rank_to_node).runtime
+        t_replay, t_ideal, t_lb = what_if[specs[nodes, "10G"]]
         t_replay = max(t_replay, 1e-12)
-        t_ideal = ideal_network_runtime(r10.trace, rank_to_node=r10.rank_to_node)
         inet.append(base_10g.runtime / max(r10.runtime * t_ideal / t_replay, 1e-12))
-        t_lb = ideal_load_balance_runtime(r10.trace, net, rank_to_node=r10.rank_to_node)
         ilb.append(base_10g.runtime / max(r10.runtime * t_lb / t_replay, 1e-12))
     nodes_f = [float(n) for n in sizes]
     return ScalabilityCurve(
@@ -249,15 +258,32 @@ def _scalability_for(name: str, sizes: tuple[int, ...], ranks_per_node: int | No
     )
 
 
+def _scalability_curves(names: tuple[str, ...], sizes: tuple[int, ...],
+                        ranks_per_node: int | None, **kwargs) -> list[ScalabilityCurve]:
+    """One panel per workload; every panel's runs are prefetched together
+    and each run's replays are computed where it is simulated."""
+    specs = {
+        name: {
+            (nodes, network): RunSpec.normalize(
+                name, nodes=nodes, network=network, traced=True,
+                ranks_per_node=ranks_per_node, **kwargs)
+            for nodes in (1, *sizes) for network in ("1G", "10G")
+        }
+        for name in names
+    }
+    what_if = prefetch(
+        (spec for curve in specs.values() for spec in curve.values()), then=_what_if)
+    return [_scalability_for(name, sizes, specs[name], what_if) for name in names]
+
+
 def gpgpu_scalability(sizes: tuple[int, ...] = CLUSTER_SIZES) -> list[ScalabilityCurve]:
     """Fig. 5: the five communicating GPGPU benchmarks."""
-    return [_scalability_for(name, sizes, ranks_per_node=None)
-            for name in GPGPU_SCIENTIFIC]
+    return _scalability_curves(GPGPU_SCIENTIFIC, sizes, ranks_per_node=None)
 
 
 def npb_scalability(sizes: tuple[int, ...] = CLUSTER_SIZES) -> list[ScalabilityCurve]:
     """Fig. 6: the NPB suite at 4 ranks/node."""
-    return [_scalability_for(name, sizes, ranks_per_node=4) for name in NPB_NAMES]
+    return _scalability_curves(NPB_NAMES, sizes, ranks_per_node=4)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +354,18 @@ def work_ratio_study(
 ) -> dict[int, dict[float, float]]:
     """Fig. 7: hpl energy efficiency vs GPGPU/CPU work ratio, normalized
     to the all-GPGPU case, per cluster size."""
+    specs = {
+        (nodes, ratio): RunSpec.normalize("hpl", nodes=nodes, gpu_work_ratio=ratio)
+        for nodes in sizes for ratio in (1.0, *ratios)
+    }
+    prefetch(specs.values())
     out: dict[int, dict[float, float]] = {}
     for nodes in sizes:
-        base = run_workload("hpl", nodes=nodes, gpu_work_ratio=1.0)
+        base = run_spec(specs[nodes, 1.0])
         base_eff = base.result.mflops_per_watt()
         out[nodes] = {}
         for ratio in ratios:
-            run = run_workload("hpl", nodes=nodes, gpu_work_ratio=ratio)
+            run = run_spec(specs[nodes, ratio])
             out[nodes][ratio] = run.result.mflops_per_watt() / base_eff
     return out
 

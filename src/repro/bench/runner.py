@@ -15,6 +15,7 @@ it.  Runs are served from a two-tier cache:
 An experiment that knows its runs up front declares their specs and calls
 :func:`prefetch` first: the cold ones are simulated on a process pool and
 come back pickled into the memory tier, so the experiment body reads hits.
+A per-run analysis passed as ``then`` runs in the worker beside its run.
 
 Cache hits return a **defensive snapshot**: a fresh cluster shell rebuilt
 from the spec plus copied result/trace payloads, so no two callers share
@@ -26,7 +27,7 @@ round trip exactly, so a warm-started run is bit-identical to a cold one.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Any
@@ -207,13 +208,49 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_for_pool(spec: RunSpec) -> tuple[JobResult, Trace | None, list[int]]:
-    """A pool worker's cold run of *spec*, in a form that pickles."""
+def _simulate_for_pool(
+    spec: RunSpec, then: Callable[[RunSpec, ExperimentRun], Any] | None
+) -> tuple[JobResult, Trace | None, list[int], Any]:
+    """A pool worker's cold run of *spec* and ``then(spec, run)``, pickled."""
     run = _simulate(spec, None)
-    return run.result, run.trace, run.rank_to_node
+    value = then(spec, run) if then is not None else None
+    return run.result, run.trace, run.rank_to_node, value
 
 
-def prefetch(specs: Iterable[RunSpec]) -> None:
+def _simulate_cold(
+    specs: list[RunSpec], then: Callable[[RunSpec, ExperimentRun], Any] | None
+) -> dict[RunSpec, Any]:
+    """Simulate the cold ones of *specs* on a pool; ``then``'s value per run."""
+    values: dict[RunSpec, Any] = {}
+    cpus = _usable_cpus()
+    if cpus < 2:
+        return values
+    store = default_store()
+    cold = [
+        spec for spec in specs
+        if spec.key not in _cache and (store is None or _from_disk(spec, store) is None)
+    ]
+    width = min(cpus, len(cold))
+    if width < 2:
+        return values
+    cold.sort(key=lambda spec: spec.nodes * spec.ranks_per_node, reverse=True)
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        futures = {pool.submit(_simulate_for_pool, spec, then): spec for spec in cold}
+        for future in as_completed(futures):
+            spec = futures[future]
+            try:
+                result, trace, rank_to_node, value = future.result()
+            except Exception:  # left cold: the caller re-runs it in-process
+                continue
+            _install(spec, ExperimentRun.revive(spec, result, trace, rank_to_node), store)
+            values[spec] = value
+    return values
+
+
+def prefetch(
+    specs: Iterable[RunSpec],
+    then: Callable[[RunSpec, ExperimentRun], Any] | None = None,
+) -> dict[RunSpec, Any]:
     """Simulate the cold ones of *specs* in parallel into the memory tier.
 
     A spec already in memory is skipped, and one on disk is revived into
@@ -224,28 +261,24 @@ def prefetch(specs: Iterable[RunSpec]) -> None:
     usable CPUs or cold specs no pool starts.  A spec whose worker raised
     stays cold, so the caller's :func:`run_spec` runs it in-process and
     raises as it always did.
+
+    ``then(spec, run)`` is evaluated where each run is simulated: in the
+    pool worker for a cold spec (its value is pickled back with the run),
+    and in this process for the rest, on a resident run's snapshot or
+    through :func:`run_spec`, which simulates a spec no worker ran and
+    raises for one whose worker raised.  The result maps every spec to
+    its value; without ``then`` it is empty and nothing runs in-process.
     """
-    cpus = _usable_cpus()
-    if cpus < 2:
-        return
-    store = default_store()
-    cold = [
-        spec for spec in dict.fromkeys(specs)
-        if spec.key not in _cache and (store is None or _from_disk(spec, store) is None)
-    ]
-    width = min(cpus, len(cold))
-    if width < 2:
-        return
-    cold.sort(key=lambda spec: spec.nodes * spec.ranks_per_node, reverse=True)
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        futures = {pool.submit(_simulate_for_pool, spec): spec for spec in cold}
-        for future in as_completed(futures):
-            spec = futures[future]
-            try:
-                result, trace, rank_to_node = future.result()
-            except Exception:  # left cold: the caller re-runs it in-process
-                continue
-            _install(spec, ExperimentRun.revive(spec, result, trace, rank_to_node), store)
+    specs = list(dict.fromkeys(specs))
+    values = _simulate_cold(specs, then)
+    if then is None:
+        return {}
+    for spec in specs:
+        if spec not in values:
+            cached = _cache.get(spec.key)
+            run = _snapshot(spec, cached) if cached is not None else run_spec(spec)
+            values[spec] = then(spec, run)
+    return {spec: values[spec] for spec in specs}
 
 
 def run_spec(

@@ -190,7 +190,8 @@ def test_non_revivable_gpgpu_row_is_placed():
     assert row.binding_level is not None
 
 
-def test_table3_is_served_from_the_disk_tier():
+def test_table3_is_served_from_the_disk_tier(monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     from repro.bench.experiments import memory_model_study
 
     cold = memory_model_study(sizes=(1,))
@@ -202,7 +203,8 @@ def test_table3_is_served_from_the_disk_tier():
     assert stats["disk_misses"] == 0 and stats["memory_hits"] == 0
 
 
-def test_cli_table3_cold_and_warm_stdout_identical(capsys):
+def test_cli_table3_cold_and_warm_stdout_identical(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     from repro.cli import main
 
     assert main(["experiment", "table3"]) == 0
@@ -287,7 +289,8 @@ def test_disk_round_trip_reproduces_run_exactly():
     assert revived.cluster.node_count == cold.cluster.node_count
 
 
-def test_second_process_would_warm_start_from_disk():
+def test_second_process_would_warm_start_from_disk(monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     clear_cache()  # simulate a fresh process: memory tier gone, disk warm
     run_workload("jacobi", nodes=2, **JACOBI_SMALL)
@@ -319,7 +322,8 @@ def test_build_campaign_rejects_unmatched_kwargs():
         build_campaign(["jacobi"], workload_kwargs={"hpl": {}})
 
 
-def test_campaign_serial_parallel_and_warm_tables_identical():
+def test_campaign_serial_parallel_and_warm_tables_identical(monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     specs = build_campaign(
         ["jacobi"], nodes=(2, 4), networks=("1G", "10G"),
         workload_kwargs={"jacobi": JACOBI_SMALL},
@@ -421,7 +425,8 @@ def test_campaign_file_bad_memory_model_fails_at_load(tmp_path, capsys):
 # -- consumers warm-start ---------------------------------------------------------
 
 
-def test_bench_baseline_rows_warm_start():
+def test_bench_baseline_rows_warm_start(monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     from repro.campaign.store import default_store
     from repro.insight import collect_baseline
 
@@ -433,7 +438,8 @@ def test_bench_baseline_rows_warm_start():
     assert second == first
 
 
-def test_cli_sweep_smoke(capsys):
+def test_cli_sweep_smoke(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     from repro.cli import main
 
     argv = ["sweep", "--workloads", "jacobi", "--nodes", "2", "--jobs", "2"]
@@ -513,7 +519,8 @@ def test_summary_rows_match_between_live_and_serialized_paths():
     )
 
 
-def test_disk_revived_run_summarizes_identically():
+def test_disk_revived_run_summarizes_identically(monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     cold = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     cold_row = summarize_result(cold.result)
     clear_cache()  # drop the memory tier; keep the disk store
@@ -701,9 +708,9 @@ def _usable_cpus(monkeypatch, count: int) -> None:
 
 
 def _small_curve():
-    from repro.bench.experiments import _scalability_for
+    from repro.bench.experiments import _scalability_curves
 
-    return _scalability_for("jacobi", (2, 4), None, **JACOBI_SMALL)
+    return _scalability_curves(("jacobi",), (2, 4), None, **JACOBI_SMALL)[0]
 
 
 def test_prefetch_on_one_cpu_starts_no_pool(monkeypatch):
@@ -745,7 +752,7 @@ def test_prefetched_curve_equals_the_serial_one_and_is_stored(monkeypatch):
 
 
 def test_prefetch_leaves_a_failed_spec_cold(monkeypatch):
-    from repro.bench.experiments import _scalability_for
+    from repro.bench.experiments import _scalability_curves
     from repro.errors import CudaError
 
     _usable_cpus(monkeypatch, 2)
@@ -759,4 +766,69 @@ def test_prefetch_leaves_a_failed_spec_cold(monkeypatch):
     with pytest.raises(CudaError, match="allocation must be positive"):
         run_spec(bad)
     with pytest.raises(CudaError, match="allocation must be positive"):
-        _scalability_for("jacobi", (2, 4), None, n=0, iterations=2)
+        _scalability_curves(("jacobi",), (2, 4), None, n=0, iterations=2)
+
+
+def _what_if_where(spec, run):
+    """The figures' per-run replays plus the process that computed them."""
+    import os
+
+    from repro.bench.experiments import _what_if
+
+    return os.getpid(), _what_if(spec, run)
+
+
+def test_prefetch_runs_then_in_the_workers_as_on_one_cpu(monkeypatch):
+    import os
+
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    specs = [
+        RunSpec.normalize("jacobi", nodes=nodes, network=network, traced=True,
+                          **JACOBI_SMALL)
+        for nodes in (1, 2, 4) for network in ("1G", "10G")
+    ]
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    serial = runner.prefetch(specs, then=_what_if_where)
+    clear_cache()
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    parallel = runner.prefetch(specs, then=_what_if_where)
+    assert list(parallel) == list(serial) == specs
+    assert {pid for pid, _ in serial.values()} == {os.getpid()}
+    # No replay ran here: every value came back from a worker.
+    assert os.getpid() not in {pid for pid, _ in parallel.values()}
+    assert all(spec.key in runner._cache for spec in specs)
+    values = {spec: value for spec, (_, value) in parallel.items()}
+    assert values == {spec: value for spec, (_, value) in serial.items()}
+    replayed = [spec for spec, value in values.items() if value is not None]
+    assert [(spec.nodes, spec.network) for spec in replayed] == [(2, "10G"), (4, "10G")]
+
+
+def _refuse_two_nodes(spec, run):
+    from repro.errors import AnalysisError
+
+    if spec.nodes == 2:
+        raise AnalysisError("two-node run refused")
+    return run.runtime
+
+
+def test_prefetch_leaves_a_spec_whose_then_raised_cold(monkeypatch):
+    from repro.errors import AnalysisError
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    bad = RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL)
+    good = RunSpec.normalize("jacobi", nodes=4, **JACOBI_SMALL)
+    simulate = runner._simulate
+    simulated_here = []
+
+    def recording(spec, telemetry):
+        simulated_here.append(spec)  # a forked worker appends to its own copy
+        return simulate(spec, telemetry)
+
+    monkeypatch.setattr(runner, "_simulate", recording)
+    with pytest.raises(AnalysisError, match="two-node run refused"):
+        runner.prefetch([bad, good], then=_refuse_two_nodes)
+    assert good.key in runner._cache  # the pool ran
+    # The worker's run of *bad* was dropped: this process simulated it again.
+    assert simulated_here == [bad]
+    assert runner.prefetch([good], then=_refuse_two_nodes) == {good: run_spec(good).runtime}

@@ -642,6 +642,7 @@ def _dirty_tree_result(tmp_path):
 
 def test_lint_cache_warm_run_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     cold = _dirty_tree_result(tmp_path)
     assert cold.cache_enabled and not cold.project_from_cache
     assert cold.files_from_cache == 0 and cold.files_total > 0
@@ -655,6 +656,7 @@ def test_lint_cache_warm_run_is_byte_identical(tmp_path, monkeypatch):
 
 def test_lint_cache_invalidates_on_edit(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     cold = _dirty_tree_result(tmp_path)
     # Touch one file: its entry (and the project entry) must recompute,
     # every other file stays cached.
