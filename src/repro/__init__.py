@@ -9,14 +9,12 @@ evaluation regenerates from `benchmarks/`.
 
 Quick start::
 
-    from repro import Cluster, tx1_cluster_spec, make_workload
+    from repro.bench import run_workload
     from repro.core import measure_roofline_point
 
-    cluster = Cluster(tx1_cluster_spec(16, network="10G"))
-    workload = make_workload("tealeaf3d")
-    result = workload.run_on(cluster)
+    run = run_workload("tealeaf3d", nodes=16, network="10G")
     point = measure_roofline_point(
-        "tealeaf3d", result, cluster, precision=workload.precision
+        "tealeaf3d", run.result, run.cluster, precision=run.workload.precision
     )
 
 See README.md for the architecture tour, DESIGN.md for the substitution

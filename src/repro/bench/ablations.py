@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.bench.runner import run_workload
+from repro.bench.runner import prefetch, run_spec, run_workload
+from repro.campaign.spec import RunSpec
 from repro.cluster import Cluster, Job
-from repro.cluster.cluster import ClusterSpec, thunderx_cluster_spec, tx1_cluster_spec
-from repro.hardware import catalog
-from repro.hardware.node import NodeSpec
-from repro.mpi.communicator import Communicator
+from repro.cluster.cluster import thunderx_cluster_spec
 from repro.errors import AnalysisError
-from repro.units import ghz, kib
+from repro.units import ghz
 from repro.workloads import npb_workload
 
 
@@ -124,26 +122,18 @@ def affinity_stability_study(benchmark: str = "bt", runs: int = 8) -> AffinityRe
 # ---------------------------------------------------------------------------
 
 
-def _tx1_spec_at(cpu_hz: float) -> NodeSpec:
-    base = catalog.jetson_tx1()
-    return replace(base, cpu=replace(base.cpu, frequency_hz=cpu_hz))
+def _runtimes(specs: dict[str, RunSpec]) -> dict[str, float]:
+    """Each labelled spec's runtime, the cold ones simulated in parallel."""
+    prefetch(specs.values())
+    return {label: run_spec(spec).runtime for label, spec in specs.items()}
 
 
 def dvfs_ablation(benchmark: str = "bt", nodes: int = 4) -> dict[str, float]:
     """NPB runtime at the boards' 1.73 GHz vs the documented 1.9 GHz."""
-    out = {}
-    for label, hz in (("1.73GHz", ghz(1.73)), ("1.9GHz", ghz(1.9))):
-        spec = tx1_cluster_spec(nodes, "10G")
-        spec = ClusterSpec(
-            name=f"{spec.name}-{label}",
-            node_spec=_tx1_spec_at(hz),
-            node_count=spec.node_count,
-            nic=spec.nic,
-            switch=spec.switch,
-        )
-        result = npb_workload(benchmark).run_on(Cluster(spec))
-        out[label] = result.elapsed_seconds
-    return out
+    return _runtimes({
+        label: RunSpec.normalize(benchmark, nodes=nodes, hardware={"cpu.frequency_hz": hz})
+        for label, hz in (("1.73GHz", ghz(1.73)), ("1.9GHz", ghz(1.9)))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +143,11 @@ def dvfs_ablation(benchmark: str = "bt", nodes: int = 4) -> dict[str, float]:
 
 def bcast_algorithm_ablation(nodes: int = 16, network: str = "10G") -> dict[str, float]:
     """hpl runtime with the scatter+allgather large-message broadcast vs
-    forcing every broadcast down the binomial tree."""
-    from repro.workloads import HplWorkload
-
-    original = Communicator.BCAST_LARGE_THRESHOLD
-    try:
-        Communicator.BCAST_LARGE_THRESHOLD = kib(256)
-        vdg = HplWorkload().run_on(Cluster(tx1_cluster_spec(nodes, network)))
-        Communicator.BCAST_LARGE_THRESHOLD = math.inf
-        binomial = HplWorkload().run_on(Cluster(tx1_cluster_spec(nodes, network)))
-    finally:
-        Communicator.BCAST_LARGE_THRESHOLD = original
-    return {
-        "scatter-allgather": vdg.elapsed_seconds,
-        "binomial": binomial.elapsed_seconds,
-    }
+    forcing hpl's panel and U broadcasts down the binomial tree."""
+    return _runtimes({
+        bcast: RunSpec.normalize("hpl", nodes=nodes, network=network, bcast=bcast)
+        for bcast in ("scatter-allgather", "binomial")
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,10 @@ def build_campaign(
             f"workload_kwargs for {', '.join(unknown)} do not match any "
             f"campaign workload"
         )
+    if any("hardware" in kwargs for kwargs in kwargs_map.values()):
+        raise ConfigurationError(
+            "workload_kwargs cannot set 'hardware': a campaign runs catalog hardware"
+        )
     specs: list[RunSpec] = []
     seen: set[tuple] = set()
     for name in workloads:

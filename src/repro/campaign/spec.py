@@ -14,7 +14,9 @@ to the same spec — this is what makes the result cache sound:
   and ``gtx980``/``thunderx`` ignore ``network``, so those dimensions are
   pinned to their effective values before keying;
 * workload seeds are ordinary constructor kwargs (e.g. the CNN decode
-  seed), so they participate in the key like any other parameter.
+  seed), so they participate in the key like any other parameter;
+* a ``hardware`` override of a catalog component field equal to the
+  catalog value is dropped, so a study's baseline point is the plain spec.
 
 The digest deliberately excludes the code fingerprint — the persistent
 store keeps one file per spec and *invalidates* it when the fingerprint
@@ -27,8 +29,9 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -49,6 +52,8 @@ KNOWN_NETWORKS = ("1G", "10G")
 KNOWN_SYSTEMS = ("tx1", "gtx980", "thunderx")
 #: The paper's §IV-A rank count on the Cavium ThunderX.
 THUNDERX_RANKS = 64
+#: Catalog components a ``hardware`` override may name (``"part.field"``).
+HARDWARE_PARTS = ("cpu", "gpu", "dram", "nic")
 
 _fingerprint: str | None = None
 
@@ -76,22 +81,57 @@ def code_fingerprint() -> str:
     return _fingerprint
 
 
-def build_cluster_spec(system: str, nodes: int, network: str) -> ClusterSpec:
+def _override(cluster: ClusterSpec, key: str, value: float) -> ClusterSpec:
+    """*cluster* with catalog field *key* (``"part.field"``) replaced and re-validated."""
+    part, _, name = key.partition(".")
+    holder = cluster if part == "nic" else cluster.node_spec
+    component = getattr(holder, part, None) if part in HARDWARE_PARTS else None
+    if component is None or name not in {f.name for f in fields(component)}:
+        raise ConfigurationError(
+            f"unknown hardware override {key!r} for {cluster.name}; use "
+            f"'part.field' with part one of {', '.join(HARDWARE_PARTS)}"
+        )
+    changed = replace(holder, **{part: replace(component, **{name: value})})
+    return changed if part == "nic" else replace(cluster, node_spec=changed)
+
+
+def build_cluster_spec(
+    system: str, nodes: int, network: str, hardware: tuple[tuple[str, float], ...] = ()
+) -> ClusterSpec:
     """The :class:`ClusterSpec` a normalized spec describes."""
     if system == "tx1":
-        return tx1_cluster_spec(nodes, network)
-    if system == "gtx980":
-        return gtx980_cluster_spec(nodes)
-    if system == "thunderx":
-        return thunderx_cluster_spec()
-    raise ConfigurationError(
-        f"unknown system {system!r}; known systems: {', '.join(KNOWN_SYSTEMS)}"
-    )
+        cluster = tx1_cluster_spec(nodes, network)
+    elif system == "gtx980":
+        cluster = gtx980_cluster_spec(nodes)
+    elif system == "thunderx":
+        cluster = thunderx_cluster_spec()
+    else:
+        raise ConfigurationError(
+            f"unknown system {system!r}; known systems: {', '.join(KNOWN_SYSTEMS)}"
+        )
+    for key, value in hardware:
+        cluster = _override(cluster, key, value)
+    return cluster
+
+
+def _resolve_hardware(system: str, nodes: int, network: str, hardware: Any) -> tuple:
+    """*hardware* as sorted floats, overrides equal to the catalog dropped."""
+    base = build_cluster_spec(system, nodes, network)
+    overrides = []
+    for key, value in sorted(dict(hardware).items()):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigurationError(f"hardware override {key!r} must be a finite number")
+        if _override(base, key, value) != base:
+            overrides.append((key, float(value)))
+    build_cluster_spec(system, nodes, network, tuple(overrides))  # jointly valid
+    return tuple(overrides)
 
 
 def build_cluster(spec: "RunSpec") -> Cluster:
-    """A fresh (un-simulated) cluster matching *spec*'s shape."""
-    return Cluster(build_cluster_spec(spec.system, spec.nodes, spec.network))
+    """A fresh (un-simulated) cluster matching *spec*'s shape and hardware."""
+    return Cluster(build_cluster_spec(
+        spec.system, spec.nodes, spec.network, spec.hardware
+    ))
 
 
 @functools.cache
@@ -224,6 +264,8 @@ class RunSpec:
     traced: bool
     #: Fully resolved constructor kwargs, sorted, canonical values.
     workload_kwargs: tuple[tuple[str, Any], ...]
+    #: Catalog overrides ``("part.field", float)``, sorted, none a no-op.
+    hardware: tuple[tuple[str, float], ...] = ()
     #: Source fingerprint the persistent store validates against.
     fingerprint: str = field(default="", compare=False)
 
@@ -236,6 +278,7 @@ class RunSpec:
         system: str = "tx1",
         ranks_per_node: int | None = None,
         traced: bool = False,
+        hardware: Any = (),
         **workload_kwargs: Any,
     ) -> "RunSpec":
         """Validate and canonicalize one ``run_workload``-shaped request."""
@@ -290,6 +333,8 @@ class RunSpec:
             ranks_per_node=rpn,
             traced=bool(traced),
             workload_kwargs=resolved,
+            hardware=_resolve_hardware(system, nodes, network, hardware)
+            if hardware else (),
             fingerprint=code_fingerprint(),
         )
 
@@ -301,6 +346,7 @@ class RunSpec:
         return (
             self.name, self.nodes, self.network, self.system,
             self.ranks_per_node, self.traced, self.workload_kwargs,
+            self.hardware,
         )
 
     @property
@@ -310,6 +356,7 @@ class RunSpec:
             self.name, self.system, self.nodes, self.network,
             self.ranks_per_node, self.traced,
             tuple((k, repr(v)) for k, v in self.workload_kwargs),
+            self.hardware,
         )
 
     def canonical_dict(self) -> dict[str, Any]:
@@ -325,6 +372,7 @@ class RunSpec:
                 key: list(value) if isinstance(value, tuple) else value
                 for key, value in self.workload_kwargs
             },
+            "hardware": dict(self.hardware),
         }
 
     @property
@@ -378,5 +426,6 @@ class RunSpec:
                 (key, tuple(value) if isinstance(value, list) else value)
                 for key, value in kwargs.items()
             )),
+            hardware=tuple(sorted(document.get("hardware", {}).items())),
             fingerprint=document.get("fingerprint", ""),
         )

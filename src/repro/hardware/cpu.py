@@ -93,7 +93,7 @@ class CPUCoreSpec:
     dp_flops_per_cycle: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
+        if not self.frequency_hz > 0:
             raise ConfigurationError(f"{self.name}: frequency must be positive")
         if self.base_ipc <= 0:
             raise ConfigurationError(f"{self.name}: base_ipc must be positive")

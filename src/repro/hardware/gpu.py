@@ -50,7 +50,7 @@ class GPUSpec:
     def __post_init__(self) -> None:
         if self.sm_count <= 0 or self.cuda_cores <= 0:
             raise ConfigurationError(f"{self.name}: SM/core counts must be positive")
-        if self.frequency_hz <= 0 or self.memory_bandwidth <= 0:
+        if not (self.frequency_hz > 0 and self.memory_bandwidth > 0):
             raise ConfigurationError(f"{self.name}: frequency/bandwidth must be positive")
         if not 0.0 < self.dp_ratio <= 1.0:
             raise ConfigurationError(f"{self.name}: dp_ratio must be in (0, 1]")

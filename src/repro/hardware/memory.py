@@ -27,7 +27,7 @@ class DRAMSpec:
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ConfigurationError(f"{self.name}: capacity must be positive")
-        if self.cpu_bandwidth <= 0 or self.gpu_bandwidth <= 0:
+        if not (self.cpu_bandwidth > 0 and self.gpu_bandwidth > 0):
             raise ConfigurationError(f"{self.name}: bandwidths must be positive")
 
 

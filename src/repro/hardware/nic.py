@@ -40,11 +40,11 @@ class NICSpec:
         return self.idle_watts + (self.power_watts - self.idle_watts) * utilization
 
     def __post_init__(self) -> None:
-        if self.line_rate <= 0 or self.achievable_rate <= 0:
+        if not (self.line_rate > 0 and self.achievable_rate > 0):
             raise ConfigurationError(f"{self.name}: rates must be positive")
         if self.achievable_rate > self.line_rate + 1e-9:
             raise ConfigurationError(f"{self.name}: achievable rate exceeds line rate")
-        if self.latency_one_way < 0 or self.power_watts < 0:
+        if not (self.latency_one_way >= 0 and self.power_watts >= 0):
             raise ConfigurationError(f"{self.name}: latency/power must be non-negative")
 
     def transfer_seconds(self, nbytes: float) -> float:

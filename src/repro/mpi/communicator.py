@@ -433,11 +433,13 @@ class Communicator:
     #: real MPI's large-message algorithm switch.
     BCAST_LARGE_THRESHOLD = kib(256)
 
-    def bcast(self, data: Any, root: int = 0, tag: int = 1_100_000, nbytes: float | None = None):
+    def bcast(self, data: Any, root: int = 0, tag: int = 1_100_000,
+              nbytes: float | None = None, algorithm: str = "scatter-allgather"):
         """Broadcast from *root*; every rank returns the data.
 
         Small messages take the binomial tree; large ones the
-        scatter+ring-allgather algorithm.
+        scatter+ring-allgather algorithm unless *algorithm* is
+        ``"binomial"``.
         """
         with self.world.telemetry.async_span(self._track, "mpi.bcast", "mpi"):
             size, rank = self.size, self.rank
@@ -445,7 +447,7 @@ class Communicator:
             # so it keys on the explicit (rank-agnostic) nbytes only; object
             # broadcasts without a declared size always take the binomial
             # tree.
-            if (nbytes is not None and size > 2
+            if (nbytes is not None and size > 2 and algorithm != "binomial"
                     and float(nbytes) > self.BCAST_LARGE_THRESHOLD):
                 result = yield from self._bcast_large(data, root, tag, float(nbytes))
                 return result

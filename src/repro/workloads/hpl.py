@@ -12,6 +12,8 @@ The modes reproduce the paper's §III-B.6 experiments:
   between the GPGPU and one CPU core, run concurrently.
 * ``mode="collocated"`` — Table IV: the GPGPU version runs while the other
   three cores of every node run their share of the CPU version.
+* ``bcast="binomial"`` — the panel and U broadcasts stay on the binomial
+  tree instead of switching to scatter+allgather for large messages.
 
 The validation-scale factorization is `repro.workloads.kernels.linalg`.
 """
@@ -63,6 +65,7 @@ class HplWorkload(Workload):
         nb: int = 256,
         mode: str = "gpu",
         gpu_work_ratio: float = 1.0,
+        bcast: str = "scatter-allgather",
     ) -> None:
         if n < nb or nb < 1:
             raise ConfigurationError("need n >= nb >= 1")
@@ -75,10 +78,13 @@ class HplWorkload(Workload):
                 "collocated hpl keeps the whole trailing update on the "
                 "GPGPU; gpu_work_ratio must be 1.0"
             )
+        if bcast not in ("scatter-allgather", "binomial"):
+            raise ConfigurationError(f"unknown hpl bcast algorithm {bcast!r}")
         self.n = n
         self.nb = nb
         self.mode = mode
         self.gpu_work_ratio = gpu_work_ratio
+        self.bcast = bcast
 
     @property
     def uses_gpu(self) -> bool:  # type: ignore[override]
@@ -149,7 +155,7 @@ class HplWorkload(Workload):
             # Panel broadcast: this rank-row share of (m + nb) x nb of L.
             panel_bytes = doubles(self.nb * float(m + self.nb)) / grid
             yield from ctx.comm.bcast(None, root=owner, tag=1000 + 100 * k,
-                                      nbytes=panel_bytes)
+                                      nbytes=panel_bytes, algorithm=self.bcast)
             if m <= 0:
                 continue
             # Pivot-row swap with a ring partner, then the U broadcast that
@@ -163,6 +169,7 @@ class HplWorkload(Workload):
                 yield from ctx.comm.bcast(
                     None, root=owner, tag=1000 + 100 * k + 50,
                     nbytes=doubles(self.nb * float(m)) / grid,
+                    algorithm=self.bcast,
                 )
             # Look-ahead: the next panel's owner factorizes while everyone
             # (including it) runs the trailing DGEMM.

@@ -4,7 +4,8 @@ table formatting, and the cheap experiment functions end to end."""
 import pytest
 
 from repro.bench import calibration, experiments as ex, tables
-from repro.bench.runner import CLUSTER_SIZES, clear_cache, run_workload
+from repro.bench.runner import CLUSTER_SIZES, clear_cache, run_spec, run_workload
+from repro.campaign import RunSpec
 from repro.core import LimitingFactor
 
 
@@ -188,22 +189,25 @@ def test_ledger_entries_have_provenance():
 def test_sensitivity_perturbation_machinery():
     from repro.bench import sensitivity as sens
 
-    baseline = sens._perturbed_cluster(2, "10G")
-    doubled = sens._perturbed_cluster(2, "10G", gpu_bw_scale=2.0)
-    assert doubled.spec.node_spec.gpu.memory_bandwidth == pytest.approx(
-        2.0 * baseline.spec.node_spec.gpu.memory_bandwidth
+    baseline = sens._perturbed_spec(2, "10G", "ep")
+    assert baseline == RunSpec.normalize("ep", nodes=2) and not baseline.hardware
+    doubled = sens._perturbed_spec(2, "10G", "ep", gpu_bw_scale=2.0)
+    base_gpu = run_spec(baseline).cluster.spec.node_spec.gpu
+    run = run_spec(doubled)
+    assert run.cluster.spec.node_spec.gpu.memory_bandwidth == pytest.approx(
+        2.0 * base_gpu.memory_bandwidth
     )
-    slower = sens._perturbed_cluster(2, "1G", nic_rate_scale=0.5)
-    assert slower.spec.nic.achievable_rate == pytest.approx(
-        0.5 * baseline.spec.nic.achievable_rate * 0.53 / 3.3, rel=0.01
+    slower = sens._perturbed_spec(2, "1G", "ep", nic_rate_scale=0.5)
+    assert dict(slower.hardware)["nic.achievable_rate"] == pytest.approx(
+        0.5 * run.cluster.spec.nic.achievable_rate * 0.53 / 3.3, rel=0.01
     )
 
 
 def test_sensitivity_nic_scale_capped_at_line_rate():
     from repro.bench import sensitivity as sens
 
-    capped = sens._perturbed_cluster(2, "1G", nic_rate_scale=100.0)
-    assert capped.spec.nic.achievable_rate <= capped.spec.nic.line_rate
+    capped = run_spec(sens._perturbed_spec(2, "1G", "ep", nic_rate_scale=100.0))
+    assert capped.cluster.spec.nic.achievable_rate == capped.cluster.spec.nic.line_rate
 
 
 def test_scatter_render():

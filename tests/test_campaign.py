@@ -832,3 +832,110 @@ def test_prefetch_leaves_a_spec_whose_then_raised_cold(monkeypatch):
     # The worker's run of *bad* was dropped: this process simulated it again.
     assert simulated_here == [bad]
     assert runner.prefetch([good], then=_refuse_two_nodes) == {good: run_spec(good).runtime}
+
+
+# -- catalog hardware overrides -------------------------------------------------
+
+
+def _half_nic() -> dict[str, float]:
+    from repro.hardware import catalog
+
+    return {"nic.achievable_rate": catalog.XGBE_PCIE.achievable_rate / 2}
+
+
+def _nic_rate(spec, run):
+    return run.cluster.spec.nic.achievable_rate
+
+
+def test_hardware_override_reaches_the_cluster_on_every_path(monkeypatch):
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+    rate = _half_nic()["nic.achievable_rate"]
+    spec = RunSpec.normalize("jacobi", nodes=2, hardware=_half_nic(), **JACOBI_SMALL)
+    plain = run_spec(RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL))
+    cold = run_spec(spec)
+    assert _nic_rate(spec, cold) == rate and cold.runtime > plain.runtime
+    assert _nic_rate(spec, run_spec(spec)) == rate
+    assert cache_stats()["memory_hits"] == 1
+    clear_cache()
+    assert _nic_rate(spec, run_spec(spec)) == rate
+    assert cache_stats()["disk_hits"] == 1
+    _usable_cpus(monkeypatch, 2)
+    pooled = [
+        RunSpec.normalize("jacobi", nodes=n, hardware=_half_nic(), **JACOBI_SMALL)
+        for n in (3, 4)
+    ]
+    assert set(runner.prefetch(pooled, then=_nic_rate).values()) == {rate}
+    assert cache_stats()["memory_hits"] == 0  # both values came from workers
+    assert {_nic_rate(s, run_spec(s)) for s in pooled} == {rate}
+
+
+def test_catalog_valued_override_is_the_plain_spec():
+    from repro.hardware import catalog
+    from repro.units import ghz
+
+    plain = RunSpec.normalize("jacobi", nodes=2)
+    same = RunSpec.normalize("jacobi", nodes=2, hardware={
+        "nic.achievable_rate": catalog.XGBE_PCIE.achievable_rate,
+        "cpu.frequency_hz": ghz(1.73),
+    })
+    assert same.hardware == ()
+    assert same.key == plain.key and same.digest == plain.digest
+
+
+def test_hardware_override_survives_the_wire_form():
+    spec = RunSpec.normalize("jacobi", nodes=2, hardware={
+        "gpu.memory_bandwidth": 1.0e10, "cpu.frequency_hz": 1.9e9,
+    })
+    assert spec.hardware == (
+        ("cpu.frequency_hz", 1.9e9), ("gpu.memory_bandwidth", 1.0e10),
+    )
+    clone = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert clone == spec and clone.digest == spec.digest
+    assert spec.digest != RunSpec.normalize("jacobi", nodes=2).digest
+    as_ints = RunSpec.normalize("jacobi", nodes=2, hardware={
+        "gpu.memory_bandwidth": 10**10, "cpu.frequency_hz": 19 * 10**8,
+    })
+    assert as_ints.digest == spec.digest
+
+
+@pytest.mark.parametrize("system, key", [
+    ("tx1", "fpga.clock_hz"),
+    ("tx1", "gpu.warp_size"),
+    ("tx1", "nic"),
+    ("thunderx", "gpu.memory_bandwidth"),
+])
+def test_unknown_hardware_override_names_the_key(system, key):
+    with pytest.raises(ConfigurationError, match=repr(key)):
+        RunSpec.normalize("cg", system=system, hardware={key: 1.0})
+
+
+def test_campaigns_run_catalog_hardware():
+    with pytest.raises(ConfigurationError, match="'hardware'"):
+        build_campaign(["jacobi"], workload_kwargs={
+            "jacobi": {"hardware": _half_nic()},
+        })
+
+
+def test_repeated_sensitivity_study_simulates_nothing(monkeypatch):
+    from repro.bench.sensitivity import network_speedup_sensitivity
+
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    _usable_cpus(monkeypatch, 1)
+    simulated = []
+    real = runner._simulate
+
+    def counting(spec, telemetry):
+        simulated.append(spec)
+        return real(spec, telemetry)
+
+    monkeypatch.setattr(runner, "_simulate", counting)
+    first = network_speedup_sensitivity(nodes=2, workloads=("jacobi", "hpl"))
+    # 3 scales x 2 workloads on 1 GbE plus one 10 GbE run each; the 1.0
+    # scale is the plain 1 GbE spec.
+    assert len(simulated) == len(set(simulated)) == 8
+
+    def no_simulation(spec, telemetry):
+        raise AssertionError(f"re-simulated {spec.label}")
+
+    monkeypatch.setattr(runner, "_simulate", no_simulation)
+    assert network_speedup_sensitivity(nodes=2, workloads=("jacobi", "hpl")) == first

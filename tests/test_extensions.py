@@ -4,10 +4,11 @@ DVFS/bcast ablations, weak scaling, timelines, and the CLI."""
 import pytest
 
 from repro.bench import ablations as ab
+from repro.campaign import RunSpec
 from repro.cli import build_parser, main
 from repro.cluster import Cluster
 from repro.cluster.cluster import tx1_cluster_spec
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.tracing import Tracer, render_timeline, utilization_summary
 from repro.workloads import JacobiWorkload, TeaLeaf3DWorkload
 
@@ -73,12 +74,20 @@ def test_bcast_algorithm_matters_for_hpl():
     assert out["scatter-allgather"] < out["binomial"]
 
 
-def test_bcast_ablation_restores_threshold():
-    from repro.mpi.communicator import Communicator
+def test_hpl_bcast_rejects_unknown_algorithm():
+    from repro.workloads import HplWorkload
 
-    before = Communicator.BCAST_LARGE_THRESHOLD
-    ab.bcast_algorithm_ablation(nodes=2)
-    assert Communicator.BCAST_LARGE_THRESHOLD == before
+    with pytest.raises(ConfigurationError, match="bogus"):
+        HplWorkload(bcast="bogus")
+    with pytest.raises(ConfigurationError, match="bogus"):
+        RunSpec.normalize("hpl", bcast="bogus")
+
+
+def test_hpl_binomial_bcast_is_its_own_spec():
+    default = RunSpec.normalize("hpl")
+    binomial = RunSpec.normalize("hpl", bcast="binomial")
+    assert default == RunSpec.normalize("hpl", bcast="scatter-allgather")
+    assert binomial.digest != default.digest
 
 
 # -- weak scaling --------------------------------------------------------------------

@@ -351,3 +351,42 @@ def test_equal_power_budget_cluster_sizing():
 def test_same_sm_count_at_16_nodes():
     # 16 TX1 nodes x 2 SMs == 2 GTX980 x 16 SMs (Fig. 10's "same SM count").
     assert 16 * catalog.TX1_GPU.sm_count == 2 * catalog.GTX980.sm_count
+
+
+# -- NaN and catalog overrides ----------------------------------------------------
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NICSpec("x", 1.0, NAN, 0.0, 1.0),
+    lambda: NICSpec("x", NAN, 1.0, 0.0, 1.0),
+    lambda: NICSpec("x", 1.0, 1.0, NAN, 1.0),
+    lambda: GPUSpec("x", 2, 256, NAN, kib(256), gbyte_s(10)),
+    lambda: GPUSpec("x", 2, 256, ghz(1.0), kib(256), NAN),
+    lambda: DRAMSpec("x", gib(4), NAN, gbyte_s(10)),
+    lambda: DRAMSpec("x", gib(4), gbyte_s(10), NAN),
+    lambda: CPUCoreSpec("x", NAN, 1.0, 15, 0.1),
+])
+def test_catalog_validators_reject_nan(build):
+    with pytest.raises(ConfigurationError):
+        build()
+
+
+@pytest.mark.parametrize("value", [NAN, float("inf"), True, "fast", None])
+def test_hardware_override_must_be_a_finite_number(value):
+    from repro.campaign import RunSpec
+
+    with pytest.raises(ConfigurationError, match="'nic.achievable_rate'"):
+        RunSpec.normalize("jacobi", hardware={"nic.achievable_rate": value})
+
+
+def test_hardware_override_is_validated_by_the_component():
+    from repro.campaign import RunSpec
+
+    line_rate = catalog.XGBE_PCIE.line_rate
+    with pytest.raises(ConfigurationError, match="exceeds line rate"):
+        RunSpec.normalize("jacobi", hardware={"nic.achievable_rate": 2 * line_rate})
+    with pytest.raises(ConfigurationError, match="positive"):
+        RunSpec.normalize("jacobi", hardware={"gpu.memory_bandwidth": -1.0})
