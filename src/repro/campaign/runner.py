@@ -145,6 +145,13 @@ class CampaignResult:
             )
 
 
+#: ``RunSpec.normalize``'s own parameters: a campaign sets them for the whole
+#: grid, so no ``workload_kwargs`` entry may name one.
+_SPEC_SETTINGS = (
+    "name", "nodes", "network", "system", "ranks_per_node", "traced", "hardware",
+)
+
+
 def build_campaign(
     workloads: Sequence[str],
     nodes: Sequence[int] = (4,),
@@ -168,10 +175,14 @@ def build_campaign(
             f"workload_kwargs for {', '.join(unknown)} do not match any "
             f"campaign workload"
         )
-    if any("hardware" in kwargs for kwargs in kwargs_map.values()):
-        raise ConfigurationError(
-            "workload_kwargs cannot set 'hardware': a campaign runs catalog hardware"
-        )
+    for name, kwargs in kwargs_map.items():
+        for key in _SPEC_SETTINGS:
+            if key in kwargs:
+                raise ConfigurationError(
+                    f"workload_kwargs for {name!r} cannot set {key!r}: it is a "
+                    f"run setting, not a workload parameter (a campaign sets "
+                    f"the grid and runs untraced on catalog hardware)"
+                )
     specs: list[RunSpec] = []
     seen: set[tuple] = set()
     for name in workloads:

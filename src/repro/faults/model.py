@@ -170,6 +170,13 @@ class FaultSchedule:
                 )
         self.faults = faults
         self.seed = int(seed)
+        # Indexed once: the fabric asks for degradations, flaps and losses
+        # on every wire transfer, and the schedule never changes.
+        self._crashes = _of(faults, NodeCrash)
+        self._degradations = _of(faults, NicDegradation)
+        self._flaps = _of(faults, LinkFlap)
+        self._stragglers = _of(faults, StragglerJitter)
+        self._losses = _of(faults, MessageLoss)
 
     # -- structure ----------------------------------------------------------
 
@@ -184,33 +191,30 @@ class FaultSchedule:
     def __repr__(self) -> str:
         return f"<FaultSchedule {len(self.faults)} faults seed={self.seed}>"
 
-    def _of(self, kind: type) -> tuple:
-        return tuple(f for f in self.faults if isinstance(f, kind))
-
     @property
     def crashes(self) -> tuple[NodeCrash, ...]:
         """Node-crash specs in schedule order."""
-        return self._of(NodeCrash)
+        return self._crashes
 
     @property
     def degradations(self) -> tuple[NicDegradation, ...]:
         """NIC-degradation windows in schedule order."""
-        return self._of(NicDegradation)
+        return self._degradations
 
     @property
     def flaps(self) -> tuple[LinkFlap, ...]:
         """Link-flap windows in schedule order."""
-        return self._of(LinkFlap)
+        return self._flaps
 
     @property
     def stragglers(self) -> tuple[StragglerJitter, ...]:
         """Straggler specs in schedule order."""
-        return self._of(StragglerJitter)
+        return self._stragglers
 
     @property
     def losses(self) -> tuple[MessageLoss, ...]:
         """Message-loss terms in schedule order."""
-        return self._of(MessageLoss)
+        return self._losses
 
     # -- deterministic queries ----------------------------------------------
 
@@ -222,7 +226,7 @@ class FaultSchedule:
     def rate_multiplier(self, node_id: int, t: float) -> float:
         """Product of NIC-degradation multipliers active on *node_id* at *t*."""
         multiplier = 1.0
-        for window in self.degradations:
+        for window in self._degradations:
             if window.node_id == node_id and window.active(t):
                 multiplier *= window.multiplier
         return multiplier
@@ -233,11 +237,11 @@ class FaultSchedule:
         Independent loss terms compound as ``1 - prod(1 - p_i)``; an active
         link flap on either endpoint forces certain loss.
         """
-        for flap in self.flaps:
+        for flap in self._flaps:
             if flap.node_id in (src_id, dst_id) and flap.active(t):
                 return 1.0
         survive = 1.0
-        for loss in self.losses:
+        for loss in self._losses:
             if loss.applies(src_id, dst_id, t):
                 survive *= 1.0 - loss.probability
         return 1.0 - survive
@@ -337,6 +341,10 @@ class FaultSchedule:
 
 
 _SPEC_KINDS_TUPLE = tuple(_SPEC_KINDS.values())
+
+
+def _of(faults: tuple[FaultSpec, ...], kind: type) -> tuple:
+    return tuple(f for f in faults if isinstance(f, kind))
 
 
 def _replace_node(fault: FaultSpec, node_id: int):

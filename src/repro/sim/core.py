@@ -305,6 +305,12 @@ class _Condition(Event):
     must consult ``self._triggered`` (not the value sentinel) so component
     values that alias the pending sentinel's old ``None`` behaviour cannot
     re-trigger a decided condition.
+
+    Once decided, a condition takes its ``_check`` off every component still
+    pending (SimPy's ``_remove_check_callbacks``).  A timed receive's timer
+    would otherwise hold the condition, the matched message and its payload
+    until it fires.  The timer stays queued and pops at the same instant with
+    the same eid, so the event sequence is unchanged.
     """
 
     __slots__ = ("_events", "_done")
@@ -322,8 +328,21 @@ class _Condition(Event):
         for ev in self._events:
             if ev.callbacks is None:
                 self._check(ev)
+                if self._triggered:
+                    break
             else:
                 ev.callbacks.append(self._check)
+
+    def _detach(self) -> None:
+        """Remove ``_check`` from every component that is still pending."""
+        check = self._check
+        for ev in self._events:
+            callbacks = ev.callbacks
+            if callbacks:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass
 
     def _collect(self) -> dict[Event, Any]:
         return {ev: ev._value for ev in self._events if ev._triggered and ev.callbacks is None}
@@ -342,9 +361,11 @@ class AllOf(_Condition):
             return
         if not event._ok:
             self.trigger(event)
+            self._detach()
             return
         self._done += 1
         if self._done == len(self._events):
+            # Every component has been processed: nothing to detach from.
             self.succeed(self._collect())
 
 
@@ -357,6 +378,7 @@ class AnyOf(_Condition):
         if self._triggered:
             return
         self.trigger(event) if not event._ok else self.succeed(self._collect())
+        self._detach()
 
 
 class Environment:

@@ -322,6 +322,12 @@ def test_build_campaign_rejects_unmatched_kwargs():
         build_campaign(["jacobi"], workload_kwargs={"hpl": {}})
 
 
+@pytest.mark.parametrize("key, value", [("nodes", 2), ("traced", True)])
+def test_build_campaign_rejects_spec_settings_in_workload_kwargs(key, value):
+    with pytest.raises(ConfigurationError, match=f"'jacobi' cannot set '{key}'"):
+        build_campaign(["jacobi"], workload_kwargs={"jacobi": {key: value}})
+
+
 def test_campaign_serial_parallel_and_warm_tables_identical(monkeypatch):
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)  # needs the disk tier
     specs = build_campaign(

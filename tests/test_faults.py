@@ -143,6 +143,54 @@ def test_without_crashes_and_remap():
     assert remapped.stragglers == schedule.stragglers  # rank-addressed: kept
 
 
+def test_kind_properties_keep_schedule_order_per_schedule():
+    specs = [
+        MessageLoss(probability=0.2, node_id=1),
+        NicDegradation(node_id=2, start=0.0, end=1.0, multiplier=0.5),
+        NodeCrash(node_id=3, at=2.0),
+        LinkFlap(node_id=1, start=0.0, end=1.0),
+        StragglerJitter(rank=4, mean=0.3),
+        NicDegradation(node_id=1, start=1.0, end=2.0, multiplier=0.25),
+        MessageLoss(probability=0.1),
+        NodeCrash(node_id=1, at=1.0),
+        LinkFlap(node_id=2, start=3.0, end=4.0),
+        StragglerJitter(rank=0, mean=0.1),
+    ]
+    schedule = FaultSchedule(specs, seed=3)
+    for kind, attr in [
+        (NodeCrash, "crashes"),
+        (NicDegradation, "degradations"),
+        (LinkFlap, "flaps"),
+        (StragglerJitter, "stragglers"),
+        (MessageLoss, "losses"),
+    ]:
+        assert getattr(schedule, attr) == tuple(s for s in specs if isinstance(s, kind))
+
+    # A reseeded schedule (the restart path's reroll) answers for its specs.
+    reseeded = FaultSchedule(schedule.faults, seed=schedule.seed + 1)
+    assert reseeded.degradations == schedule.degradations
+    assert reseeded.loss_probability(1, 5, 0.5) == 1.0  # node 1 flaps
+
+    # A remapped schedule answers for its own specs, not the original's.
+    remapped = schedule.remap_nodes({1: 0, 2: 1})
+    assert remapped.crashes == (NodeCrash(node_id=0, at=1.0),)
+    assert remapped.degradations == (
+        NicDegradation(node_id=1, start=0.0, end=1.0, multiplier=0.5),
+        NicDegradation(node_id=0, start=1.0, end=2.0, multiplier=0.25),
+    )
+    assert [f.node_id for f in remapped.flaps] == [0, 1]
+    assert remapped.losses == (
+        MessageLoss(probability=0.2, node_id=0),
+        MessageLoss(probability=0.1),
+    )
+    assert remapped.stragglers == schedule.stragglers
+    assert remapped.rate_multiplier(0, 1.5) == 0.25
+    assert remapped.rate_multiplier(1, 0.5) == 0.5
+    assert schedule.rate_multiplier(1, 1.5) == 0.25  # the original is untouched
+    assert remapped.loss_probability(0, 5, 0.5) == 1.0  # old node 1 flaps
+    assert remapped.loss_probability(2, 5, 0.5) == pytest.approx(0.1)
+
+
 def test_schedule_json_roundtrip():
     schedule = FaultSchedule([
         NodeCrash(node_id=1, at=0.25),

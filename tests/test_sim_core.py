@@ -1,9 +1,15 @@
 """Unit tests for the discrete-event kernel (repro.sim.core)."""
 
+import gc
+
 import pytest
 
+from repro.cluster import Cluster
+from repro.cluster.cluster import tx1_cluster_spec
 from repro.errors import SimulationError
+from repro.mpi import RetryPolicy
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
+from repro.workloads import make_workload
 
 
 def test_time_starts_at_zero():
@@ -596,3 +602,91 @@ def test_non_event_yield_fails_process_even_if_generator_catches():
     assert not proc.ok
     assert closed == [0.0]
 
+
+
+# -- conditions detach from the components they stop waiting on ----------------
+
+
+class _Boom(Exception):
+    pass
+
+
+def _waiting_conditions(event):
+    """The conditions whose ``_check`` is still on *event*'s callbacks."""
+    return [cb.__self__ for cb in event.callbacks
+            if isinstance(getattr(cb, "__self__", None), (AnyOf, AllOf))]
+
+
+def test_anyof_detaches_from_its_pending_timeout():
+    env = Environment()
+    message = env.event()
+    timer = env.timeout(5.0)
+    cond = AnyOf(env, [message, timer])
+    message.succeed("payload")
+    assert env.run(until=cond) == {message: "payload"}
+    assert _waiting_conditions(timer) == []
+    # The stale timer still pops on schedule, with nothing left to call.
+    env.run()
+    assert timer.processed and env.now == 5.0
+
+
+def test_failed_allof_detaches_from_pending_components():
+    env = Environment()
+    failing = env.event()
+    pending = env.timeout(5.0)
+    cond = AllOf(env, [failing, pending])
+    failing.fail(_Boom("down"))
+    with pytest.raises(_Boom):
+        env.run(until=cond)
+    assert _waiting_conditions(pending) == []
+
+
+def test_condition_decided_in_init_attaches_to_nothing_pending():
+    env = Environment()
+    before = env.timeout(5.0)
+    done = env.event()
+    done.succeed("x")
+    env.run(until=done)
+    after = env.event()
+    cond = AnyOf(env, [before, done, after])
+    assert cond.triggered
+    # Attached before the decision, then detached; never attached after it.
+    assert _waiting_conditions(before) == []
+    assert after.callbacks == []
+    assert env.run(until=cond) == {done: "x"}
+
+
+def test_failure_after_detach_still_surfaces_from_run():
+    env = Environment()
+    timer = env.timeout(1.0)
+    late = env.event()
+    cond = AnyOf(env, [timer, late])
+    env.run(until=cond)
+    assert late.callbacks == []
+    late.fail(_Boom("nobody listens"))
+    with pytest.raises(_Boom, match="nobody listens"):
+        env.run()
+
+
+def test_timed_receives_leave_no_condition_for_the_collector():
+    """A retry-policy job times every receive; none of its conditions may
+    outlive the receive in a reference cycle only the collector breaks."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cluster = Cluster(tx1_cluster_spec(2, "10G"))
+        result = make_workload("jacobi", n=512, iterations=5).run_on(
+            cluster, retry=RetryPolicy(timeout=1.0)
+        )
+        assert result.elapsed_seconds > 0 and not result.failures
+        del cluster, result
+        gc.collect()
+        stranded = sum(isinstance(obj, AnyOf) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert stranded == 0
