@@ -5,9 +5,12 @@ DESIGN.md); `repro.bench.runner` the shared measurement machinery;
 `repro.bench.calibration` the descriptive configuration tables (I, V, VII)
 with provenance notes; `repro.bench.tables` the text formatting used by the
 ``benchmarks/`` modules to print paper-style rows.
+
+Only the runner is imported with the package: the experiments load
+``scipy.optimize`` for the USL fit, which no single run needs.  The other
+modules import on first use (``from repro.bench import experiments``).
 """
 
 from repro.bench.runner import ExperimentRun, run_workload
-from repro.bench import calibration, experiments, tables
 
-__all__ = ["ExperimentRun", "calibration", "experiments", "run_workload", "tables"]
+__all__ = ["ExperimentRun", "run_workload"]

@@ -37,7 +37,7 @@ from repro.replay import (
     network_from_nic,
     replay,
 )
-from repro.scalability import ScalingFit, fit_usl
+from repro.scalability.extrapolate import ScalingFit, fit_usl
 from repro.units import to_gbit_s, to_gbyte_s, to_gflops, to_ms
 from repro.workloads import GPGPU_NAMES, NPB_NAMES
 

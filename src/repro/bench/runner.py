@@ -26,6 +26,7 @@ round trip exactly, so a warm-started run is bit-identical to a cold one.
 
 from __future__ import annotations
 
+import copy
 import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -134,13 +135,16 @@ def _snapshot(spec: RunSpec, run: ExperimentRun) -> ExperimentRun:
     The cluster is rebuilt fresh from the spec (consumers read only its
     ``spec``/``node_count``/hardware description; per-run state such as
     wire totals lives in the result), so a caller crashing nodes cannot
-    corrupt other cache consumers.  The trace is immutable and shared.
+    corrupt other cache consumers.  The trace is immutable and its records
+    are shared; the snapshot gets its own shallow copy, so an op table a
+    caller builds (:meth:`Trace.op_table`) is freed with the snapshot
+    instead of staying in the memory tier.
     """
     return ExperimentRun(
         workload=run.workload,
         cluster=build_cluster(spec),
         result=_copy_result(run.result),
-        trace=run.trace,
+        trace=copy.copy(run.trace),
         rank_to_node=list(run.rank_to_node),
     )
 

@@ -252,6 +252,22 @@ def build_workload(name: str, kwargs: dict[str, Any]):
         ) from exc
 
 
+@functools.cache
+def _default_ranks_per_node(
+    name: str, resolved: tuple[tuple[str, Any], ...], exact: str
+) -> int:
+    """The ranks per node workload *name* runs by default with *resolved*.
+
+    Building the workload from its canonical kwargs (as every run builds
+    it) is what validates them, so each distinct workload is built once
+    per process.  *exact* is ``repr(resolved)``: it only keys the cache,
+    keeping ``2`` apart from ``2.0`` and ``True`` from ``1``, which compare
+    equal.  A build that raises is not cached, so invalid kwargs raise on
+    every call.
+    """
+    return build_workload(name, dict(resolved)).default_ranks_per_node
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """The canonical, hashable description of one measurement run."""
@@ -313,7 +329,7 @@ class RunSpec:
                 f"got {ranks_per_node!r}"
             )
         resolved = _resolve_workload_kwargs(name, workload_kwargs)
-        workload = build_workload(name, workload_kwargs)
+        default_rpn = _default_ranks_per_node(name, resolved, repr(resolved))
         if system == "thunderx":
             # The Cavium box is one server: `nodes` never reaches the
             # cluster builder, and the switch is fixed at 10 GbE.  Pinning
@@ -324,7 +340,7 @@ class RunSpec:
         else:
             if system == "gtx980":
                 network = "10G"  # the discrete-GPU hosts are always 10 GbE
-            rpn = ranks_per_node or workload.default_ranks_per_node
+            rpn = ranks_per_node or default_rpn
         return cls(
             name=name,
             nodes=nodes,

@@ -249,7 +249,25 @@ class Trace:
         order.  Overlapped bursts (e.g. hpl look-ahead) are not useful
         states and are left out: the sequential replay would wrongly
         serialize them.
+
+        The table is built on first use and kept with the trace, so every
+        replay of one trace shares it; its arrays are read-only, and it is
+        left out of the trace's pickle (a receiver rebuilds it on demand).
         """
+        table = self.__dict__.get("_op_table")
+        if table is None:
+            table = self._build_op_table()
+            for column in table:
+                column.flags.writeable = False
+            object.__setattr__(self, "_op_table", table)
+        return table
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_op_table", None)
+        return state
+
+    def _build_op_table(self) -> OpTable:
         s_rank, s_name, s_start, s_end = self.states.columns
         c_src, c_dst, c_nbytes, c_start, c_end, c_tag = map(np.asarray, self.comms.columns)
         r_rank, r_src, r_nbytes, r_start, r_end, r_tag = map(np.asarray, self.recvs.columns)

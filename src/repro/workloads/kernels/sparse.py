@@ -1,15 +1,25 @@
-"""Conjugate gradient on a sparse SPD system (NPB CG / tealeaf's solver)."""
+"""Conjugate gradient on a sparse SPD system (NPB CG / tealeaf's solver).
+
+scipy is imported where a matrix is built, not with the module: the
+workload models import this package, and a simulation never calls it.
+"""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def poisson_matrix_2d(n: int) -> sp.csr_matrix:
     """The 5-point Laplacian on an n×n grid (SPD test matrix)."""
+    import scipy.sparse as sp
+
     if n < 2:
         raise ConfigurationError("grid must be at least 2x2")
     main = 4.0 * np.ones(n * n)

@@ -247,6 +247,16 @@ def test_cached_runs_do_not_share_mutable_state():
     assert second.rank_to_node == [0, 1]
 
 
+def test_op_tables_built_on_snapshots_stay_out_of_the_memory_tier():
+    first = run_workload("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
+    first.trace.op_table()
+    second = run_workload("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
+    assert second.trace.states is first.trace.states
+    assert "_op_table" not in vars(second.trace)
+    assert not [run for run in runner._cache.values()
+                if run.trace is not None and "_op_table" in vars(run.trace)]
+
+
 def test_cached_runs_get_fresh_clusters():
     first = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     second = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
@@ -704,6 +714,33 @@ def test_normalize_walks_constructor_signatures_once_per_class(monkeypatch):
     assert all(spec == first and spec.digest == first.digest for spec in again)
 
 
+def test_normalize_builds_each_distinct_workload_once(monkeypatch):
+    from repro.campaign import spec as spec_module
+
+    built = []
+    build = spec_module.build_workload
+
+    def counting(name, kwargs):
+        built.append(name)
+        return build(name, kwargs)
+
+    spec_module._default_ranks_per_node.cache_clear()
+    monkeypatch.setattr(spec_module, "build_workload", counting)
+    first = RunSpec.normalize("googlenet", nodes=2)
+    again = RunSpec.normalize("googlenet", nodes=2)
+    assert built == ["googlenet"] and again == first
+    # hpl's default ranks per node depend on its mode, which is in the key.
+    gpu = RunSpec.normalize("hpl", nodes=2)
+    cpu = RunSpec.normalize("hpl", nodes=2, mode="cpu")
+    assert built == ["googlenet", "hpl", "hpl"]
+    assert gpu.ranks_per_node != cpu.ranks_per_node
+    # A failed build is never remembered: every call raises.
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="images/batch must be positive"):
+            RunSpec.normalize("googlenet", nodes=2, batch_size=0)
+    assert built == ["googlenet", "hpl", "hpl", "googlenet", "googlenet"]
+
+
 # -- parallel prefetch ----------------------------------------------------------
 
 
@@ -807,6 +844,25 @@ def test_prefetch_runs_then_in_the_workers_as_on_one_cpu(monkeypatch):
     assert values == {spec: value for spec, (_, value) in serial.items()}
     replayed = [spec for spec, value in values.items() if value is not None]
     assert [(spec.nodes, spec.network) for spec in replayed] == [(2, "10G"), (4, "10G")]
+
+
+def test_what_if_sorts_each_trace_once(monkeypatch):
+    import numpy as np
+
+    from repro.bench.experiments import _what_if
+
+    spec = RunSpec.normalize("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
+    run = run_spec(spec, use_cache=False)
+    sorts = []
+    lexsort = np.lexsort
+
+    def counting(keys, *args, **kwargs):
+        sorts.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    assert _what_if(spec, run) is not None  # three replays
+    assert sorts == [3]
 
 
 def _refuse_two_nodes(spec, run):

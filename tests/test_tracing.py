@@ -5,6 +5,7 @@ import gc
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import run_workload
@@ -147,6 +148,23 @@ def test_records_pickle_round_trip_keeps_read_only_columns():
     assert clone.op_table().bounds.tolist() == trace.op_table().bounds.tolist()
     with pytest.raises(TypeError):
         clone.states.columns[2][0] = 5.0
+
+
+def test_op_table_is_built_once_read_only_and_not_pickled():
+    trace = run_workload("jacobi", nodes=2, traced=True, use_cache=False).trace
+    unbuilt = pickle.dumps(trace)
+    table = trace.op_table()
+    assert trace.op_table() is table
+    for column in table:
+        assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        table.seconds[0] = 1.0
+    # The pickle carries the records only; the receiver rebuilds the table.
+    assert pickle.dumps(trace) == unbuilt
+    clone = pickle.loads(unbuilt)
+    assert "_op_table" not in vars(clone)
+    for built, rebuilt in zip(table, clone.op_table()):
+        assert np.array_equal(built, rebuilt)
 
 
 def test_traced_run_holds_no_per_event_gc_objects():
