@@ -2,14 +2,14 @@
 """Insight tour: capture a run, walk its critical path, place it on the
 roofline, and render the full report.
 
-Runs the cloverleaf benchmark instrumented (telemetry sink + tracer),
-then drives the four repro.insight pillars one by one: op extraction and
-critical-path attribution, automatic roofline placement from measured
-instruments, the op-stream-vs-replay LB·Ser·Trf cross-check, and finally
-the assembled report in all three formats.  The rank-level analyses read
-the run's trace; only the roofline placement reads the sink.  Everything
-printed is deterministic — rerunning this script yields byte-identical
-output.
+Runs the cloverleaf benchmark traced, then drives the four repro.insight
+pillars one by one: op extraction and critical-path attribution, roofline
+placement from the run record's totals, the op-stream-vs-replay
+LB·Ser·Trf cross-check, and finally the assembled report in all three
+formats.  The rank-level analyses read the run's trace; the roofline
+placement reads its JobResult.  No telemetry sink is attached, so the
+report at the end is served from the run cache.  Everything printed is
+deterministic — rerunning this script yields byte-identical output.
 
 Run:  python examples/insight_tour.py
 """
@@ -21,23 +21,21 @@ from repro.insight import (
     build_report,
     critical_path,
     cross_check,
+    completion_totals,
     extract_ops,
-    intensities_from_telemetry,
     render_markdown,
     render_text,
 )
-from repro.telemetry import Telemetry
 
 
 def main() -> None:
-    # 1. Capture: one sink + tracer records the whole run.  Telemetry runs
-    #    bypass the memoization cache (the sink accumulates one timeline).
-    telemetry = Telemetry(sample_interval=0.0)
-    run = run_workload("cloverleaf", nodes=4, network="10G",
-                       traced=True, use_cache=False, telemetry=telemetry)
+    # 1. Capture: a traced run keeps every rank's states and messages in
+    #    its trace and every kernel and copy in its JobResult.
+    run = run_workload("cloverleaf", nodes=4, network="10G", traced=True)
+    kernels = sum(len(p.kernels) for p in run.result.gpu_profilers)
     print(f"[capture] cloverleaf on 4 TX1 nodes: "
           f"{run.result.elapsed_seconds:.4f} s simulated, "
-          f"{len(telemetry.spans)} spans recorded")
+          f"{kernels} kernels recorded")
 
     # 2. Ops + critical path: stitch per-rank leaf ops through the MPI
     #    message edges and walk back from the last-finishing rank.
@@ -53,10 +51,10 @@ def main() -> None:
             print(f"       {kind:<8} {seconds:8.4f} s "
                   f"({100.0 * path.fraction(kind):5.1f} %)")
 
-    # 3. Roofline placement: the run's totals read from measured instruments
-    #    (kernel spans, cuda_copy_bytes_total, fabric_bytes_total), placed
-    #    by the one placement function under the workload's precision roof.
-    placement = place(intensities_from_telemetry(telemetry), run.cluster,
+    # 3. Roofline placement: the run's totals folded from its kernel and
+    #    copy records in completion order, placed by the one placement
+    #    function under the workload's precision roof.
+    placement = place(completion_totals(run.result), run.cluster,
                       precision=run.workload.precision, name="cloverleaf")
     point = placement.point
     print(f"[roofline] OI={point.operational_intensity:.3f} F/B, "

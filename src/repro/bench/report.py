@@ -13,17 +13,19 @@ so a CI job (or the EXPERIMENTS.md author) can diff runs over time.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.bench import experiments as ex, tables
-from repro.core import render_roofline_ascii, render_table2
+from repro.core import render_roofline_ascii
 from repro.errors import ConfigurationError
 
 
 def _roofline_figure() -> dict[str, dict]:
     """Fig. 4's inputs: the per-NIC ceilings and the measured points."""
+    from repro.bench import experiments as ex
+
     return {"models": ex.roofline_models(), "points": ex.roofline_points()}
 
 
@@ -52,27 +54,50 @@ def _format_ceiling_migration(sweeps: dict[str, list]) -> str:
     return "\n".join(sections)
 
 
-_NETWORK_COMPARISON = (ex.network_comparison, tables.format_network_comparison)
+_NETWORK_COMPARISON = (
+    "bench.experiments.network_comparison",
+    "bench.tables.format_network_comparison",
+)
 
-#: experiment id -> (data function, text formatter)
-_REGISTRY: dict[str, tuple[Callable[[], Any], Callable[[Any], str]]] = {
+#: experiment id -> (data function, text formatter), each a dotted name
+#: under ``repro`` imported only when the id runs, so listing the ids
+#: loads none of the experiments (nor scipy).
+_REGISTRY: dict[str, tuple[str, str]] = {
     "fig1": _NETWORK_COMPARISON,
     "fig2": _NETWORK_COMPARISON,  # same table carries both columns
-    "fig3": (ex.traffic_characterization, tables.format_traffic),
-    "fig4": (_roofline_figure, _format_roofline_figure),
-    "fig5": (ex.gpgpu_scalability, tables.format_scalability),
-    "fig6": (ex.npb_scalability, tables.format_scalability),
-    "fig7": (ex.work_ratio_study, tables.format_work_ratio),
-    "fig8": (ex.pls_study, tables.format_pls),
-    "fig9": (ex.discrete_gpu_comparison, tables.format_discrete_gpu),
-    "fig10": (ex.ai_balance_study, tables.format_ai_balance),
-    "table2": (ex.roofline_points, render_table2),
-    "table3": (ex.memory_model_study, tables.format_memory_models),
-    "table4": (ex.collocation_study, tables.format_collocation),
-    "table6": (ex.cavium_comparison, tables.format_cavium),
-    "microbench": (ex.network_microbench, tables.format_microbench),
-    "roofline2": (_ceiling_migration, _format_ceiling_migration),
+    "fig3": ("bench.experiments.traffic_characterization",
+             "bench.tables.format_traffic"),
+    "fig4": ("bench.report._roofline_figure",
+             "bench.report._format_roofline_figure"),
+    "fig5": ("bench.experiments.gpgpu_scalability",
+             "bench.tables.format_scalability"),
+    "fig6": ("bench.experiments.npb_scalability",
+             "bench.tables.format_scalability"),
+    "fig7": ("bench.experiments.work_ratio_study",
+             "bench.tables.format_work_ratio"),
+    "fig8": ("bench.experiments.pls_study", "bench.tables.format_pls"),
+    "fig9": ("bench.experiments.discrete_gpu_comparison",
+             "bench.tables.format_discrete_gpu"),
+    "fig10": ("bench.experiments.ai_balance_study",
+              "bench.tables.format_ai_balance"),
+    "table2": ("bench.experiments.roofline_points", "core.render_table2"),
+    "table3": ("bench.experiments.memory_model_study",
+               "bench.tables.format_memory_models"),
+    "table4": ("bench.experiments.collocation_study",
+               "bench.tables.format_collocation"),
+    "table6": ("bench.experiments.cavium_comparison",
+               "bench.tables.format_cavium"),
+    "microbench": ("bench.experiments.network_microbench",
+                   "bench.tables.format_microbench"),
+    "roofline2": ("bench.report._ceiling_migration",
+                  "bench.report._format_ceiling_migration"),
 }
+
+
+def _resolve(name: str) -> Callable[..., Any]:
+    """The function a registry entry names, importing its module."""
+    module, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(f"repro.{module}"), attr)
 
 
 def available_experiments() -> tuple[str, ...]:
@@ -94,7 +119,7 @@ def check_experiment_ids(names: Sequence[str]) -> tuple[str, ...]:
 def run_experiment(name: str) -> tuple[Any, str]:
     """(data, text block) of the registered experiment *name*."""
     check_experiment_ids((name,))
-    data_fn, formatter = _REGISTRY[name]
+    data_fn, formatter = map(_resolve, _REGISTRY[name])
     data = data_fn()
     return data, formatter(data)
 

@@ -13,7 +13,7 @@ Commands
     names them all) and print their text blocks; ``--outdir DIR`` writes
     them as results.json + REPORT.md artifacts instead.
 ``report``
-    Run one workload instrumented and print the bottleneck report —
+    Run one workload traced and print the bottleneck report —
     critical path, roofline placement, LB·Ser·Trf cross-check — as text,
     JSON, or Markdown (see ``docs/TELEMETRY.md``).
 ``bench``

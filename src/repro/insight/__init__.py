@@ -5,10 +5,11 @@ a run's :class:`~repro.tracing.Trace`: where the wall time went (critical
 path over the per-rank op streams, stitched through FIFO-matched message
 edges), and how the η = LB · Ser · Trf factors derived directly from those
 ops compare with the replay engine's (cross-check).  Where the run sits
-under the roofline is :func:`repro.core.place`'s answer; reports read the
-run's totals from a :class:`~repro.telemetry.Telemetry` sink's measured
-instruments.  On top sits the benchmark-regression baseline: a committed
-JSON of headline numbers plus a ``--check`` that fails CI on drift.
+under the roofline is :func:`repro.core.place`'s answer; reports fold the
+run's totals from its :class:`~repro.cluster.job.JobResult` in completion
+order (:func:`completion_totals`).  On top sits the benchmark-regression
+baseline: a committed JSON of headline numbers plus a ``--check`` that
+fails CI on drift.
 """
 
 from repro.insight.baseline import (
@@ -60,7 +61,7 @@ from repro.insight.ridgeline import (
     ridgeline_from_run,
     ridgeline_to_dict,
 )
-from repro.insight.roofline import intensities_from_telemetry
+from repro.insight.roofline import completion_totals
 
 __all__ = [
     "BASELINE_SCHEMA",
@@ -85,6 +86,7 @@ __all__ = [
     "ceiling_migration_sweep",
     "collect_baseline",
     "compare_baseline",
+    "completion_totals",
     "critical_path",
     "critical_path_of_streams",
     "cross_check",
@@ -95,7 +97,6 @@ __all__ = [
     "format_migration_sweep",
     "format_ridgeline",
     "format_ridgeline_markdown",
-    "intensities_from_telemetry",
     "load_baseline",
     "match_messages",
     "render_json",

@@ -26,7 +26,7 @@ from typing import Any
 from repro.core import place
 from repro.errors import ConfigurationError
 from repro.insight.decompose import cross_check
-from repro.insight.roofline import intensities_from_telemetry
+from repro.insight.roofline import completion_totals
 from repro.telemetry.sink import Telemetry
 
 #: Schema version stamped into every baseline file.
@@ -102,7 +102,7 @@ def collect_baseline(
         row["transfer"] = check.replay.transfer
         if name in GPGPU_NAMES:
             point = place(
-                intensities_from_telemetry(telemetry), run.cluster,
+                completion_totals(result), run.cluster,
                 precision=run.workload.precision, name=name,
             ).point
             row["limit"] = point.limit.value

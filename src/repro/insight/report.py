@@ -1,9 +1,9 @@
 """The per-workload performance report: text, JSON, and Markdown.
 
-``python -m repro report <workload>`` runs the workload once traced (plus a
-telemetry sink for GPGPU workloads, whose run totals are read from measured
-instruments), then folds the three analyses — critical path, roofline
-placement, LB · Ser · Trf decomposition — into one deterministic report.
+``python -m repro report <workload>`` runs the workload once traced (a
+memory-tier hit when it already ran), then folds the three analyses —
+critical path, roofline placement, LB · Ser · Trf decomposition — into one
+deterministic report.
 Identical runs render byte-identical output in all three formats (fixed
 float formatting, sorted keys, no wall-clock or host fields), so reports
 can be diffed across builds.
@@ -26,9 +26,8 @@ from repro.insight.ridgeline import (
     ridgeline_from_run,
     ridgeline_to_dict,
 )
-from repro.insight.roofline import intensities_from_telemetry
+from repro.insight.roofline import completion_totals
 from repro.scalability import parallel_efficiency
-from repro.telemetry.sink import Telemetry
 from repro.units import to_gbyte_s, to_gflops
 
 #: Roofline view selector for ``build_report`` / ``repro report --roofline``.
@@ -63,7 +62,7 @@ def build_report(
     system: str = "tx1",
     roofline: str = "flat",
 ) -> InsightReport:
-    """Run *workload* instrumented and assemble its report.
+    """Run *workload* traced and assemble its report.
 
     ``roofline`` widens the roofline section: ``"flat"`` keeps the single
     DRAM + network placement, ``"hier"`` adds the per-level hierarchy and
@@ -83,13 +82,8 @@ def build_report(
             f"unknown roofline mode {roofline!r}; choose from "
             f"{', '.join(ROOFLINE_MODES)}"
         )
-    # Only roofline placement reads the sink, so CPU-only workloads run
-    # without one and are served from the run cache.
-    gpgpu = workload in GPGPU_NAMES
-    telemetry = Telemetry(sample_interval=0.0) if gpgpu else None
     run = run_workload(
-        workload, nodes=nodes, network=network, system=system,
-        traced=True, telemetry=telemetry,
+        workload, nodes=nodes, network=network, system=system, traced=True,
     )
     streams = extract_ops(run.trace)
     efficiency = EfficiencyCrossCheck(
@@ -98,9 +92,9 @@ def build_report(
     )
     placement = None
     ridgeline = None
-    if gpgpu:
+    if workload in GPGPU_NAMES:
         placement = place(
-            intensities_from_telemetry(telemetry), run.cluster,
+            completion_totals(run.result), run.cluster,
             precision=run.workload.precision, name=workload,
         )
         if roofline == "2d":

@@ -1,89 +1,87 @@
-"""Run totals read from a telemetry sink.
+"""Run totals folded from the run record in completion order.
 
 A run is placed by :func:`repro.core.model_io.place` from one
-:class:`~repro.core.model_io.RunTotals` record.  Most callers read that
-record from the :class:`~repro.cluster.job.JobResult`
-(:meth:`RunTotals.of <repro.core.model_io.RunTotals.of>`); reports and
-the ``repro bench`` baseline still read it from what a telemetry sink
-measured — CUDA kernel spans carry their FLOP, DRAM- and L2-byte costs,
-``cuda_copy_bytes_total`` the host<->device staging traffic,
-``fabric_bytes_total`` the wire bytes, and ``job_elapsed_seconds`` the
-runtime.  The two sources agree up to float association (the test suite
-checks it).
+:class:`~repro.core.model_io.RunTotals` record.  Fig. 4, Table II and
+campaign rows read it with :meth:`RunTotals.of
+<repro.core.model_io.RunTotals.of>`, which sums each node's profiler in
+turn.  Reports and the ``repro bench`` baseline read it with
+:func:`completion_totals`, which folds the same
+:class:`~repro.cuda.events.Profiler` records in the order the run
+completed them: the order in which an attached telemetry sink closes
+their spans and counts their copy bytes.  The two folds agree up to float
+association; this one reproduces the sink's totals bit for bit, so the
+report bytes do not depend on whether a sink was attached (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-import re
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core import RunTotals
 from repro.errors import AnalysisError
-from repro.telemetry.sink import Telemetry
 
-_KERNEL_NAME = re.compile(r"^kernel:")
+if TYPE_CHECKING:
+    from repro.cluster.job import JobResult
+    from repro.cuda.events import CopyRecord, KernelRecord
 
 
-def intensities_from_telemetry(telemetry: Telemetry) -> RunTotals:
-    """The totals of a run recorded with *telemetry* attached.
+def _completion_order(
+    per_node: Iterable[Sequence[KernelRecord | CopyRecord]],
+) -> list[KernelRecord | CopyRecord]:
+    """Every node's records merged by ``(end, start, node, per-node index)``."""
+    keyed = sorted(
+        (record.end, record.start, node, index, record)
+        for node, records in enumerate(per_node)
+        for index, record in enumerate(records)
+    )
+    return [row[-1] for row in keyed]
 
-    GPU FLOPs and kernel DRAM/L2 traffic come from the CUDA kernel spans;
-    staging traffic from the ``cuda_copy_bytes_total`` counter; wire bytes
-    from ``fabric_bytes_total``; runtime from the ``job_elapsed_seconds``
-    gauge.
+
+def completion_totals(result: JobResult) -> RunTotals:
+    """The totals of *result*, folded left to right in completion order.
+
+    FLOPs and kernel DRAM/L2 bytes are summed over the kernels; the
+    host<->device staging bytes are summed per copy kind, kinds in
+    first-seen order, and added to the kernel DRAM bytes as one term.
+    Wire bytes and runtime are the record's own.
     """
-    flops = 0.0
-    kernel_dram = 0.0
-    kernel_l2 = 0.0
-    kernels = 0
-    for span in telemetry.spans:
-        if span.category == "cuda" and _KERNEL_NAME.match(span.name):
-            flops += float(span.args.get("flops", 0.0))
-            kernel_dram += float(span.args.get("dram_bytes", 0.0))
-            kernel_l2 += float(span.args.get("l2_bytes", 0.0))
-            kernels += 1
-    if kernels == 0 or flops <= 0:
+    profilers = result.gpu_profilers
+    kernels = _completion_order(p.kernels for p in profilers)
+    flops = kernel_dram = kernel_l2 = 0.0
+    for kernel in kernels:
+        flops += kernel.flops
+        kernel_dram += kernel.dram_bytes
+        kernel_l2 += kernel.l2_bytes
+    if not kernels or flops <= 0:
         raise AnalysisError(
-            "no CUDA kernel spans in the sink: roofline placement needs a "
-            "GPGPU workload recorded with telemetry attached"
+            "no GPU kernels in the run record (JobResult.gpu_profilers): "
+            "roofline placement needs a GPGPU workload"
         )
-    dram_bytes = kernel_dram + _counter_total(telemetry, "cuda_copy_bytes_total")
+    copy_bytes: dict[str, float] = {}
+    for copy in _completion_order(p.copies for p in profilers):
+        copy_bytes[copy.kind] = copy_bytes.get(copy.kind, 0.0) + copy.nbytes
+    dram_bytes = kernel_dram + sum(copy_bytes.values())
     if dram_bytes <= 0:
         raise AnalysisError(
-            "no DRAM traffic measured (kernel spans and "
-            "cuda_copy_bytes_total recorded zero bytes): operational "
-            "intensity is undefined"
+            "no DRAM traffic in the run record (kernel dram_bytes and copy "
+            "nbytes sum to zero): operational intensity is undefined"
         )
-    network_bytes = _counter_total(telemetry, "fabric_bytes_total")
-    if network_bytes <= 0:
+    if result.network_bytes <= 0:
         raise AnalysisError(
-            "no network traffic measured (fabric_bytes_total recorded "
-            "zero bytes): network intensity is undefined"
+            "no network traffic in the run record (JobResult.network_bytes "
+            "is zero): network intensity is undefined"
         )
-    elapsed = _gauge_value(telemetry, "job_elapsed_seconds")
-    if elapsed <= 0:
+    if result.elapsed_seconds <= 0:
         raise AnalysisError(
-            "job_elapsed_seconds gauge missing or zero: the sink must "
-            "observe a full job run"
+            "JobResult.elapsed_seconds is zero: the record must cover a "
+            "full job run"
         )
     return RunTotals(
         flops=flops,
         dram_bytes=dram_bytes,
         # Copies reach DRAM through the DMA path, not the GPU L2, so the
-        # L2-level counter is kernel traffic only.
+        # L2-level total is kernel traffic only.
         l2_bytes=kernel_l2,
-        network_bytes=network_bytes,
-        elapsed_seconds=elapsed,
+        network_bytes=result.network_bytes,
+        elapsed_seconds=result.elapsed_seconds,
     )
-
-
-def _counter_total(telemetry: Telemetry, name: str) -> float:
-    if name not in telemetry.registry:
-        return 0.0
-    return sum(value for _, value in telemetry.registry.get(name).series())
-
-
-def _gauge_value(telemetry: Telemetry, name: str) -> float:
-    if name not in telemetry.registry:
-        return 0.0
-    values = [value for _, value in telemetry.registry.get(name).series()]
-    return values[-1] if values else 0.0

@@ -24,6 +24,12 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 def _loaded_scipy(code: str) -> list[str]:
     """The scipy modules a fresh interpreter holds after running *code*."""
+    return json.loads(_fresh_stdout(code)[-1])
+
+
+def _fresh_stdout(code: str) -> list[str]:
+    """The stdout lines of *code* in a fresh interpreter, ending with the
+    JSON list of the scipy modules it holds."""
     probe = (
         f"{code}\n"
         "import json, sys\n"
@@ -39,7 +45,7 @@ def _loaded_scipy(code: str) -> list[str]:
         check=False,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()
 
 
 @pytest.mark.parametrize("module", [
@@ -68,6 +74,14 @@ def test_an_insight_report_loads_no_scipy():
         "build_report('jacobi', nodes=2)"
     )
     assert _loaded_scipy(code) == []
+
+
+def test_listing_the_experiments_loads_no_scipy():
+    from repro.bench.report import available_experiments
+
+    lines = _fresh_stdout("from repro.cli import main\nassert main(['list']) == 0")
+    assert json.loads(lines[-1]) == []
+    assert "experiments      : " + " ".join(available_experiments()) in lines
 
 
 def test_the_experiments_load_scipy_for_the_usl_fit():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.bench.runner import cache_stats, run_workload
 from repro.cli import main
-from repro.core import measure_roofline_point, place
+from repro.core import RunTotals, measure_roofline_point, place
 from repro.errors import AnalysisError, ConfigurationError
 from repro.insight import (
     BASELINE_WORKLOADS,
@@ -24,6 +25,7 @@ from repro.insight import (
     build_report,
     collect_baseline,
     compare_baseline,
+    completion_totals,
     critical_path,
     critical_path_of_streams,
     cross_check,
@@ -31,7 +33,6 @@ from repro.insight import (
     decompose_streams,
     extract_ops,
     format_drift_report,
-    intensities_from_telemetry,
     load_baseline,
     match_messages,
     render_json,
@@ -497,8 +498,8 @@ def test_columnar_streams_match_record_reference_on_real_traces(name):
 
 
 def test_intensities_match_job_result(clover):
-    run, telemetry = clover
-    measured = intensities_from_telemetry(telemetry)
+    run, _ = clover
+    measured = completion_totals(run.result)
     assert measured.flops == pytest.approx(run.result.gpu_flops, rel=1e-12)
     assert measured.dram_bytes == pytest.approx(run.result.gpu_dram_bytes, rel=1e-12)
     assert measured.network_bytes == pytest.approx(run.result.network_bytes, rel=1e-12)
@@ -506,18 +507,66 @@ def test_intensities_match_job_result(clover):
 
 
 def test_intensities_require_gpu_kernels(cg):
-    _, telemetry = cg
+    run, _ = cg
     with pytest.raises(AnalysisError):
-        intensities_from_telemetry(telemetry)
+        completion_totals(run.result)
+
+
+def _sink_totals(telemetry: Telemetry) -> RunTotals:
+    """What a sink measured: kernel spans in the order they closed, the
+    per-kind staging byte counter, the wire byte counter and the runtime
+    gauge."""
+    flops = kernel_dram = kernel_l2 = 0.0
+    for span in telemetry.spans:
+        if span.category == "cuda" and span.name.startswith("kernel:"):
+            flops += span.args["flops"]
+            kernel_dram += span.args["dram_bytes"]
+            kernel_l2 += span.args["l2_bytes"]
+    registry = telemetry.registry
+    copy_bytes = sum(v for _, v in registry.get("cuda_copy_bytes_total").series())
+    (_, elapsed), = registry.get("job_elapsed_seconds").series()
+    return RunTotals(
+        flops=flops,
+        dram_bytes=kernel_dram + copy_bytes,
+        l2_bytes=kernel_l2,
+        network_bytes=registry.get("fabric_bytes_total").value(),
+        elapsed_seconds=elapsed,
+    )
+
+
+_SINK_ORACLE_RUNS = [
+    pytest.param(name, nodes, network, "tx1", {}, id=f"{name}-{nodes}-{network}")
+    for name in GPGPU_NAMES for nodes in (2, 4) for network in ("1G", "10G")
+] + [
+    pytest.param("jacobi", 4, "10G", "tx1", {"memory_model": model},
+                 id=f"jacobi-4-10G-{model}")
+    for model in ("zero-copy", "unified")
+] + [
+    pytest.param(name, 4, "10G", "gtx980", {}, id=f"{name}-4-10G-gtx980")
+    for name in ("hpl", "jacobi", "cloverleaf")
+]
+
+
+@pytest.mark.parametrize(("name", "nodes", "network", "system", "kwargs"),
+                         _SINK_ORACLE_RUNS)
+def test_completion_totals_equal_the_sink(name, nodes, network, system, kwargs):
+    # The sink is only the oracle here: the fold over the run record must
+    # reproduce every total it measured bit for bit, so a report's bytes
+    # do not depend on whether a sink was attached.
+    telemetry = Telemetry(sample_interval=0.0)
+    run = run_workload(name, nodes=nodes, network=network, system=system,
+                       traced=True, use_cache=False, telemetry=telemetry,
+                       **kwargs)
+    assert completion_totals(run.result) == _sink_totals(telemetry)
 
 
 @pytest.mark.parametrize("name", ("hpl", "jacobi", "cloverleaf", "tealeaf2d",
                                   "tealeaf3d"))
 def test_placement_agrees_with_bench_roofline(name):
-    run, telemetry = _instrumented_run(name)
+    run, _ = _instrumented_run(name)
     precision = run.workload.precision
     placement = place(
-        intensities_from_telemetry(telemetry), run.cluster,
+        completion_totals(run.result), run.cluster,
         precision=precision, name=name,
     )
     reference = measure_roofline_point(
@@ -541,9 +590,9 @@ def test_placement_percent_of_roof_is_sane(name):
 
 
 def test_placement_headroom_above_one(clover):
-    run, telemetry = clover
+    run, _ = clover
     placement = place(
-        intensities_from_telemetry(telemetry), run.cluster,
+        completion_totals(run.result), run.cluster,
         precision=run.workload.precision,
     )
     assert placement.flat_headroom >= 1.0
@@ -810,6 +859,12 @@ def test_report_markdown_has_tables(clover_report):
     assert "**operational**" in markdown
 
 
+def test_committed_hpl_report_is_what_the_report_prints():
+    committed = Path(__file__).resolve().parent.parent / "docs/REPORT_HPL4.json"
+    body = committed.read_text(encoding="utf-8").split("\n", 2)[2]
+    assert body == render_json(build_report("hpl", nodes=4, roofline="2d"))
+
+
 def test_report_cpu_workload_skips_roofline():
     report = build_report("cg", nodes=2)
     assert report.placement is None
@@ -821,6 +876,20 @@ def test_report_cpu_workload_warm_starts_from_run_cache():
     hits = cache_stats()["memory_hits"]
     again = render_json(build_report("cg", nodes=2))
     assert cache_stats()["memory_hits"] > hits
+    assert again == first
+
+
+def test_gpgpu_report_builds_no_sink_and_warm_starts(monkeypatch):
+    def no_sink(self, *args, **kwargs):
+        raise AssertionError("a report built a telemetry sink")
+
+    monkeypatch.setattr(Telemetry, "__init__", no_sink)
+    first = render_json(build_report("jacobi", nodes=2, roofline="2d"))
+    before = cache_stats()
+    again = render_json(build_report("jacobi", nodes=2, roofline="2d"))
+    after = cache_stats()
+    assert after["memory_hits"] == before["memory_hits"] + 1
+    assert after["memory_misses"] == before["memory_misses"]
     assert again == first
 
 
@@ -848,13 +917,13 @@ def test_cli_report_unknown_workload_exits_2(capsys):
 
 
 def test_cli_report_single_node_analysis_error_exits_2(capsys):
-    # One node moves no fabric bytes, so the sink's network intensity is
+    # One node moves no fabric bytes, so the run's network intensity is
     # undefined: a one-line usage error, not a traceback.
     assert main(["report", "hpl", "--nodes", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "repro report: no network traffic measured (fabric_bytes_total "
-        "recorded zero bytes): network intensity is undefined"
+        "repro report: no network traffic in the run record "
+        "(JobResult.network_bytes is zero): network intensity is undefined"
     ]
 
 

@@ -7,7 +7,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench import experiments as ex
-from repro.bench.report import available_experiments, check_experiment_ids
+from repro.bench.report import (
+    _REGISTRY,
+    _resolve,
+    available_experiments,
+    check_experiment_ids,
+)
 from repro.cli import main
 from repro.errors import ConfigurationError
 
@@ -24,6 +29,13 @@ def test_available_experiments_cover_the_paper(capsys):
     listed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("experiments")]
     assert listed == ["experiments      : " + " ".join(names)]
+
+
+def test_every_registered_function_resolves():
+    # The registry names its functions, so a rename shows here, not
+    # only when that experiment runs.
+    for entry in _REGISTRY.values():
+        assert all(callable(_resolve(name)) for name in entry)
 
 
 def test_fig2_prints_the_fig1_table(monkeypatch, capsys):

@@ -32,21 +32,24 @@ from repro.core import (
     place,
     roofline_for_cluster,
 )
+from repro.cluster.job import JobResult
+from repro.cluster.metering import EnergyReport
+from repro.cuda.events import KernelRecord, Profiler
 from repro.errors import AnalysisError, ConfigurationError, CudaError
 from repro.hardware.catalog import TX1_CACHES, TX1_GPU, ghz
 from repro.hardware.gpu import GPUModel
 from repro.insight import (
     build_report,
     ceiling_migration_sweep,
+    completion_totals,
     format_migration_sweep,
     format_ridgeline,
     format_ridgeline_markdown,
-    intensities_from_telemetry,
     render_ridgeline_svg,
     ridgeline_from_run,
     ridgeline_to_dict,
 )
-from repro.telemetry import Telemetry, to_prometheus_text
+from repro.telemetry import to_prometheus_text
 from repro.workloads import GPGPU_NAMES
 
 # ---------------------------------------------------------------------------
@@ -227,32 +230,48 @@ def test_kernel_spec_rejects_negative_l2_bytes():
 
 
 # ---------------------------------------------------------------------------
-# Run totals: the sink's guards and silent axes
+# Run totals: the record's guards and silent axes
 # ---------------------------------------------------------------------------
 
 
-def _sink(dram_bytes=1.0, network_bytes=1.0):
-    """A hand-recorded sink: one kernel span plus the staging, wire and
-    runtime instruments :func:`intensities_from_telemetry` reads."""
-    telemetry = Telemetry(sample_interval=0.0)
-    telemetry.record_span(
-        "gpu0", "kernel:k", "cuda", 0.0, 1.0,
-        flops=1.0, dram_bytes=dram_bytes, l2_bytes=1.0,
+def _record(flops=1.0, dram_bytes=1.0, network_bytes=1.0, elapsed=1.0):
+    """A hand-built run record: one kernel on one node, no copies, and the
+    wire bytes and runtime :func:`completion_totals` reads."""
+    kernel = KernelRecord(
+        name="k", start=0.0, end=elapsed, flops=flops, dram_bytes=dram_bytes,
+        l2_utilization=0.0, l2_read_throughput=0.0, memory_stall_fraction=0.0,
+        l2_bytes=1.0,
     )
-    telemetry.counter("fabric_bytes_total").inc(network_bytes)
-    telemetry.gauge("job_elapsed_seconds").set(1.0)
-    return telemetry
+    return JobResult(
+        elapsed_seconds=elapsed,
+        energy=EnergyReport(elapsed, 0.0, 0.0, 0.0),
+        rank_values=[None],
+        counters=[],
+        comm_seconds=[0.0],
+        network_bytes=network_bytes,
+        gpu_dram_bytes=dram_bytes,
+        gpu_flops=flops,
+        cpu_flops=0.0,
+        gpu_profilers=[Profiler(kernels=[kernel] if flops else [])],
+    )
 
 
-def test_operational_intensity_guard_names_the_instruments():
-    assert intensities_from_telemetry(_sink()).operational_intensity == 1.0
-    with pytest.raises(AnalysisError, match="cuda_copy_bytes_total"):
-        intensities_from_telemetry(_sink(dram_bytes=0.0))
+def test_operational_intensity_guard_names_the_record_fields():
+    assert completion_totals(_record()).operational_intensity == 1.0
+    with pytest.raises(AnalysisError, match="kernel dram_bytes and copy nbytes"):
+        completion_totals(_record(dram_bytes=0.0))
 
 
-def test_network_intensity_guard_names_the_instrument():
-    with pytest.raises(AnalysisError, match="fabric_bytes_total"):
-        intensities_from_telemetry(_sink(network_bytes=0.0))
+def test_network_intensity_guard_names_the_record_field():
+    with pytest.raises(AnalysisError, match="JobResult.network_bytes"):
+        completion_totals(_record(network_bytes=0.0))
+
+
+def test_kernel_and_runtime_guards_name_the_record_fields():
+    with pytest.raises(AnalysisError, match="JobResult.gpu_profilers"):
+        completion_totals(_record(flops=0.0))
+    with pytest.raises(AnalysisError, match="JobResult.elapsed_seconds"):
+        completion_totals(_record(elapsed=0.0))
 
 
 def test_silent_axes_read_as_infinite_intensity():
@@ -275,27 +294,24 @@ def test_silent_axes_read_as_infinite_intensity():
 
 @pytest.mark.parametrize("workload", GPGPU_NAMES)
 def test_dram_point_agrees_exactly_with_flat_placement(workload):
-    telemetry = Telemetry(sample_interval=0.0)
-    run = run_workload(
-        workload, nodes=4, traced=True, use_cache=False, telemetry=telemetry,
-    )
+    run = run_workload(workload, nodes=4, traced=True)
     precision = run.workload.precision
-    from_sink = place(
-        intensities_from_telemetry(telemetry), run.cluster,
+    in_order = place(
+        completion_totals(run.result), run.cluster,
         precision=precision, name=workload,
     )
-    from_run = place(
+    per_node = place(
         RunTotals.of(run.result), run.cluster, precision=precision, name=workload,
     )
     # Both views share one set of roofs.
-    assert from_sink.point.model == from_sink.hier.flat()
-    assert from_sink.binding_level == from_run.binding_level
-    # The two totals sources agree up to float association.
+    assert in_order.point.model == in_order.hier.flat()
+    assert in_order.binding_level == per_node.binding_level
+    # The two folds agree up to float association.
     for field in ("flops", "dram_bytes", "l2_bytes", "elapsed_seconds"):
-        assert getattr(from_run.totals, field) == pytest.approx(
-            getattr(from_sink.totals, field), rel=1e-12
+        assert getattr(per_node.totals, field) == pytest.approx(
+            getattr(in_order.totals, field), rel=1e-12
         )
-    assert from_run.totals.network_bytes == from_sink.totals.network_bytes
+    assert per_node.totals.network_bytes == in_order.totals.network_bytes
 
 
 @pytest.fixture(scope="module")
