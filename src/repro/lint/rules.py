@@ -197,12 +197,12 @@ class DeterminismRule(Rule):
 
 #: Calls that mark a function as interacting with the discrete-event kernel.
 _SIM_MARKERS = {
-    "timeout", "process", "event", "all_of", "any_of",
+    "timeout", "process", "event", "all_of", "any_of", "first_of",
     "gpu_kernel", "cpu_compute", "transfer", "succeed", "interrupt",
 }
 #: Event constructors/factories whose result is dead if not yielded/stored.
-_EVENT_MAKERS = {"timeout", "event"}
-_EVENT_CLASSES = {"Timeout", "Event", "AllOf", "AnyOf"}
+_EVENT_MAKERS = {"timeout", "event", "first_of"}
+_EVENT_CLASSES = {"Timeout", "Event", "AllOf", "AnyOf", "FirstOf"}
 
 
 @register

@@ -369,21 +369,10 @@ class Communicator:
                 message = yield mailbox.get(filter=matches)
             else:
                 get_ev = mailbox.get(filter=matches)
-                yield env.any_of([get_ev, env.timeout(timeout)])
-                if not get_ev.triggered:
-                    mailbox.cancel(get_ev)
-                    if source != ANY_SOURCE and world.is_failed(source):
-                        raise RankFailedError(
-                            source,
-                            f"recv on rank {self.rank}: rank {source} died while "
-                            f"awaited (tag {tag})",
-                        )
-                    raise MPITimeoutError(
-                        f"recv on rank {self.rank} from "
-                        f"{'any source' if source == ANY_SOURCE else f'rank {source}'} "
-                        f"(tag {tag}) timed out after {timeout} s"
-                    )
-                message = get_ev.value
+                yield env.first_of(get_ev, timeout)
+                if not get_ev._triggered:
+                    raise self._expired(get_ev, source, tag, timeout)
+                message = get_ev._value
             if observed:
                 span.set(src=message.src, nbytes=message.nbytes)
         stats = world.stats[self.rank]
@@ -638,10 +627,14 @@ class Communicator:
     # -- helpers ----------------------------------------------------------------
 
     def _recv_message(self, tag: int):
-        """Receive and return the full Message (sender identity preserved)."""
+        """Receive and return the full Message (sender identity preserved).
+
+        Timed by the world's :class:`RetryPolicy`, like :meth:`recv` from
+        any source.
+        """
         world = self.world
         env = self.env
-        start = env.now
+        start = env._now  # see send()
         observed = world.telemetry.enabled  # see send()
         span = NULL_SPAN
         if observed:
@@ -649,21 +642,47 @@ class Communicator:
                 self._track, "mpi.recv", "mpi", source=ANY_SOURCE, tag=tag,
             )
         with span:
-            message = yield world._mailboxes[self.rank].get(
-                filter=lambda m: m.tag == tag
-            )
+            get_ev = world._mailboxes[self.rank].get(filter=lambda m: m.tag == tag)
+            if world.retry is None:
+                message = yield get_ev
+            else:
+                timeout = world.retry.timeout
+                yield env.first_of(get_ev, timeout)
+                if not get_ev._triggered:
+                    raise self._expired(get_ev, ANY_SOURCE, tag, timeout)
+                message = get_ev._value
             if observed:
                 span.set(src=message.src, nbytes=message.nbytes)
         stats = world.stats[self.rank]
         stats.bytes_received += message.nbytes
         stats.messages_received += 1
-        stats.comm_seconds += env.now - start
+        stats.comm_seconds += env._now - start
         world._record_delivery(message)
         if world.tracer is not None:
             world.tracer.record_recv(
-                self.rank, message.src, message.nbytes, start, env.now, message.tag
+                self.rank, message.src, message.nbytes, start, env._now, message.tag
             )
         return message
+
+    def _expired(self, get_ev, source: int, tag: int, timeout: float) -> MPIError:
+        """Withdraw a timed-out receive; the error it raises.
+
+        :class:`RankFailedError` when the awaited peer is known dead,
+        :class:`MPITimeoutError` otherwise.
+        """
+        world = self.world
+        world._mailboxes[self.rank].cancel(get_ev)
+        if source != ANY_SOURCE and world.is_failed(source):
+            return RankFailedError(
+                source,
+                f"recv on rank {self.rank}: rank {source} died while "
+                f"awaited (tag {tag})",
+            )
+        return MPITimeoutError(
+            f"recv on rank {self.rank} from "
+            f"{'any source' if source == ANY_SOURCE else f'rank {source}'} "
+            f"(tag {tag}) timed out after {timeout} s"
+        )
 
 
 def _default_sum(a: Any, b: Any) -> Any:

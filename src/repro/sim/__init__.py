@@ -3,8 +3,10 @@
 Every substrate in this reproduction — network links, DRAM channels, GPU
 engines, MPI ranks — is a generator-based :class:`Process` scheduled by an
 :class:`Environment`.  The kernel supports timeouts, one-shot events,
-``AllOf``/``AnyOf`` conditions, process interrupts, and the three classic
-shared-resource primitives (:class:`Resource`, :class:`Container`,
+``AllOf``/``AnyOf`` conditions, ``Environment.first_of`` timed waits
+(:class:`FirstOf`, timed by a per-delay deadline chain rather than a queued
+``Timeout``), process interrupts, and the three classic shared-resource
+primitives (:class:`Resource`, :class:`Container`,
 :class:`Store`).
 """
 
@@ -13,6 +15,7 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
+    FirstOf,
     Interrupt,
     Process,
     Timeout,
@@ -25,6 +28,7 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
+    "FirstOf",
     "Interrupt",
     "PriorityResource",
     "Process",

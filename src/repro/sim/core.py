@@ -10,11 +10,14 @@ small and fully under test:
   resumed with the event's value (or the event's exception is thrown into it).
 * :class:`Timeout` fires after a fixed delay.
 * :class:`AllOf` / :class:`AnyOf` compose events.
+* :class:`FirstOf` waits on one event with a deadline, timed by a deadline
+  chain instead of a queued :class:`Timeout`.
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a waiting process.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Generator, Iterable
 from heapq import heappop, heappush
 from typing import Any
@@ -381,6 +384,106 @@ class AnyOf(_Condition):
         self._detach()
 
 
+class FirstOf(Event):
+    """Fires when *event* is processed or *delay* elapses, whichever is first.
+
+    Equivalent to ``AnyOf([event, Timeout(delay)])`` in event order, event
+    count and outcome, but its timer is not a queued :class:`Timeout`: it is
+    a ``[when, eid, wait]`` record in the environment's deadline chain for
+    *delay*, taking the eid the timer would have taken.  If *event* wins,
+    the wait succeeds with its value (or fails with its exception); if the
+    deadline wins, it succeeds with ``None`` while *event* is still
+    pending.  A decided wait drops its references to *event* and to its
+    record, so a stale record holds nothing alive.
+    """
+
+    __slots__ = ("_event", "_record")
+
+    def __init__(self, env: "Environment", event: Event, delay: float) -> None:
+        if event.env is not env:
+            raise SimulationError("condition mixes environments")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
+        # Fields set inline, as in Timeout: one wait per timed receive.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._triggered = False
+        self._defused = False
+        env._eid += 1
+        record = [env._now + delay, env._eid, self]
+        self._record = record
+        chain = env._chains.get(delay)
+        if chain is None:
+            chain = env._chains[delay] = _DeadlineChain(env)
+        chain._add(record)
+        callbacks = event.callbacks
+        if callbacks is None:
+            self._event = None
+            self._decide(event)
+        else:
+            self._event = event
+            callbacks.append(self._decide)
+
+    def _decide(self, event: Event) -> None:
+        """*event* was processed first: take its outcome."""
+        self._event = None
+        self._record[2] = None
+        self._record = None
+        if event._ok:
+            self.succeed(event._value)
+        else:
+            event._defused = True
+            self.fail(event._value)
+
+    def _expire(self) -> None:
+        """The deadline came first: stop waiting on the event, and succeed."""
+        self._event.callbacks.remove(self._decide)
+        self._event = None
+        self._record = None
+        self.succeed(None)
+
+
+class _DeadlineChain(Event):
+    """The FIFO of :class:`FirstOf` deadlines for one delay.
+
+    With one delay, ``now + delay`` never decreases and eids only grow, so
+    the records' ``(when, eid)`` keys are strictly increasing.  Only the
+    head sits in the environment's queue, under exactly the
+    ``(when, NORMAL, eid)`` key its :class:`Timeout` would have had, so the
+    queue pops the same global sequence.  Each record pops as one event
+    when it becomes the head, decided or stale, as a timer would.
+    """
+
+    __slots__ = ("_records", "_armed")
+
+    def __init__(self, env: "Environment") -> None:
+        super().__init__(env)
+        self._triggered = True
+        self._records: deque[list] = deque()
+        # The loop clears ``callbacks`` before calling them; ``_fire``
+        # re-arms with this list for the next head.
+        self._armed = [self._fire]
+        self.callbacks = self._armed
+
+    def _add(self, record: list) -> None:
+        records = self._records
+        records.append(record)
+        if len(records) == 1:
+            heappush(self.env._queue, (record[0], NORMAL, record[1], self))
+
+    def _fire(self, _chain: Event) -> None:
+        records = self._records
+        wait = records.popleft()[2]
+        if wait is not None:
+            wait._expire()
+        self.callbacks = self._armed
+        if records:
+            head = records[0]
+            heappush(self.env._queue, (head[0], NORMAL, head[1], self))
+
+
 class Environment:
     """Owns virtual time and executes events in timestamp order."""
 
@@ -388,6 +491,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
+        # Deadline chains of FirstOf waits, one per distinct delay.
+        self._chains: dict[float, _DeadlineChain] = {}
         self._active_process: Process | None = None
         # Telemetry hooks: None when disabled, so the hot loops pay a single
         # identity check per event (see repro.telemetry).
@@ -448,6 +553,10 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of *events* triggers."""
         return AnyOf(self, events)
+
+    def first_of(self, event: Event, delay: float) -> FirstOf:
+        """Event that fires when *event* does or *delay* elapses, first wins."""
+        return FirstOf(self, event, delay)
 
     # -- scheduling ----------------------------------------------------------------
 

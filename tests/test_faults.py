@@ -328,6 +328,22 @@ def test_recv_timeout_raises_typed_error():
     assert cluster.env.now == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("collective", ["gather", "allgather"])
+def test_gather_root_times_out_like_recv(collective):
+    """The root's receives in gather are timed by the retry policy, as
+    ``recv`` is; a silent peer is a timeout, not a drained queue."""
+    cluster = Cluster(tx1_cluster_spec(2))
+    world = _world(cluster, retry=RetryPolicy(timeout=0.5))
+
+    def root(comm):
+        yield from getattr(comm, collective)("mine")
+
+    proc = cluster.env.process(root(world.communicator(0)))
+    with pytest.raises(MPITimeoutError, match="any source .* timed out after 0.5"):
+        cluster.env.run(until=proc)
+    assert cluster.env.now == pytest.approx(0.5)
+
+
 def test_send_to_dead_rank_fails_fast():
     cluster = Cluster(tx1_cluster_spec(2))
     world = _world(cluster)

@@ -261,6 +261,19 @@ def test_sim_kernel_flags_constant_yield_and_bare_yield():
     assert found[0].line == 3 and found[1].line == 4
 
 
+def test_sim_kernel_flags_a_dropped_timed_wait():
+    src = (
+        "def proc(env, message):\n"
+        "    env.first_of(message, 1.0)\n"
+        "    yield message\n"
+        "    FirstOf(env, message, 1.0)\n"
+        "    yield env.first_of(message, 2.0)\n"
+    )
+    found = lint_source(src, path="src/repro/x.py")
+    assert [(f.rule, f.line) for f in found] == [("RL002", 2), ("RL002", 4)]
+    assert "env.first_of(...) creates an event" in found[0].message
+
+
 def test_mpi_flags_collective_in_rank_branch():
     src = (
         "def program(ctx):\n"

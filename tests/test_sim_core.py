@@ -1,14 +1,18 @@
 """Unit tests for the discrete-event kernel (repro.sim.core)."""
 
 import gc
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.cluster import tx1_cluster_spec
 from repro.errors import SimulationError
 from repro.mpi import RetryPolicy
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
+from repro.sim import AllOf, AnyOf, Environment, Event, FirstOf, Interrupt, Timeout
+from repro.telemetry import Telemetry
 from repro.workloads import make_workload
 
 
@@ -690,3 +694,189 @@ def test_timed_receives_leave_no_condition_for_the_collector():
         if was_enabled:
             gc.enable()
     assert stranded == 0
+
+
+def test_timed_receives_leave_one_queue_entry_per_deadline_chain():
+    """A fault-free cg under a retry policy: the message wins every timed
+    receive, and no stale deadline waits in the queue beside the ranks."""
+    cluster = Cluster(tx1_cluster_spec(2, "10G"))
+    result = make_workload("cg").run_on(cluster, retry=RetryPolicy(timeout=1.0))
+    assert not result.failures
+    ranks = len(result.rank_values)
+    # One retry timeout, so one deadline chain.
+    assert len(cluster.env._queue) <= ranks + 1
+
+
+# -- first_of: a timed wait on a deadline chain ---------------------------------
+
+
+def test_first_of_event_wins_and_the_stale_deadline_still_pops():
+    env = Environment()
+    message = env.event()
+    wait = env.first_of(message, 5.0)
+    assert isinstance(wait, FirstOf)
+    message.succeed("payload")
+    assert env.run(until=wait) == "payload"
+    assert env.now == 0.0 and message.callbacks is None
+    # The deadline's record pops on schedule, with nothing left to decide.
+    assert env.peek() == 5.0
+    env.run()
+    assert env.now == 5.0
+
+
+def test_first_of_deadline_wins_and_detaches_from_the_event():
+    env = Environment()
+    message = env.event()
+    wait = env.first_of(message, 2.0)
+    assert env.run(until=wait) is None
+    assert env.now == 2.0 and not message.triggered
+    assert message.callbacks == []
+
+
+def test_first_of_takes_a_failure_and_defuses_it():
+    env = Environment()
+    message = env.event()
+    wait = env.first_of(message, 2.0)
+    message.fail(_Boom("lost"))
+    with pytest.raises(_Boom, match="lost"):
+        env.run(until=wait)
+    env.run()  # the event's failure was delivered, so nothing resurfaces
+    assert env.now == 2.0
+
+
+def test_first_of_on_a_processed_event_is_decided_at_once():
+    env = Environment()
+    done = env.event()
+    done.succeed("x")
+    env.run(until=done)
+    wait = env.first_of(done, 1.0)
+    assert wait.triggered
+    assert env.run(until=wait) == "x"
+    env.run()
+    assert env.now == 1.0
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_first_of_rejects_negative_and_nan_delay(delay):
+    env = Environment()
+    with pytest.raises(SimulationError, match="delay must be >= 0"):
+        env.first_of(env.event(), delay)
+
+
+def test_first_of_rejects_an_event_from_another_environment():
+    with pytest.raises(SimulationError, match="mixes environments"):
+        Environment().first_of(Environment().event(), 1.0)
+
+
+def test_first_of_queues_one_entry_per_delay():
+    env = Environment()
+    for step in range(50):
+        for delay in (3.0, 4.0):
+            message = env.event()
+            env.first_of(message, delay)
+            message.succeed(step)
+        env.run(until=env.timeout(0.01))
+    # 100 pending deadlines, two chains, two queue entries.
+    assert len(env._queue) == 2
+    env.run()
+    assert env.now == pytest.approx(0.49 + 4.0)
+
+
+def test_first_of_keeps_no_payload_alive_until_its_deadline():
+    class Payload:
+        pass
+
+    env = Environment()
+    message = env.event()
+    wait = env.first_of(message, 5.0)
+    payload = Payload()
+    alive = weakref.ref(payload)
+    message.succeed(payload)
+    env.run(until=wait)
+    del payload, message, wait
+    assert env.peek() == 5.0  # the deadline is still pending ...
+    assert alive() is None  # ... and holds nothing of the receive
+
+
+# Half-second steps make same-instant ties between the event, the deadline,
+# other deadlines and plain timeouts common.
+_INSTANT = st.integers(0, 8).map(lambda k: k / 2)
+_WAITER = st.tuples(
+    _INSTANT,  # the waiter starts its timed wait at
+    st.none() | _INSTANT,  # the event fires at (None: never)
+    st.sampled_from((0.0, 0.5, 1.0, 2.5)),  # the wait's delay
+    st.booleans(),  # the event fails instead of succeeding
+    st.none() | _INSTANT,  # the waiter is interrupted at (None: never)
+)
+
+
+def _race(specs, timed_wait):
+    """Run one waiter per spec, each waiting with ``timed_wait(env, ev, d)``.
+
+    Returns the log of every callback and resumption, the final clock and
+    the number of events processed, with the queue drained.
+    """
+    env = Environment()
+    telemetry = Telemetry()
+    env.set_telemetry(telemetry)
+    log = []
+
+    def fire(i, event, at, fails):
+        yield env.timeout(at)
+        if fails:
+            event.fail(_Boom(i))
+        else:
+            event.succeed(i)
+
+    def waiter(i, event, start, delay):
+        try:
+            yield env.timeout(start)
+            wait = timed_wait(env, event, delay)
+            wait.callbacks.append(lambda _: log.append(("decided", i, env.now)))
+            try:
+                yield wait
+            except _Boom as exc:
+                log.append(("failed", i, env.now, exc.args))
+            else:
+                outcome = None
+                if event.processed:
+                    outcome = event.value if event.ok else event.value.args
+                log.append(("resumed", i, env.now, event.triggered, outcome))
+            # A plain timeout of the same delay, queued among the deadlines.
+            yield env.timeout(delay)
+            log.append(("slept", i, env.now))
+        except Interrupt:
+            log.append(("interrupted", i, env.now))
+
+    def interrupt(proc, at):
+        yield env.timeout(at)
+        if proc.is_alive:
+            proc.interrupt()
+
+    for i, (start, fires_at, delay, fails, interrupted_at) in enumerate(specs):
+        event = env.event()
+        event.callbacks.append(lambda _, i=i: log.append(("event", i, env.now)))
+        if fires_at is not None:
+            env.process(fire(i, event, fires_at, fails))
+        proc = env.process(waiter(i, event, start, delay))
+        if interrupted_at is not None:
+            env.process(interrupt(proc, interrupted_at))
+    while True:
+        try:
+            env.run()
+            break
+        except _Boom as exc:  # a failure whose waiter had stopped waiting
+            log.append(("raised", env.now, exc.args))
+    events = telemetry.registry.counter("sim_events_processed_total").value()
+    return log, env.now, events, len(env._queue)
+
+
+@given(st.lists(_WAITER, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_first_of_is_any_of_with_a_timeout(specs):
+    """``first_of(ev, d)`` and ``any_of([ev, timeout(d)])`` are one schedule:
+    same callback order, clock, event count and outcomes, to the drained
+    queue."""
+    chained = _race(specs, lambda env, ev, d: env.first_of(ev, d))
+    queued = _race(specs, lambda env, ev, d: env.any_of([ev, env.timeout(d)]))
+    assert chained == queued
