@@ -96,15 +96,16 @@ def critical_path(trace: Trace) -> CriticalPath:
 
 def critical_path_of_streams(streams: OpStreams) -> CriticalPath:
     """The backward walk itself (exposed for synthetic-stream tests)."""
-    senders = streams.senders().tolist()
-    ranks, kinds, names = (c.tolist() for c in (streams.rank, streams.kind, streams.name))
-    starts, ends = streams.start.tolist(), streams.end.tolist()
-    bounds = streams.bounds.tolist()
+    bounds = memoryview(streams.bounds)
     # reach[i]: the latest end among the rank's ops up to position i.
     reach = streams.end.copy()
     for lo, hi in zip(bounds, bounds[1:]):
         np.maximum.accumulate(reach[lo:hi], out=reach[lo:hi])
-    reach = reach.tolist()
+    # The walk indexes memoryviews of the columns: no per-op Python copy.
+    senders, ranks, kinds, names, starts, ends, reach = map(memoryview, (
+        streams.senders(), streams.rank, streams.kind, streams.name,
+        streams.start, streams.end, reach,
+    ))
 
     def covering_op(rank: int, t: float) -> int:
         """The op governing rank time *t*: latest-ending op starting before *t*.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -533,10 +533,12 @@ class Communicator:
             if rank == root:
                 items: list[Any] = [None] * size
                 items[rank] = data
+                awaited = set(range(size)) - {rank}
                 for _ in range(size - 1):
                     # Tag by sender for deterministic placement.
-                    message = yield from self._recv_message(tag)
+                    message = yield from self._recv_message(tag, awaited)
                     items[message.src] = message.payload
+                    awaited.discard(message.src)
                 return items
             yield from self.send(data, root, tag=tag, nbytes=nbytes)
             return None
@@ -626,15 +628,23 @@ class Communicator:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _recv_message(self, tag: int):
+    def _recv_message(self, tag: int, awaited: Collection[int]):
         """Receive and return the full Message (sender identity preserved).
 
         Timed by the world's :class:`RetryPolicy`, like :meth:`recv` from
-        any source.
+        any source.  *awaited* are the ranks whose messages are still due:
+        when one is known dead, before the wait or on its expiry, the
+        receive raises :class:`RankFailedError` naming the lowest such rank,
+        as :meth:`recv` from a dead source does.
         """
         world = self.world
         env = self.env
         start = env._now  # see send()
+        dead = self._first_failed(awaited)
+        if dead is not None:
+            raise RankFailedError(
+                dead, f"recv on rank {self.rank} from dead rank {dead} (tag {tag})"
+            )
         observed = world.telemetry.enabled  # see send()
         span = NULL_SPAN
         if observed:
@@ -649,7 +659,7 @@ class Communicator:
                 timeout = world.retry.timeout
                 yield env.first_of(get_ev, timeout)
                 if not get_ev._triggered:
-                    raise self._expired(get_ev, ANY_SOURCE, tag, timeout)
+                    raise self._expired(get_ev, ANY_SOURCE, tag, timeout, awaited)
                 message = get_ev._value
             if observed:
                 span.set(src=message.src, nbytes=message.nbytes)
@@ -664,18 +674,20 @@ class Communicator:
             )
         return message
 
-    def _expired(self, get_ev, source: int, tag: int, timeout: float) -> MPIError:
+    def _expired(self, get_ev, source: int, tag: int, timeout: float,
+                 awaited: Collection[int] = ()) -> MPIError:
         """Withdraw a timed-out receive; the error it raises.
 
-        :class:`RankFailedError` when the awaited peer is known dead,
+        :class:`RankFailedError` when the awaited peer (*source*, or the
+        lowest of *awaited* for a receive from any source) is known dead,
         :class:`MPITimeoutError` otherwise.
         """
-        world = self.world
-        world._mailboxes[self.rank].cancel(get_ev)
-        if source != ANY_SOURCE and world.is_failed(source):
+        self.world._mailboxes[self.rank].cancel(get_ev)
+        dead = self._first_failed((source,) if source != ANY_SOURCE else awaited)
+        if dead is not None:
             return RankFailedError(
-                source,
-                f"recv on rank {self.rank}: rank {source} died while "
+                dead,
+                f"recv on rank {self.rank}: rank {dead} died while "
                 f"awaited (tag {tag})",
             )
         return MPITimeoutError(
@@ -683,6 +695,10 @@ class Communicator:
             f"{'any source' if source == ANY_SOURCE else f'rank {source}'} "
             f"(tag {tag}) timed out after {timeout} s"
         )
+
+    def _first_failed(self, ranks: Collection[int]) -> int | None:
+        """The lowest of *ranks* known dead, or None."""
+        return min(self.world._failed_ranks.intersection(ranks), default=None)
 
 
 def _default_sum(a: Any, b: Any) -> Any:

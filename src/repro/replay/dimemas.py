@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TraceError
-from repro.tracing.events import OP_SEND, OP_STATE, Trace
+from repro.tracing.events import OP_SEND, Trace
 
 
 @dataclass(frozen=True)
@@ -21,9 +22,10 @@ class NetworkParams:
     local_latency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.local_latency < 0:
+        # ``not >=``/``not >``: NaN compares false both ways.
+        if not (self.latency >= 0 and self.local_latency >= 0):
             raise TraceError("latency must be non-negative")
-        if self.bandwidth <= 0 or self.local_bandwidth <= 0:
+        if not (self.bandwidth > 0 and self.local_bandwidth > 0):
             raise TraceError("bandwidth must be positive")
 
 
@@ -58,59 +60,68 @@ def replay(
     :meth:`~repro.tracing.events.Trace.op_table`) is re-executed
     with original compute durations (optionally scaled per-rank by
     ``compute_scale``) and transfer costs recomputed from *network*.
-    Send/receive matching is FIFO per (src, dst, tag) channel, mirroring the
-    simulator's mailbox semantics.
+    A receive consumes the send the table pairs it with
+    (``OpTable.sender``: FIFO per (src, dst, tag) channel, mirroring the
+    simulator's mailbox semantics).
     """
     n = trace.n_ranks
     if compute_scale is not None and len(compute_scale) != n:
         raise TraceError("compute_scale must have one entry per rank")
-    scale = compute_scale or [1.0] * n
+    if rank_to_node is not None and len(rank_to_node) < n:
+        raise TraceError("rank_to_node must have an entry per rank")
 
     table = trace.op_table()
-    kinds = table.kind.tolist()
-    peers = table.peer.tolist()
-    sizes = table.nbytes.tolist()
-    tags = table.tag.tolist()
-    seconds = table.seconds.tolist()
+    # Every op's duration, vectorized with the IEEE operations of the
+    # record-at-a-time replay the tests keep as reference: a burst times its
+    # rank's scale, a send its latency plus bytes over bandwidth.  Receives
+    # take no time of their own.
+    op_rank = np.repeat(np.arange(n), np.diff(table.bounds))
+    if compute_scale is None:
+        durations = table.seconds.copy()
+    else:
+        durations = table.seconds * np.asarray(compute_scale, np.float64)[op_rank]
+    sends = np.flatnonzero(table.kind == OP_SEND)
+    nbytes = table.nbytes[sends]
+    local = np.zeros(len(sends), bool)
+    if rank_to_node is not None:
+        nodes = np.asarray(rank_to_node)
+        local = nodes[op_rank[sends]] == nodes[table.peer[sends]]
+    for on_node, lat, bw in ((False, network.latency, network.bandwidth),
+                             (True, network.local_latency, network.local_bandwidth)):
+        pick = local == on_node
+        durations[sends[pick]] = lat + (nbytes[pick] / bw if math.isfinite(bw) else 0.0)
+    del op_rank, nbytes, local
+
+    # Each op's slot holds its duration until the walk replaces it with the
+    # op's finish time: a receive reads its send's arrival there.
+    times = memoryview(durations)
+    senders, peers = memoryview(table.sender), memoryview(table.peer)
     bounds = table.bounds.tolist()
     cursors, stops = bounds[:-1], bounds[1:]
     clocks = [0.0] * n
-    arrivals: dict[tuple[int, int, int], deque[float]] = defaultdict(deque)
-    messages = 0
-
-    def transfer_cost(src: int, dst: int, nbytes: float) -> float:
-        if (
-            rank_to_node is not None
-            and rank_to_node[src] == rank_to_node[dst]
-        ):
-            bw, lat = network.local_bandwidth, network.local_latency
-        else:
-            bw, lat = network.bandwidth, network.latency
-        return lat + (nbytes / bw if math.isfinite(bw) else 0.0)
-
     remaining = bounds[-1] - bounds[0]
     while remaining:
         progressed = False
         for rank in range(n):
             first = i = cursors[rank]
             stop = stops[rank]
+            clock = clocks[rank]
             while i < stop:
-                kind = kinds[i]
-                if kind == OP_STATE:
-                    clocks[rank] += seconds[i] * scale[rank]
-                elif kind == OP_SEND:
-                    cost = transfer_cost(rank, peers[i], sizes[i])
-                    clocks[rank] += cost
-                    arrivals[(rank, peers[i], tags[i])].append(clocks[rank])
-                    messages += 1
-                else:
-                    channel = arrivals[(peers[i], rank, tags[i])]
-                    if not channel:
-                        break  # blocked: matching send not replayed yet
-                    clocks[rank] = max(clocks[rank], channel.popleft())
+                sender = senders[i]
+                if sender < 0:  # not a receive
+                    clock += times[i]
+                    times[i] = clock
+                elif sender >= cursors[peers[i]]:
+                    # Blocked: the send is not replayed yet.  A message to
+                    # self sent earlier in this pass counts from the next
+                    # pass, which this rank's progress ensures.
+                    break
+                elif times[sender] > clock:
+                    clock = times[sender]
                 i += 1
             if i > first:
                 cursors[rank] = i
+                clocks[rank] = clock
                 remaining -= i - first
                 progressed = True
         if not progressed:
@@ -119,5 +130,5 @@ def replay(
     return ReplayResult(
         runtime=max(clocks) if clocks else 0.0,
         rank_finish_times=tuple(clocks),
-        messages_replayed=messages,
+        messages_replayed=len(sends),
     )

@@ -166,16 +166,24 @@ class OpTable(NamedTuple):
     Rank *r*'s ops are positions ``bounds[r]:bounds[r + 1]``.  ``index`` is
     the op's position in its own record kind (``kind``); ``peer`` is the
     destination of a send and the source of a receive; ``seconds`` is a
-    state burst's duration (0 for messages).
+    state burst's duration (0 for messages).  ``sender`` is, for a receive,
+    the position of the send whose message it consumes: the k-th receive
+    of a (src, dst, tag) channel in table order takes the channel's k-th
+    send, as the simulator's mailboxes deliver.  A receive its channel has
+    no send for holds :data:`UNMATCHED`, every other op -1.
     """
 
     kind: np.ndarray
     index: np.ndarray
     peer: np.ndarray
     nbytes: np.ndarray
-    tag: np.ndarray
     seconds: np.ndarray
+    sender: np.ndarray
     bounds: np.ndarray
+
+
+#: ``OpTable.sender`` of an unmatched receive: beyond every table position.
+UNMATCHED = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -283,14 +291,19 @@ class Trace:
             np.concatenate((s_start, c_start, r_start)),
             rank,
         ))
+        rank, kind = rank[order], np.repeat((OP_STATE, OP_SEND, OP_RECV), counts)[order]
+        peer = np.concatenate((no_peer, c_dst, r_src))[order]
+        # Paired before the remaining columns exist, to keep the peak low.
+        sender = _channel_senders(
+            rank, kind, peer, np.concatenate((no_peer, c_tag, r_tag))[order])
         return OpTable(
-            kind=np.repeat((OP_STATE, OP_SEND, OP_RECV), counts)[order],
+            kind=kind,
             index=np.concatenate((useful, np.arange(counts[1]), np.arange(counts[2])))[order],
-            peer=np.concatenate((no_peer, c_dst, r_src))[order],
+            peer=peer,
             nbytes=np.concatenate((np.zeros(counts[0]), c_nbytes, r_nbytes))[order],
-            tag=np.concatenate((no_peer, c_tag, r_tag))[order],
             seconds=np.concatenate((s_end - s_start, np.zeros(counts[1] + counts[2])))[order],
-            bounds=np.searchsorted(rank[order], np.arange(self.n_ranks + 1)),
+            sender=sender,
+            bounds=np.searchsorted(rank, np.arange(self.n_ranks + 1)),
         )
 
     def rank_ops(self, rank: int) -> list[object]:
@@ -316,14 +329,55 @@ def match_fifo(sends: Sequence[Any], recvs: Sequence[Any]) -> np.ndarray:
     """
     s_src, s_dst, s_start, s_end = map(np.asarray, sends)
     r_src, r_dst, r_start, r_end = map(np.asarray, recvs)
-    src, dst = np.concatenate((s_src, r_src)), np.concatenate((s_dst, r_dst))
-    # One integer per (src, dst) pair, with ids shifted to start at 0.
+    link = _links(np.concatenate((s_src, r_src)), np.concatenate((s_dst, r_dst)))
+    return _fifo_senders(link[:len(s_src)], link[len(s_src):],
+                         (s_start, s_end), (r_start, r_end))
+
+
+def _channel_senders(
+    rank: np.ndarray, kind: np.ndarray, peer: np.ndarray, tag: np.ndarray,
+) -> np.ndarray:
+    """``OpTable.sender`` over the table's ordered columns.
+
+    Each (src, dst, tag) channel is paired FIFO in table order, which is
+    each side's own rank order.
+    """
+    sends, recvs = np.flatnonzero(kind == OP_SEND), np.flatnonzero(kind == OP_RECV)
+    channel = _links(np.concatenate((rank[sends], peer[recvs])),
+                     np.concatenate((peer[sends], rank[recvs])))
+    tags, code = np.unique(np.concatenate((tag[sends], tag[recvs])), return_inverse=True)
+    channel *= len(tags)
+    channel += code.reshape(-1)
+    del tags, code
+    found = _fifo_senders(channel[:len(sends)], channel[len(sends):])
+    sender = np.full(len(kind), -1, np.int64)
+    sender[recvs] = UNMATCHED
+    matched = found >= 0
+    sender[recvs[matched]] = sends[found[matched]]
+    return sender
+
+
+def _links(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One integer per (src, dst) pair, with ids shifted to start at 0."""
     low = min(src.min(initial=0), dst.min(initial=0))
     width = max(src.max(initial=0), dst.max(initial=0)) - low + 1
-    link = (src - low) * width + (dst - low)
-    send_keys, send_order = _fifo_keys(link[:len(s_src)], s_start, s_end, len(link))
-    recv_keys, recv_order = _fifo_keys(link[len(s_src):], r_start, r_end, len(link))
-    senders = np.full(len(r_src), -1, np.int64)
+    return (src - low) * width + (dst - low)
+
+
+def _fifo_senders(
+    send_link: np.ndarray, recv_link: np.ndarray,
+    send_by: tuple[np.ndarray, ...] = (), recv_by: tuple[np.ndarray, ...] = (),
+) -> np.ndarray:
+    """For each receive, the index of the send it consumed, or -1.
+
+    Each side is ordered by link, then by its ``*_by`` lexsort keys (last
+    key major), ties in column order; the k-th receive of a link takes the
+    link's k-th send.
+    """
+    stride = len(send_link) + len(recv_link)
+    send_keys, send_order = _fifo_keys(send_link, send_by, stride)
+    recv_keys, recv_order = _fifo_keys(recv_link, recv_by, stride)
+    senders = np.full(len(recv_link), -1, np.int64)
     if len(send_keys):
         slot = np.minimum(np.searchsorted(send_keys, recv_keys), len(send_keys) - 1)
         hit = send_keys[slot] == recv_keys
@@ -332,14 +386,14 @@ def match_fifo(sends: Sequence[Any], recvs: Sequence[Any]) -> np.ndarray:
 
 
 def _fifo_keys(
-    link: np.ndarray, start: np.ndarray, end: np.ndarray, stride: int,
+    link: np.ndarray, by: tuple[np.ndarray, ...], stride: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending ``link * stride + ordinal`` keys in FIFO order, and that order.
 
     The k-th message of a link has the same key on both sides; *stride*
     exceeds every ordinal.
     """
-    order = np.lexsort((start, end, link))
+    order = np.lexsort((*by, link))
     link = link[order]
     ordinal = np.arange(len(link)) - np.searchsorted(link, link)
     return link * stride + ordinal, order

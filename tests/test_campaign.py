@@ -862,7 +862,9 @@ def test_what_if_sorts_each_trace_once(monkeypatch):
 
     monkeypatch.setattr(np, "lexsort", counting)
     assert _what_if(spec, run) is not None  # three replays
-    assert sorts == [3]
+    # One op-table sort by (rank, start, end), then the message pairing's
+    # one sort per side (sends, receives), all shared by the three replays.
+    assert sorts == [3, 1, 1]
 
 
 def _refuse_two_nodes(spec, run):

@@ -344,6 +344,42 @@ def test_gather_root_times_out_like_recv(collective):
     assert cluster.env.now == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("collective", ["gather", "allgather"])
+def test_gather_root_fails_fast_on_dead_rank(collective):
+    """A dead rank whose item is still due fails the root's receive at
+    once, as ``recv(source=dead)`` does, not after the timeout."""
+    cluster = Cluster(tx1_cluster_spec(2))
+    world = _world(cluster, retry=RetryPolicy(timeout=0.5))
+    world.mark_rank_failed(1)
+
+    def root(comm):
+        yield from getattr(comm, collective)("mine")
+
+    proc = cluster.env.process(root(world.communicator(0)))
+    with pytest.raises(RankFailedError, match="dead rank 1") as failure:
+        cluster.env.run(until=proc)
+    assert failure.value.rank == 1
+    assert cluster.env.now == 0.0
+
+
+def test_gather_root_names_rank_that_died_while_awaited():
+    cluster = Cluster(tx1_cluster_spec(2))
+    world = _world(cluster, retry=RetryPolicy(timeout=0.5))
+
+    def root(comm):
+        yield from comm.gather("mine")
+
+    def crash():
+        yield cluster.env.timeout(0.25)
+        world.mark_rank_failed(1)
+
+    cluster.env.process(crash())
+    proc = cluster.env.process(root(world.communicator(0)))
+    with pytest.raises(RankFailedError, match="rank 1 died while awaited"):
+        cluster.env.run(until=proc)
+    assert cluster.env.now == pytest.approx(0.5)
+
+
 def test_send_to_dead_rank_fails_fast():
     cluster = Cluster(tx1_cluster_spec(2))
     world = _world(cluster)

@@ -1,7 +1,10 @@
 """Unit + integration tests for DIMEMAS-style replay and the scalability math."""
 
+import copy
 import math
+import tracemalloc
 from collections import defaultdict, deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -151,31 +154,74 @@ _NETWORK = NetworkParams(latency=1e-4, bandwidth=1.25e8,
                          local_bandwidth=7e9, local_latency=1e-6)
 
 
-@given(st.lists(_STATES, max_size=14), st.lists(_MESSAGES, max_size=14),
+def _record_messages(tracer, messages):
+    """Sends, then receives that start and end no earlier than their send,
+    as in a simulated run, so no generated trace deadlocks the replay."""
+    for src, dst, tag, nbytes, start, span, _, _ in messages:
+        tracer.record_comm(src, dst, nbytes, start, start + span, tag)
+    for src, dst, tag, nbytes, start, span, wait, delay in messages:
+        end = start + span + delay
+        tracer.record_recv(dst, src, nbytes, max(start, min(wait, end)), end, tag)
+
+
+def _assert_replays_match_reference(trace, scale):
+    """Three replays of *trace* back to back share one op table, and each
+    equals, bit for bit, the reference and a replay of a fresh copy."""
+    # Ranks 0-1 and 2-3 share a node: local and remote pairs both occur.
+    cases = (
+        (_NETWORK, {"rank_to_node": [0, 0, 1, 1], "compute_scale": scale}),
+        (_NETWORK, {}),
+        (IDEAL_NETWORK, {}),
+    )
+    with mock.patch.object(Trace, "_build_op_table", autospec=True,
+                           side_effect=Trace._build_op_table) as build:
+        outcomes = [_outcome(replay, trace, network, **kwargs) for network, kwargs in cases]
+    assert build.call_count == 1
+    for (network, kwargs), outcome in zip(cases, outcomes):
+        assert outcome == _outcome(reference_replay, trace, network, **kwargs)
+        assert outcome == _outcome(replay, copy.copy(trace), network, **kwargs)
+    for rank in range(trace.n_ranks):
+        assert trace.rank_ops(rank) == reference_rank_ops(trace, rank)
+
+
+# Messages on three links only, so each link carries interleaved tags.
+_LINK_MESSAGES = st.tuples(
+    st.sampled_from(((0, 1), (1, 0), (0, 2))), st.sampled_from((0, 1, 2)),
+    st.sampled_from((0.0, 64.0, 1e6)), _TIMES, _SPANS, _TIMES, _SPANS,
+).map(lambda message: (*message[0], *message[1:]))
+
+
+@given(st.lists(_STATES, max_size=14),
+       st.one_of(st.lists(_MESSAGES, max_size=14),
+                 st.lists(_LINK_MESSAGES, min_size=2, max_size=16)),
        st.lists(st.sampled_from((0.5, 1.0, 3.0)), min_size=4, max_size=4))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_columnar_replay_matches_record_reference(states, messages, scale):
     tracer = Tracer(4)
     for rank, state, start, span in states:
         tracer.record_state(rank, state, start, start + span)
-    for src, dst, tag, nbytes, start, span, _, _ in messages:
-        tracer.record_comm(src, dst, nbytes, start, start + span, tag)
-    # A receive starts and ends no earlier than its send, as in a simulated
-    # run, so no generated trace deadlocks the replay.
-    for src, dst, tag, nbytes, start, span, wait, delay in messages:
-        end = start + span + delay
-        tracer.record_recv(dst, src, nbytes, max(start, min(wait, end)), end, tag)
+    _record_messages(tracer, messages)
+    _assert_replays_match_reference(tracer.finalize(), scale)
+
+
+def test_replay_memory_grows_with_ops_not_channels():
+    """The hpl ring pattern: every message on its own tag.  The replay's
+    peak allocation stays within a fixed number of bytes per op."""
+    n_messages = 20_000
+    tracer = Tracer(2)
+    for k in range(n_messages):
+        tracer.record_comm(0, 1, 64.0, float(k), float(k), tag=k)
+        tracer.record_recv(1, 0, 64.0, float(k), float(k) + 0.5, tag=k)
     trace = tracer.finalize()
-    for rank in range(4):
-        assert trace.rank_ops(rank) == reference_rank_ops(trace, rank)
-    # Ranks 0-1 and 2-3 share a node: local and remote pairs both occur.
-    for network, kwargs in (
-        (_NETWORK, {"rank_to_node": [0, 0, 1, 1], "compute_scale": scale}),
-        (_NETWORK, {}),
-        (IDEAL_NETWORK, {}),
-    ):
-        assert (_outcome(replay, trace, network, **kwargs)
-                == _outcome(reference_replay, trace, network, **kwargs))
+    n_ops = len(trace.op_table().kind)
+    tracemalloc.start()
+    try:
+        result = replay(trace, IDEAL_NETWORK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.messages_replayed == n_messages
+    assert peak <= 128 * n_ops, f"{peak / n_ops:.0f} B/op"
 
 
 def test_replay_unmatched_recv_deadlocks():
@@ -200,10 +246,32 @@ def test_replay_local_messages_use_local_bus():
 
 
 def test_network_params_validation():
-    with pytest.raises(TraceError):
-        NetworkParams(latency=-1.0, bandwidth=1.0)
-    with pytest.raises(TraceError):
-        NetworkParams(latency=0.0, bandwidth=0.0)
+    for kwargs in (
+        {"latency": -1.0, "bandwidth": 1.0},
+        {"latency": 0.0, "bandwidth": 0.0},
+        # NaN compares false both ways, so a ``<``/``<=`` check lets it in.
+        {"latency": math.nan, "bandwidth": 1.0},
+        {"latency": 0.0, "bandwidth": math.nan},
+        {"latency": math.nan, "bandwidth": math.nan},
+        {"latency": 0.0, "bandwidth": 1.0, "local_latency": math.nan},
+        {"latency": 0.0, "bandwidth": 1.0, "local_bandwidth": math.nan},
+    ):
+        with pytest.raises(TraceError):
+            NetworkParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rank_to_node": []},
+        {"rank_to_node": [0]},
+        {"compute_scale": [1.0]},
+        {"compute_scale": [1.0, 1.0, 1.0]},
+    ],
+)
+def test_replay_rejects_inputs_without_an_entry_per_rank(kwargs):
+    with pytest.raises(TraceError, match="per rank"):
+        replay(two_rank_trace(), IDEAL_NETWORK, **kwargs)
 
 
 def test_network_from_nic():
