@@ -11,7 +11,7 @@ from repro.hardware.gpu import GPUModel, GPUSpec
 from repro.hardware.memory import DRAMModel, DRAMSpec
 from repro.hardware.nic import NICSpec
 from repro.hardware.power import PowerModel, PowerSpec
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Resource, Slot
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ class Node:
     * ``gpu_engine`` — the single kernel-execution engine (kernels from
       different processes serialize, as on real hardware without MPS),
     * ``copy_engine`` — the DMA/copy path,
-    * ``nic_tx`` / ``nic_rx`` — serialization at the network interface.
+    * ``nic_tx`` / ``nic_rx`` — serialization at the network interface:
+      each a FIFO :class:`~repro.sim.Slot` held by one wire
+      :class:`~repro.network.Flow` at a time.
     """
 
     def __init__(
@@ -73,8 +75,8 @@ class Node:
         self.cores = Resource(env, capacity=spec.core_count)
         self.gpu_engine = Resource(env, capacity=1) if spec.gpu else None
         self.copy_engine = Resource(env, capacity=1)
-        self.nic_tx = Resource(env, capacity=1)
-        self.nic_rx = Resource(env, capacity=1)
+        self.nic_tx = Slot(env)
+        self.nic_rx = Slot(env)
 
         self.network_bytes_sent = 0.0
         self.network_bytes_received = 0.0

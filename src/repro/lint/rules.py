@@ -201,7 +201,9 @@ _SIM_MARKERS = {
     "gpu_kernel", "cpu_compute", "transfer", "succeed", "interrupt",
 }
 #: Event constructors/factories whose result is dead if not yielded/stored.
-_EVENT_MAKERS = {"timeout", "event", "first_of"}
+#: A dropped ``transfer`` flow is worse than dead: it still claims the NICs
+#: and moves its bytes, and nobody waits for it.
+_EVENT_MAKERS = {"timeout", "event", "first_of", "transfer"}
 _EVENT_CLASSES = {"Timeout", "Event", "AllOf", "AnyOf", "FirstOf"}
 
 

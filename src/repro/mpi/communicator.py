@@ -15,7 +15,7 @@ from repro.errors import (
     RankFailedError,
 )
 from repro.network.fabric import Fabric
-from repro.sim import Environment, Store
+from repro.sim import Environment, Event
 from repro.telemetry.instruments import SIZE_BUCKETS
 from repro.telemetry.sink import NULL
 from repro.telemetry.spans import NULL_SPAN
@@ -49,8 +49,8 @@ def payload_nbytes(data: Any) -> float:
 class Message(NamedTuple):
     """One in-flight message.
 
-    A named tuple rather than a frozen dataclass, like
-    :class:`~repro.network.fabric.TransferRecord`: every send builds one.
+    A named tuple rather than a frozen dataclass: every send builds one,
+    and a frozen dataclass sets each field through ``object.__setattr__``.
     """
 
     src: int
@@ -59,6 +59,66 @@ class Message(NamedTuple):
     payload: Any
     nbytes: float
     sent_at: float
+
+
+class Mailbox:
+    """One rank's delivered messages, received by ``(source, tag)``.
+
+    It behaves as an unbounded :class:`~repro.sim.Store` whose gets filter
+    by source and tag, event for event, with no predicate call per item.
+    After every put and get no waiting receive matches a queued message.
+    So a put succeeds its own event and then hands the message to the first
+    waiting receive that matches it, or queues it; and a new receive takes
+    the first queued message it matches, or waits.  The store's settle loop
+    comes to the same.
+    """
+
+    __slots__ = ("env", "items", "_getters")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.items: list[Message] = []
+        self._getters: list[tuple[int, int, Event]] = []
+
+    def put(self, message: Message) -> Event:
+        """Deliver *message*; the returned event has already succeeded."""
+        done = Event(self.env)
+        done.succeed()
+        src = message.src
+        tag = message.tag
+        getters = self._getters
+        for i, (source, want, getter) in enumerate(getters):
+            if (source == ANY_SOURCE or source == src) and (
+                want == ANY_TAG or want == tag
+            ):
+                del getters[i]
+                getter.succeed(message)
+                return done
+        self.items.append(message)
+        return done
+
+    def get(self, source: int, tag: int) -> Event:
+        """An event whose value is the first message from *source* with
+        *tag* (either may be a wildcard)."""
+        got = Event(self.env)
+        items = self.items
+        for i, message in enumerate(items):
+            if (source == ANY_SOURCE or message.src == source) and (
+                tag == ANY_TAG or message.tag == tag
+            ):
+                del items[i]
+                got.succeed(message)
+                return got
+        self._getters.append((source, tag, got))
+        return got
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw a pending :meth:`get` (a timed receive that expired)."""
+        getters = self._getters
+        for i, entry in enumerate(getters):
+            if entry[2] is event:
+                del getters[i]
+                return
 
 
 @dataclass
@@ -145,7 +205,7 @@ class CommWorld:
         self.telemetry = telemetry if telemetry is not None else NULL
         self._retry_rng = np.random.default_rng(seed)
         self._failed_ranks: set[int] = set()
-        self._mailboxes = [Store(env) for _ in rank_to_node]
+        self._mailboxes = [Mailbox(env) for _ in rank_to_node]
         self.stats = [CommStats() for _ in rank_to_node]
         tm = self.telemetry
         messages = tm.counter(
@@ -295,7 +355,15 @@ class Communicator:
         with span:
             while True:
                 try:
-                    yield from world.fabric.transfer(src_node, dst_node, wire_bytes)
+                    flow = world.fabric.transfer(src_node, dst_node, wire_bytes)
+                    try:
+                        yield flow
+                    except BaseException as exc:
+                        # Thrown in while waiting (a crash): withdraw the
+                        # flow's NIC claims first.  The flow's own failure
+                        # leaves nothing to withdraw.
+                        flow.abort(exc)
+                        raise
                     break
                 except MessageLostError:
                     stats.bytes_sent += wire_bytes  # the attempt did hit the wire
@@ -351,12 +419,6 @@ class Communicator:
             )
         if timeout is None and world.retry is not None:
             timeout = world.retry.timeout
-
-        def matches(msg: Message) -> bool:
-            return (source == ANY_SOURCE or msg.src == source) and (
-                tag == ANY_TAG or msg.tag == tag
-            )
-
         mailbox = world._mailboxes[self.rank]
         observed = world.telemetry.enabled  # see send()
         span = NULL_SPAN
@@ -366,9 +428,9 @@ class Communicator:
             )
         with span:
             if timeout is None:
-                message = yield mailbox.get(filter=matches)
+                message = yield mailbox.get(source, tag)
             else:
-                get_ev = mailbox.get(filter=matches)
+                get_ev = mailbox.get(source, tag)
                 yield env.first_of(get_ev, timeout)
                 if not get_ev._triggered:
                     raise self._expired(get_ev, source, tag, timeout)
@@ -652,7 +714,7 @@ class Communicator:
                 self._track, "mpi.recv", "mpi", source=ANY_SOURCE, tag=tag,
             )
         with span:
-            get_ev = world._mailboxes[self.rank].get(filter=lambda m: m.tag == tag)
+            get_ev = world._mailboxes[self.rank].get(ANY_SOURCE, tag)
             if world.retry is None:
                 message = yield get_ev
             else:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 from repro.errors import (
     ConfigurationError,
@@ -12,32 +12,197 @@ from repro.errors import (
 )
 from repro.hardware.node import Node
 from repro.network.switch import SwitchSpec
-from repro.sim import Environment
+from repro.sim import Environment, Event, Join
 from repro.telemetry.instruments import SIZE_BUCKETS
 from repro.telemetry.sink import NULL
-from repro.telemetry.spans import NULL_SPAN
 
 
-class TransferRecord(NamedTuple):
-    """Timing breakdown of one completed transfer.
+class Flow(Event):
+    """One transfer between two nodes, as one event, and its record.
 
-    A named tuple rather than a frozen dataclass: every transfer builds
-    one, and a frozen dataclass sets each field through
-    ``object.__setattr__`` (about 3x the construction cost).
+    :meth:`Fabric.transfer` starts a flow, and a process yields it (or
+    yields from it, see :meth:`__iter__`).  A wire flow claims the
+    source's tx slot and then the destination's rx slot with its stage, a
+    :class:`~repro.sim.Join` over the two grants.  When both grants have
+    popped and the stage pops once more, :meth:`_begin` samples the rate
+    and the flow queues itself ``wire_seconds`` later, under the key a
+    ``Timeout`` for that delay would take.  A loopback flow queues itself
+    at once.
+
+    When the flow pops, its first callback, :meth:`_finish`, frees the
+    slots, checks the crash and drop state and does the accounting.  Only
+    then does the waiting process resume: with ``None``, or with
+    :class:`NodeFailure` / :class:`MessageLostError` thrown in.  A process
+    thrown into while it waits calls :meth:`abort`.
+
+    The record fields are ``start``, ``end``, ``queue_seconds``,
+    ``wire_seconds`` and :attr:`seconds`.  A finished flow holds no
+    reference cycle: its callbacks are unbound functions, and the stage
+    drops its callback when it fires or is cancelled.
     """
 
-    src: int
-    dst: int
-    nbytes: float
-    start: float
-    end: float
-    queue_seconds: float
-    wire_seconds: float
+    __slots__ = (
+        "_fabric", "_src", "_dst", "nbytes", "start", "end", "queue_seconds",
+        "wire_seconds", "_stage", "_rate", "_dropped", "_aborted", "__weakref__",
+    )
+
+    def __init__(self, fabric: "Fabric", src: Node, dst: Node, nbytes: float) -> None:
+        env = fabric.env
+        # Event fields set inline, as in Timeout: one flow per message.
+        self.env = env
+        self.callbacks = [Flow._finish]
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._defused = False
+        self._fabric = fabric
+        self._src = src
+        self._dst = dst
+        self.nbytes = nbytes
+        self.start = env._now
+        self.end: float | None = None
+        self.queue_seconds = 0.0
+        self.wire_seconds = 0.0
+        self._rate: float | None = None
+        self._dropped = False
+        self._aborted = False
+        if src is dst:
+            # Loopback: a memory-to-memory copy, no NIC involvement.
+            self._stage = None
+            self.wire_seconds = wire = 2.0 * nbytes / src.dram.spec.cpu_bandwidth
+            self._triggered = True
+            env.schedule(self, wire)
+        else:
+            self._stage = stage = Join(env, 2, self._begin)
+            src.nic_tx.claim(stage)
+            dst.nic_rx.claim(stage)
 
     @property
     def seconds(self) -> float:
         """Total transfer duration including queueing."""
         return self.end - self.start
+
+    def __iter__(self):
+        """``record = yield from fabric.transfer(...)`` waits for the flow
+        and returns it; an exception thrown in meanwhile aborts it."""
+        try:
+            yield self
+        except BaseException as exc:
+            self.abort(exc)
+            raise
+        return self
+
+    def abort(self, exc: BaseException) -> None:
+        """Withdraw a flow whose waiter was thrown into (a crash).
+
+        Frees or withdraws its NIC claims and records its span as failed
+        with *exc*.  The stage and wire pops already queued still fire,
+        doing nothing, as the requests, condition and timeout of a killed
+        transfer did.  A finished flow (whose own failure was thrown in) is
+        left as it is.
+        """
+        if self.callbacks is None or self._aborted:
+            return
+        self._aborted = True
+        fabric = self._fabric
+        stage = self._stage
+        if stage is not None:
+            if self._rate is not None:
+                fabric._active_flows -= 1
+            self._src.nic_tx.release(stage)
+            self._dst.nic_rx.release(stage)
+            stage.cancel()
+        if fabric._telemetry.enabled:
+            self._record(exc)
+
+    def _begin(self, _stage: Join) -> None:
+        """Both NIC slots are held: start the wire time at the current rate."""
+        fabric = self._fabric
+        src = self._src
+        dst = self._dst
+        env = self.env
+        self.queue_seconds = env._now - self.start
+        fabric._active_flows += 1
+        self._rate = rate = fabric._flow_rate(src, dst)
+        # The loss draw happens at flow start so the RNG consumption order
+        # is deterministic regardless of completion order.
+        if fabric._injector is not None:
+            self._dropped = fabric._injector.message_dropped(src.node_id, dst.node_id)
+        nbytes = self.nbytes
+        latency = src.nic.latency_one_way + fabric.switch.latency
+        self.wire_seconds = wire = latency + (nbytes / rate if nbytes else 0.0)
+        self._triggered = True
+        env.schedule(self, wire)
+
+    def _finish(self) -> None:
+        """The flow popped: settle and account it before its waiter resumes."""
+        if self._aborted:
+            return
+        fabric = self._fabric
+        src = self._src
+        dst = self._dst
+        nbytes = self.nbytes
+        self.end = self.env._now
+        observed = fabric._telemetry.enabled
+        stage = self._stage
+        if stage is None:
+            if observed:
+                self._record(None)
+                fabric._loopback_bytes_counter.inc(nbytes)
+                fabric._loopback_transfers_counter.inc()
+            src.record_loopback(nbytes)
+            fabric.loopback_bytes += nbytes
+            fabric.loopback_transfers += 1
+            return
+        fabric._active_flows -= 1
+        src.nic_tx.release(stage)
+        dst.nic_rx.release(stage)
+        error: Exception | None = None
+        if src.failed or dst.failed:
+            # A crash that landed mid-flight eats the payload.
+            error = fabric._node_failure(src if src.failed else dst)
+        elif self._dropped:
+            fabric.dropped_bytes += nbytes
+            fabric.dropped_transfers += 1
+            if observed:
+                fabric._drops_counter.inc()
+                fabric._telemetry.instant(
+                    "faults", f"message-loss n{src.node_id}->n{dst.node_id}",
+                    "fault", nbytes=nbytes,
+                )
+            error = MessageLostError(
+                f"transfer of {nbytes:.0f} B from node {src.node_id} to node "
+                f"{dst.node_id} lost on the wire at t={self.end:.6f}"
+            )
+        else:
+            src.record_send(nbytes)
+            dst.record_receive(nbytes)
+            fabric.total_bytes += nbytes
+            fabric.total_transfers += 1
+            if observed:
+                fabric._bytes_counter.inc(nbytes)
+                fabric._transfers_counter.inc()
+                fabric._seconds_histogram.observe(self.end - self.start)
+                fabric._size_histogram.observe(nbytes)
+        if observed:
+            self._record(error)
+        if error is not None:
+            self._ok = False
+            self._value = error
+
+    def _record(self, error: BaseException | None) -> None:
+        """The flow's ``fabric`` span, closing now (failed with *error*)."""
+        fabric = self._fabric
+        args: dict[str, object] = {"nbytes": self.nbytes}
+        if self._rate is not None:
+            args["queue_seconds"] = self.queue_seconds
+            args["rate"] = self._rate
+        if error is not None:
+            args["error"] = f"{type(error).__name__}: {error}"
+        fabric._telemetry.record_span(
+            "fabric", fabric._span_name(self._src.node_id, self._dst.node_id),
+            "fabric", self.start, self.env._now, kind="async", **args,
+        )
 
 
 class LinkFaultModel(Protocol):
@@ -162,28 +327,29 @@ class Fabric:
         fair_share = self.switch.bisection_bandwidth / flows
         return min(endpoint, fair_share)
 
-    def _check_alive(self, node: Node) -> None:
-        if node.failed:
-            raise NodeFailure(
-                node.node_id,
-                f"node {node.node_id} is down (failed at t={node.failed_at})",
-            )
+    def _node_failure(self, node: Node) -> NodeFailure:
+        return NodeFailure(
+            node.node_id,
+            f"node {node.node_id} is down (failed at t={node.failed_at})",
+        )
 
-    def transfer(self, src_id: int, dst_id: int, nbytes: float):
-        """Generator process moving *nbytes* from ``src_id`` to ``dst_id``.
+    def transfer(self, src_id: int, dst_id: int, nbytes: float) -> Flow:
+        """Start moving *nbytes* from ``src_id`` to ``dst_id``.
 
-        Returns a :class:`TransferRecord`; charge it with
-        ``record = yield from fabric.transfer(...)`` inside a sim process.
+        Returns the :class:`Flow`; ``yield`` it inside a sim process, or
+        ``record = yield from fabric.transfer(...)`` to get it back as the
+        transfer's record.  The arguments and the endpoints' health are
+        checked here, before any NIC slot is claimed.
 
         Under fault injection the flow rate is sampled at flow start (a
         degradation window opening mid-flight applies from the next
         transfer), dropped payloads consume their full wire time before
-        raising :class:`MessageLostError`, and a transfer touching a crashed
-        endpoint raises :class:`NodeFailure`.
+        failing with :class:`MessageLostError`, and a transfer touching a
+        crashed endpoint fails with :class:`NodeFailure`.
         """
         if not nbytes >= 0:
             # ``not >=`` rather than ``<``: a NaN size would otherwise hold
-            # both NIC slots before the kernel's timeout check rejected it.
+            # both NIC slots before the kernel's schedule check rejected it.
             raise ConfigurationError(
                 f"transfer size must be non-negative, got {nbytes}"
             )
@@ -194,96 +360,11 @@ class Fabric:
             raise NetworkError(
                 f"node id {exc.args[0]} is not attached to this fabric"
             ) from None
-        if src.failed or dst.failed:
-            self._check_alive(src)
-            self._check_alive(dst)
-        env = self.env
-        start = env._now
-        # Per-transfer hot path: with the sink disabled, skip its no-op span
-        # factory and instruments, as Communicator.send/recv do.
-        observed = self._telemetry.enabled
-
-        if src_id == dst_id:
-            # Loopback: a memory-to-memory copy, no NIC involvement.  It is
-            # accounted under its own instruments — total_bytes stays the
-            # wire-only figure JobResult.network_bytes mirrors.
-            wire = 2.0 * nbytes / src.dram.spec.cpu_bandwidth
-            if observed:
-                with self._telemetry.async_span(
-                    "fabric", self._span_name(src_id, dst_id), "fabric",
-                    nbytes=nbytes,
-                ):
-                    yield env.timeout(wire)
-                self._loopback_bytes_counter.inc(nbytes)
-                self._loopback_transfers_counter.inc()
-            else:
-                yield env.timeout(wire)
-            src.record_loopback(nbytes)
-            self.loopback_bytes += nbytes
-            self.loopback_transfers += 1
-            return TransferRecord(src_id, dst_id, nbytes, start, env._now, 0.0, wire)
-
-        span = NULL_SPAN
-        if observed:
-            span = self._telemetry.async_span(
-                "fabric", self._span_name(src_id, dst_id), "fabric", nbytes=nbytes
-            )
-        with span:
-            tx_req = src.nic_tx.request()
-            rx_req = dst.nic_rx.request()
-            granted = False
-            dropped = False
-            try:
-                yield env.all_of([tx_req, rx_req])
-                granted = True
-                queued = env._now - start
-                self._active_flows += 1
-                rate = self._flow_rate(src, dst)
-                if observed:
-                    span.set(queue_seconds=queued, rate=rate)
-                # The loss draw happens at flow start so the RNG consumption
-                # order is deterministic regardless of completion order.
-                if self._injector is not None:
-                    dropped = self._injector.message_dropped(src_id, dst_id)
-                latency = src.nic.latency_one_way + self.switch.latency
-                wire = latency + (nbytes / rate if nbytes else 0.0)
-                yield env.timeout(wire)
-            finally:
-                if granted:
-                    self._active_flows -= 1
-                # release() also withdraws still-queued requests, so a process
-                # killed while waiting for the NIC does not leak a slot.
-                src.nic_tx.release(tx_req)
-                dst.nic_rx.release(rx_req)
-
-            # A crash that landed mid-flight eats the payload.
-            if src.failed or dst.failed:
-                self._check_alive(src)
-                self._check_alive(dst)
-            if dropped:
-                self.dropped_bytes += nbytes
-                self.dropped_transfers += 1
-                if observed:
-                    self._drops_counter.inc()
-                    self._telemetry.instant(
-                        "faults", f"message-loss n{src_id}->n{dst_id}", "fault",
-                        nbytes=nbytes,
-                    )
-                raise MessageLostError(
-                    f"transfer of {nbytes:.0f} B from node {src_id} to node "
-                    f"{dst_id} lost on the wire at t={env.now:.6f}"
-                )
-
-            src.record_send(nbytes)
-            dst.record_receive(nbytes)
-            self.total_bytes += nbytes
-            self.total_transfers += 1
-            if observed:
-                self._bytes_counter.inc(nbytes)
-                self._transfers_counter.inc()
-                self._seconds_histogram.observe(env._now - start)
-                self._size_histogram.observe(nbytes)
-        return TransferRecord(src_id, dst_id, nbytes, start, env._now, queued, wire)
+        if src.failed:
+            raise self._node_failure(src)
+        if dst.failed:
+            raise self._node_failure(dst)
+        return Flow(self, src, dst, nbytes)
 
     def average_traffic_rate(self, elapsed_seconds: float) -> float:
         """Mean fabric throughput over a run (Fig. 3's network-traffic axis)."""

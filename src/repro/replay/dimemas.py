@@ -59,14 +59,23 @@ def replay(
     Each rank's op stream (compute bursts, sends, receives; see
     :meth:`~repro.tracing.events.Trace.op_table`) is re-executed
     with original compute durations (optionally scaled per-rank by
-    ``compute_scale``) and transfer costs recomputed from *network*.
+    ``compute_scale``, one finite non-negative factor per rank) and
+    transfer costs recomputed from *network*.
     A receive consumes the send the table pairs it with
     (``OpTable.sender``: FIFO per (src, dst, tag) channel, mirroring the
     simulator's mailbox semantics).
     """
     n = trace.n_ranks
-    if compute_scale is not None and len(compute_scale) != n:
-        raise TraceError("compute_scale must have one entry per rank")
+    if compute_scale is not None:
+        if len(compute_scale) != n:
+            raise TraceError("compute_scale must have one entry per rank")
+        for rank, scale in enumerate(compute_scale):
+            # ``not <=/<``: NaN compares false both ways, as in NetworkParams.
+            if not 0.0 <= scale < math.inf:
+                raise TraceError(
+                    f"compute_scale[{rank}] must be finite and non-negative, "
+                    f"got {scale}"
+                )
     if rank_to_node is not None and len(rank_to_node) < n:
         raise TraceError("rank_to_node must have an entry per rank")
 

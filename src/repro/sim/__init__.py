@@ -5,9 +5,10 @@ engines, MPI ranks — is a generator-based :class:`Process` scheduled by an
 :class:`Environment`.  The kernel supports timeouts, one-shot events,
 ``AllOf``/``AnyOf`` conditions, ``Environment.first_of`` timed waits
 (:class:`FirstOf`, timed by a per-delay deadline chain rather than a queued
-``Timeout``), process interrupts, and the three classic shared-resource
+``Timeout``), process interrupts, the three classic shared-resource
 primitives (:class:`Resource`, :class:`Container`,
-:class:`Store`).
+:class:`Store`), and a NIC's FIFO :class:`Slot`, whose claims are
+:class:`Join` events (an ``AllOf`` that pops as one re-armed event).
 """
 
 from repro.sim.core import (
@@ -17,10 +18,11 @@ from repro.sim.core import (
     Event,
     FirstOf,
     Interrupt,
+    Join,
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, PriorityResource, Resource, Slot, Store
 
 __all__ = [
     "AllOf",
@@ -30,9 +32,11 @@ __all__ = [
     "Event",
     "FirstOf",
     "Interrupt",
+    "Join",
     "PriorityResource",
     "Process",
     "Resource",
+    "Slot",
     "Store",
     "Timeout",
 ]

@@ -12,6 +12,8 @@ small and fully under test:
 * :class:`AllOf` / :class:`AnyOf` compose events.
 * :class:`FirstOf` waits on one event with a deadline, timed by a deadline
   chain instead of a queued :class:`Timeout`.
+* :class:`Join` is an ``AllOf`` whose components are pops of itself: one
+  re-armed event instead of one event per component.
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a waiting process.
 """
 
@@ -482,6 +484,55 @@ class _DeadlineChain(Event):
         if records:
             head = records[0]
             heappush(self.env._queue, (head[0], NORMAL, head[1], self))
+
+
+class Join(Event):
+    """An ``AllOf`` over *n* grants whose components are pops of the join.
+
+    Whoever grants an arrival (a :class:`~repro.sim.resources.Slot`)
+    schedules the join itself at the current time, under the eid the
+    component's ``succeed`` would have taken.  Each such pop counts one
+    arrival, as ``AllOf._check`` counts a processed component; the *n*-th
+    schedules the join once more, as ``AllOf`` queues its own success, and
+    that last pop calls ``callback(join)``.  Between pops the join re-arms
+    its callbacks, as :class:`_DeadlineChain` does, so it may sit in the
+    queue under several entries at once.
+
+    :meth:`cancel` drops the callback.  The entries already queued still
+    pop and count, and the last one calls nothing: the queue sees the same
+    entries as from a condition nobody waits on any more.
+    """
+
+    __slots__ = ("_left", "_callback", "_armed")
+
+    def __init__(self, env: "Environment", n: int, callback: Callable[["Join"], None]) -> None:
+        self.env = env
+        self._value = None
+        self._ok = True
+        self._triggered = True
+        self._defused = False
+        self._left = n
+        self._callback: Callable[[Join], None] | None = callback
+        # Unbound, so the join's pops hold no reference back to the join.
+        self._armed = [Join._pop]
+        self.callbacks = self._armed
+
+    def cancel(self) -> None:
+        """Call nothing on the last pop; the queued entries still pop."""
+        self._callback = None
+
+    def _pop(self) -> None:
+        left = self._left
+        if left:
+            self._left = left = left - 1
+            self.callbacks = self._armed
+            if not left:
+                self.env.schedule(self)
+            return
+        callback = self._callback
+        if callback is not None:
+            self._callback = None
+            callback(self)
 
 
 class Environment:

@@ -10,12 +10,15 @@ These mirror SimPy's semantics:
   (lower = more urgent) and queue in priority order.
 * :class:`Container` — a continuous quantity (e.g. bytes of DRAM bandwidth
   credit); ``put(amount)`` / ``get(amount)`` block until satisfiable.
-* :class:`Store` — a FIFO of Python objects (e.g. in-flight MPI messages).
+* :class:`Store` — a FIFO of Python objects (e.g. decoded image batches).
+* :class:`Slot` — one FIFO slot whose claims are events, not requests: a
+  granted claim is scheduled (a :class:`~repro.sim.core.Join` counts it).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any
 
 from repro.errors import SimulationError
@@ -220,26 +223,8 @@ class Store:
     def put(self, item: Any) -> Event:
         """Append *item*; fires once there is room."""
         ev = Event(self.env)
-        if self._putters or len(self.items) >= self.capacity:
-            self._putters.append((item, ev))
-            self._settle()
-            return ev
-        # Room and no putter ahead: store it as _settle would, then hand
-        # it to a waiting getter, if any.
-        ev.succeed()
-        if self._getters and not self.items:
-            # The new item is the only one _settle could hand out: the
-            # first getter it matches takes it, in the same order.
-            for gi, (predicate, getter) in enumerate(self._getters):
-                if predicate is None or predicate(item):
-                    del self._getters[gi]
-                    getter.succeed(item)
-                    return ev
-            self.items.append(item)
-            return ev
-        self.items.append(item)
-        if self._getters:
-            self._settle()
+        self._putters.append((item, ev))
+        self._settle()
         return ev
 
     def get(self, filter: Any = None) -> Event:
@@ -250,16 +235,15 @@ class Store:
         """
         ev = Event(self.env)
         self._getters.append((filter, ev))
-        if self.items or self._putters:
-            self._settle()
+        self._settle()
         return ev
 
     def cancel(self, event: Event) -> None:
         """Withdraw a pending :meth:`get` (or :meth:`put`) event.
 
-        Used by timed receives: once the timeout wins the race, the getter
-        must be removed so it cannot swallow a later item.  Cancelling an
-        event that already fired (or was never issued here) is a no-op.
+        A get whose wait timed out must be withdrawn, or it would swallow a
+        later item.  Cancelling an event that already fired (or was never
+        issued here) is a no-op.
         """
         self._getters = [(p, ev) for (p, ev) in self._getters if ev is not event]
         self._putters = [(i, ev) for (i, ev) in self._putters if ev is not event]
@@ -290,12 +274,53 @@ class Store:
                     break
 
 
+class Slot:
+    """A capacity-1 FIFO resource whose claims are events.
+
+    ``holder`` is the granted claim (``None`` when free) and ``waiters``
+    queue the others in arrival order.  Granting a claim schedules it at
+    the current time: that is the queue entry a granted :class:`Request`
+    takes, without a request object.  A claim is therefore an event that
+    can be scheduled while still pending, such as a
+    :class:`~repro.sim.core.Join`.
+    """
+
+    __slots__ = ("env", "holder", "waiters")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.holder: Event | None = None
+        self.waiters: deque[Event] = deque()
+
+    def claim(self, event: Event) -> None:
+        """Queue *event* for the slot; it is scheduled once granted."""
+        if self.holder is None:
+            self.holder = event
+            self.env.schedule(event)
+        else:
+            self.waiters.append(event)
+
+    def release(self, event: Event) -> None:
+        """Give up *event*'s claim: hand the slot on if it is held, or
+        withdraw it from the waiters."""
+        if self.holder is event:
+            waiters = self.waiters
+            if waiters:
+                self.holder = granted = waiters.popleft()
+                self.env.schedule(granted)
+            else:
+                self.holder = None
+        elif event in self.waiters:
+            self.waiters.remove(event)
+
+
 __all__ = [
     "Container",
     "PriorityRequest",
     "PriorityResource",
     "Request",
     "Resource",
+    "Slot",
     "Store",
     "URGENT",
 ]

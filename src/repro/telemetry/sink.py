@@ -111,11 +111,17 @@ class Telemetry:
         kind: str = "scoped",
         **args: object,
     ) -> None:
-        """Record an already-timed span (``Job``'s rank states and markers)."""
+        """Record an already-timed span (``Job``'s rank states and markers,
+        the fabric's flows).
+
+        An ``error`` argument marks the span failed, as an exception
+        closing a ``with`` span does.
+        """
         if not end >= start:
             raise TelemetryError(f"span ends before it starts: {start} > {end}")
         self._finish(SpanRecord(sys.intern(track), sys.intern(name), category,
-                                start, end, kind=kind, args=dict(args)))
+                                start, end, kind=kind, args=dict(args),
+                                error="error" in args))
 
     def instant(self, track: str, name: str, category: str = "", **args: object) -> None:
         """Record an instant marker at the current simulated time."""

@@ -14,6 +14,9 @@ host-cost work (DESIGN.md §8) and must never move with it:
   appended;
 * ``sim_events_processed_total``.
 
+The crash runs also pin the ``fabric`` span sequence, errors included:
+it records how each aborted transfer let go of its NIC slots.
+
 Each run is pinned twice: with a sink attached, and bare (no sink, no
 cache), where the fabric and the MPI layer take their unobserved branch.
 Both must give the same payload digest, and so must a bare run that
@@ -35,7 +38,7 @@ from repro.bench.runner import run_workload
 from repro.campaign.serialize import run_to_payload
 from repro.campaign.spec import RunSpec
 from repro.faults.experiments import format_report, run_degraded
-from repro.faults.model import FaultSchedule, MessageLoss
+from repro.faults.model import FaultSchedule, MessageLoss, NicDegradation, NodeCrash
 from repro.telemetry import Telemetry
 
 
@@ -50,6 +53,13 @@ def _trace_sequence(telemetry: Telemetry) -> str:
         for s in telemetry.spans
         if s.category == "rank" or s.name == "mpi.recv"
         or s.name.startswith("mpi.send->")
+    ])
+
+
+def _fabric_sequence(telemetry: Telemetry) -> str:
+    return _sha([
+        [s.track, s.name, s.start, s.end, s.kind, s.args, s.error]
+        for s in telemetry.spans if s.category == "fabric"
     ])
 
 
@@ -153,3 +163,63 @@ def test_bare_degraded_run_matches_the_pinned_report():
     report = _degraded_jacobi()
     assert report.total_retries == 19
     assert _sha(format_report(report)) == _DEGRADED_REPORT_DIGEST
+
+
+# cg@4 with node 0's NIC at 5%: at t=1.74769 rank 4 (node 1) has a flow in
+# flight to node 0, and rank 8 (node 2) has one queued behind it for node
+# 0's rx slot.  Both nodes crash at that instant, so both flows are aborted
+# by the NodeFailure thrown into their ranks.  The crash order decides the
+# abort path: node 2 first withdraws rank 8's queued claim; node 1 first
+# hands node 0's rx slot to rank 8's flow, whose grant is then aborted
+# before it pops.  Recorded before transfers became flows.
+_CRASH_AT = 1.74769
+CRASHES = {
+    "queued-withdrawn": (
+        (2, 1), 906,
+        "3f0360efc56467cfa1d38569d4532160bc2e2bde873b031707f4068144527c41",
+        "39a61791ff16c6eea4d36662eb05f0f0a9011d3ef67a598a8f2a02cab171235e",
+    ),
+    "grant-aborted": (
+        (1, 2), 908,
+        "2e6f6d2fd33a19c864285ffa12c88f7636fe9944d1ae3d9056525b1dcf3a180d",
+        "86cd45362fc38f0565d96a4726226f4e40174a15290c1883b9b1fbcb3ee479b5",
+    ),
+}
+_CRASH_REPORT_DIGEST = (
+    "a9aacca5836d9eb13b59b59c174ba72e63b74ddf524232be56c1e714b975a7fc"
+)
+
+
+def _crashed_cg(order, telemetry=None):
+    schedule = FaultSchedule((
+        NicDegradation(node_id=0, start=0.0, end=1e6, multiplier=0.05),
+        *(NodeCrash(node_id=node, at=_CRASH_AT) for node in order),
+    ), seed=0)
+    return run_degraded("cg", schedule, nodes=4, telemetry=telemetry,
+                        use_cache=False)
+
+
+@pytest.mark.parametrize("case", sorted(CRASHES))
+def test_crash_aborting_queued_and_in_flight_flows_is_pinned(case):
+    order, events, trace_digest, fabric_digest = CRASHES[case]
+    telemetry = Telemetry()
+    report = _crashed_cg(order, telemetry)
+    # Both abort paths must actually run: rank 8's flow dies ungranted,
+    # rank 4's in flight (it carries the rate it started with).
+    aborted = {
+        s.name: s.args for s in telemetry.spans
+        if s.category == "fabric" and s.error
+    }
+    assert sorted(aborted) == ["xfer n1->n0", "xfer n2->n0"]
+    assert "rate" in aborted["xfer n1->n0"]
+    assert "rate" not in aborted["xfer n2->n0"]
+    assert _events(telemetry) == events
+    assert _trace_sequence(telemetry) == trace_digest
+    assert _fabric_sequence(telemetry) == fabric_digest
+    assert _sha(format_report(report)) == _CRASH_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(CRASHES))
+def test_bare_crashed_run_matches_the_pinned_report(case):
+    report = _crashed_cg(CRASHES[case][0])
+    assert _sha(format_report(report)) == _CRASH_REPORT_DIGEST

@@ -274,6 +274,21 @@ def test_sim_kernel_flags_a_dropped_timed_wait():
     assert "env.first_of(...) creates an event" in found[0].message
 
 
+def test_sim_kernel_flags_a_dropped_transfer():
+    src = (
+        "def proc(env, fabric):\n"
+        "    fabric.transfer(0, 1, 1e6)\n"
+        "    yield env.timeout(1.0)\n"
+        "    yield fabric.transfer(0, 1, 1e6)\n"
+        "    record = yield from fabric.transfer(1, 0, 8.0)\n"
+        "    flow = fabric.transfer(1, 0, 8.0)\n"
+        "    yield flow\n"
+    )
+    found = lint_source(src, path="src/repro/x.py")
+    assert [(f.rule, f.line) for f in found] == [("RL002", 2)]
+    assert "fabric.transfer(...) creates an event" in found[0].message
+
+
 def test_mpi_flags_collective_in_rank_branch():
     src = (
         "def program(ctx):\n"

@@ -1,11 +1,15 @@
 """Unit tests for the network fabric and microbenchmarks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench.runner import run_workload
 from repro.errors import ConfigurationError, NetworkError
 from repro.hardware import catalog
-from repro.network import Fabric, SwitchSpec, iperf, ping_pong
+from repro.network import Fabric, Flow, SwitchSpec, iperf, ping_pong
+from repro.sim import Interrupt, Join
 from repro.telemetry import Telemetry
 from repro.units import gbit_s, to_gbit_s, to_ms, us
 
@@ -130,9 +134,130 @@ def test_nan_bytes_rejected_before_any_nic_request(tx1_pair, dst):
     with pytest.raises(ConfigurationError, match="non-negative"):
         env.run(until=env.process(fabric.transfer(0, dst, float("nan"))))
     for node in nodes:
-        assert node.nic_tx.users == [] and node.nic_tx.queue == []
-        assert node.nic_rx.users == [] and node.nic_rx.queue == []
+        assert node.nic_tx.holder is None and not node.nic_tx.waiters
+        assert node.nic_rx.holder is None and not node.nic_rx.waiters
     assert fabric.total_transfers == fabric.loopback_transfers == 0
+
+
+# -- flows over FIFO NIC slots -------------------------------------------------
+
+
+def _waiter(flow):
+    """Wait on *flow*; an interrupt aborts it (as a crash would)."""
+    try:
+        yield from flow
+    except Interrupt:
+        pass
+
+
+def _interrupt_at(env, proc, at):
+    yield env.timeout(at)
+    proc.interrupt()
+
+
+def _begun_at(flow):
+    return flow.start + flow.queue_seconds
+
+
+def test_transfer_returns_a_flow_record(tx1_pair):
+    env, fabric, _ = tx1_pair
+    flow = fabric.transfer(0, 1, 1e6)
+    assert isinstance(flow, Flow) and not flow.triggered
+    env.run(until=flow)
+    assert flow.processed and flow.ok and flow.value is None
+    assert flow.end == env.now == flow.start + flow.queue_seconds + flow.wire_seconds
+    assert flow.seconds == flow.end - flow.start
+
+
+def test_three_flows_contending_for_one_nic_are_granted_fifo(tx1_quad):
+    env, fabric, _ = tx1_quad
+    # Created out of source order: the rx slot of node 3 grants in
+    # creation order, not by node id.
+    flows = [fabric.transfer(src, 3, 1e6) for src in (2, 0, 1)]
+    for flow in flows:
+        env.process(_waiter(flow))
+    env.run()
+    assert [_begun_at(f) for f in flows] == [0.0, flows[0].end, flows[1].end]
+    assert flows[0].end < flows[1].end < flows[2].end
+    assert fabric.total_transfers == 3
+
+
+def test_an_aborted_queued_flow_never_takes_the_slot(tx1_quad):
+    env, fabric, nodes = tx1_quad
+    first, doomed, last = (fabric.transfer(src, 3, 1e6) for src in (0, 1, 2))
+    env.process(_waiter(first))
+    victim = env.process(_waiter(doomed))
+    env.process(_waiter(last))
+    env.process(_interrupt_at(env, victim, 1e-6))  # first is in flight
+    env.run()
+    assert first.start + first.queue_seconds < 1e-6 < first.end
+    assert doomed.end is None and doomed.queue_seconds == 0.0
+    assert _begun_at(last) == first.end
+    assert fabric.total_transfers == 2 and fabric.active_flows == 0
+    assert nodes[3].nic_rx.holder is None and not nodes[3].nic_rx.waiters
+    assert nodes[1].nic_tx.holder is None
+
+
+def test_an_aborted_holder_passes_the_slot_on_at_once(tx1_quad):
+    env, fabric, nodes = tx1_quad
+    holder, waiting = (fabric.transfer(src, 3, 1e8) for src in (0, 1))
+    victim = env.process(_waiter(holder))
+    env.process(_waiter(waiting))
+    env.run(until=1e-3)
+    assert holder.wire_seconds > 1e-3  # in flight, not finished
+    env.process(_interrupt_at(env, victim, 0.0))
+    env.run()
+    assert holder.end is None
+    assert _begun_at(waiting) == 1e-3
+    assert fabric.total_transfers == 1 and fabric.active_flows == 0
+    assert nodes[3].nic_rx.holder is None and nodes[0].nic_tx.holder is None
+
+
+def test_a_finished_flow_frees_without_the_cycle_collector(tx1_quad):
+    env, fabric, _ = tx1_quad
+    refs = []
+
+    def go():
+        for dst in (1, 0):  # a wire flow and a loopback flow
+            flow = fabric.transfer(0, dst, 1e6)
+            refs.append(weakref.ref(flow))
+            yield flow
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.run(until=env.process(go()))
+        # A queued flow whose waiter was killed frees too.
+        first, doomed = (fabric.transfer(src, 3, 1e6) for src in (0, 1))
+        env.process(_waiter(first))
+        victim = env.process(_waiter(doomed))
+        env.process(_interrupt_at(env, victim, 0.0))
+        refs.append(weakref.ref(doomed))
+        del first, doomed, victim
+        env.run()
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_job_leaves_no_flow_for_the_collector():
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run = run_workload("cg", nodes=2, use_cache=False)
+        assert run.result.network_bytes > 0 and run.result.loopback_bytes > 0
+        del run
+        gc.collect()
+        stranded = sum(isinstance(obj, (Flow, Join)) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert stranded == 0
 
 
 class _TripwireSink:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import CommWorld
+from repro.mpi import ANY_SOURCE, ANY_TAG, CommWorld, Message
+from repro.mpi.communicator import Mailbox
+from repro.sim import Environment, Store
 
 from tests.conftest import build_tx1_fabric
 
@@ -142,3 +144,49 @@ def test_barrier_alignment_property(size):
     times = run_ranks(env, world, main)
     slowest_arrival = (size - 1) * 0.5
     assert all(t >= slowest_arrival - 1e-9 for t in times)
+
+
+_MAILBOX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from((0, 1, 2)), st.sampled_from((0, 1))),
+        st.tuples(st.just("get"), st.sampled_from((ANY_SOURCE, 0, 1, 2)),
+                  st.sampled_from((ANY_TAG, 0, 1))),
+        st.tuples(st.just("cancel"), st.integers(0, 7), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(_MAILBOX_OPS)
+@settings(max_examples=300, deadline=None)
+def test_mailbox_settles_as_a_store_with_source_tag_filters(ops):
+    """Reference: an unbounded Store whose gets filter by (source, tag).
+    Every event must trigger at the same step, with the same value and
+    the same queue key, on both."""
+
+    def matcher(source, tag):
+        return lambda m: (source == ANY_SOURCE or m.src == source) and (
+            tag == ANY_TAG or m.tag == tag
+        )
+
+    sides = []
+    for kind in ("store", "mailbox"):
+        env = Environment()
+        box = Store(env) if kind == "store" else Mailbox(env)
+        events, gets = [], []
+        for step, (op, a, b) in enumerate(ops):
+            if op == "put":
+                events.append(box.put(Message(a, 9, b, step, 8.0, 0.0)))
+            elif op == "get":
+                ev = box.get(filter=matcher(a, b)) if kind == "store" else box.get(a, b)
+                events.append(ev)
+                gets.append(ev)
+            elif gets:
+                box.cancel(gets[a % len(gets)])
+        index = {id(ev): i for i, ev in enumerate(events)}
+        sides.append((
+            [(ev.triggered, ev.value if ev.triggered else None) for ev in events],
+            sorted((key[:3], index[id(key[3])]) for key in env._queue),
+            [m.payload for m in box.items],
+        ))
+    assert sides[0] == sides[1]

@@ -237,6 +237,28 @@ def test_replay_compute_scaling():
     assert balanced.runtime == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("scale, match", [
+    ([math.nan, 1.0], r"compute_scale\[0\] must be finite"),
+    ([1.0, math.inf], r"compute_scale\[1\] must be finite"),
+    ([-1.0, 1.0], r"compute_scale\[0\] must be finite and non-negative"),
+    ([1.0], "one entry per rank"),
+    ([1.0, 1.0, 1.0], "one entry per rank"),
+], ids=["nan", "inf", "negative", "short", "long"])
+def test_replay_rejects_bad_compute_scale(scale, match):
+    # Compute only: a NaN scale would otherwise give runtime NaN, and a
+    # negative one a finish time of -1.0.
+    tracer = Tracer(2)
+    tracer.record_state(0, "compute", 0.0, 1.0)
+    tracer.record_state(1, "compute", 0.0, 1.0)
+    with pytest.raises(TraceError, match=match):
+        replay(tracer.finalize(), IDEAL_NETWORK, compute_scale=scale)
+
+
+def test_replay_accepts_a_zero_compute_scale():
+    trace = two_rank_trace(compute=(2.0, 1.0))
+    assert replay(trace, IDEAL_NETWORK, compute_scale=[0.0, 1.0]).runtime == 1.0
+
+
 def test_replay_local_messages_use_local_bus():
     trace = two_rank_trace(nbytes=1e8)
     net = NetworkParams(latency=0.5, bandwidth=1e6, local_bandwidth=math.inf)

@@ -11,7 +11,7 @@ from repro.cluster import Cluster
 from repro.cluster.cluster import tx1_cluster_spec
 from repro.errors import SimulationError
 from repro.mpi import RetryPolicy
-from repro.sim import AllOf, AnyOf, Environment, Event, FirstOf, Interrupt, Timeout
+from repro.sim import AllOf, AnyOf, Environment, Event, FirstOf, Interrupt, Join, Timeout
 from repro.telemetry import Telemetry
 from repro.workloads import make_workload
 
@@ -880,3 +880,40 @@ def test_first_of_is_any_of_with_a_timeout(specs):
     chained = _race(specs, lambda env, ev, d: env.first_of(ev, d))
     queued = _race(specs, lambda env, ev, d: env.any_of([ev, env.timeout(d)]))
     assert chained == queued
+
+
+# -- join: an AllOf whose components are pops of itself -------------------------
+
+
+def test_join_pops_once_per_arrival_then_once_more():
+    env = Environment()
+    calls = []
+    join = Join(env, 2, lambda j: calls.append((j, env.now)))
+    env.schedule(join, 1.0)
+    env.schedule(join, 2.0)
+    env.run()
+    # Two arrival pops and the join's own: the entries of AllOf([a, b]).
+    assert calls == [(join, 2.0)]
+    assert env._eid == 3 and join.processed
+
+
+def test_join_queued_twice_at_one_instant_re_arms_between_pops():
+    env = Environment()
+    calls = []
+    join = Join(env, 2, lambda j: calls.append(env.now))
+    env.schedule(join)
+    env.schedule(join)
+    env.run()
+    assert calls == [0.0] and env._eid == 3
+
+
+def test_a_cancelled_join_still_pops_every_entry_and_calls_nothing():
+    env = Environment()
+    calls = []
+    join = Join(env, 2, lambda j: calls.append(env.now))
+    env.schedule(join)
+    env.run()
+    join.cancel()
+    env.schedule(join, 1.0)
+    env.run()
+    assert calls == [] and env._eid == 3 and env.now == 1.0

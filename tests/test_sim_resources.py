@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Container, Environment, Join, PriorityResource, Resource, Slot, Store
 from repro.sim.resources import Request
 
 
@@ -361,3 +361,41 @@ def test_resource_request_granted_immediately_when_free():
     res.release(first)
     assert third.triggered
     assert res.users == [second, third]
+
+
+def _granted_log(env, log, name):
+    return Join(env, 1, lambda j: log.append((name, env.now)))
+
+
+def test_slot_grants_claims_fifo_by_scheduling_them():
+    env = Environment()
+    slot = Slot(env)
+    log = []
+    first, second, third = (_granted_log(env, log, n) for n in ("a", "b", "c"))
+    for claim in (first, second, third):
+        slot.claim(claim)
+    assert slot.holder is first and list(slot.waiters) == [second, third]
+    env.run()
+    assert log == [("a", 0.0)]
+    env.run(until=1.0)
+    slot.release(first)
+    assert slot.holder is second and list(slot.waiters) == [third]
+    env.run()
+    assert log == [("a", 0.0), ("b", 1.0)]
+
+
+def test_slot_release_withdraws_a_waiting_claim():
+    env = Environment()
+    slot = Slot(env)
+    log = []
+    first, second, third = (_granted_log(env, log, n) for n in ("a", "b", "c"))
+    for claim in (first, second, third):
+        slot.claim(claim)
+    slot.release(second)
+    assert list(slot.waiters) == [third]
+    slot.release(first)
+    slot.release(third)
+    assert slot.holder is None and not slot.waiters
+    env.run()
+    # The claims granted and released before popping still pop.
+    assert [name for name, _ in log] == ["a", "c"]
