@@ -13,7 +13,8 @@ it.  Runs are served from a two-tier cache:
   re-simulating.
 
 An experiment that knows its runs up front declares their specs and calls
-:func:`prefetch` first: the cold ones are simulated on a process pool and
+:func:`prefetch` first: the cold ones are simulated on the campaign
+supervisor's process pool (its retries and crash recovery included) and
 come back pickled into the memory tier, so the experiment body reads hits.
 A per-run analysis passed as ``then`` runs in the worker beside its run.
 
@@ -29,17 +30,14 @@ from __future__ import annotations
 import copy
 import os
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any
 
-from repro.campaign.serialize import (
-    UncacheableRunError,
-    run_from_payload,
-    run_to_payload,
-)
+from repro.campaign.serialize import publish_run, run_from_payload
 from repro.campaign.spec import RunSpec, build_cluster, build_workload
 from repro.campaign.store import ResultStore, default_store
+from repro.campaign.supervisor import CampaignSupervisor, SpecRecord
 from repro.cluster import Cluster
 from repro.cluster.job import JobResult
 from repro.cuda.events import Profiler
@@ -170,11 +168,7 @@ def _simulate(spec: RunSpec, telemetry: Any) -> ExperimentRun:
 def _install(spec: RunSpec, run: ExperimentRun, store: ResultStore | None) -> None:
     """Publish a freshly simulated *run* to the memory tier and the store."""
     _cache[spec.key] = run
-    if store is not None:
-        try:
-            store.put("run", spec.digest, spec.fingerprint, run_to_payload(run))
-        except UncacheableRunError:
-            pass  # ad-hoc rank return values: memory tier only
+    publish_run(spec, run, store)
 
 
 def _from_disk(spec: RunSpec, store: ResultStore) -> ExperimentRun | None:
@@ -215,7 +209,7 @@ def _usable_cpus() -> int:
 def _simulate_for_pool(
     spec: RunSpec, then: Callable[[RunSpec, ExperimentRun], Any] | None
 ) -> tuple[JobResult, Trace | None, list[int], Any]:
-    """A pool worker's cold run of *spec* and ``then(spec, run)``, pickled."""
+    """A supervised worker's cold run of *spec* and ``then(spec, run)``."""
     run = _simulate(spec, None)
     value = then(spec, run) if then is not None else None
     return run.result, run.trace, run.rank_to_node, value
@@ -224,7 +218,7 @@ def _simulate_for_pool(
 def _simulate_cold(
     specs: list[RunSpec], then: Callable[[RunSpec, ExperimentRun], Any] | None
 ) -> dict[RunSpec, Any]:
-    """Simulate the cold ones of *specs* on a pool; ``then``'s value per run."""
+    """Simulate the cold ones of *specs* supervised; ``then``'s value per run."""
     values: dict[RunSpec, Any] = {}
     cpus = _usable_cpus()
     if cpus < 2:
@@ -238,16 +232,18 @@ def _simulate_cold(
     if width < 2:
         return values
     cold.sort(key=lambda spec: spec.nodes * spec.ranks_per_node, reverse=True)
-    with ProcessPoolExecutor(max_workers=width) as pool:
-        futures = {pool.submit(_simulate_for_pool, spec, then): spec for spec in cold}
-        for future in as_completed(futures):
-            spec = futures[future]
-            try:
-                result, trace, rank_to_node, value = future.result()
-            except Exception:  # left cold: the caller re-runs it in-process
-                continue
-            _install(spec, ExperimentRun.revive(spec, result, trace, rank_to_node), store)
+
+    def install(record: SpecRecord) -> None:
+        # A quarantined spec stays cold: the caller re-runs it in-process.
+        if record.completed:
+            spec = record.spec
+            result, trace, rank_to_node, value = record.value
             values[spec] = value
+            _install(spec, ExperimentRun.revive(spec, result, trace, rank_to_node), store)
+
+    CampaignSupervisor(
+        cold, partial(_simulate_for_pool, then=then), jobs=width, progress=install,
+    ).run()
     return values
 
 
@@ -258,20 +254,22 @@ def prefetch(
     """Simulate the cold ones of *specs* in parallel into the memory tier.
 
     A spec already in memory is skipped, and one on disk is revived into
-    memory as a lookup would.  The rest run through :func:`_simulate` on a
-    process pool as wide as the usable CPUs, largest ``nodes x
-    ranks_per_node`` first; each run comes back pickled and is installed
-    as a serial miss installs it (store included).  With fewer than two
-    usable CPUs or cold specs no pool starts.  A spec whose worker raised
-    stays cold, so the caller's :func:`run_spec` runs it in-process and
-    raises as it always did.
+    memory as a lookup would.  The rest run through :func:`_simulate` on
+    the campaign supervisor's pool as wide as the usable CPUs (default
+    retries, no task timeout), largest ``nodes x ranks_per_node`` first;
+    each run comes back pickled and is installed as a serial miss
+    installs it (store included).  With fewer than two usable CPUs or
+    cold specs no pool starts.  A spec the supervisor quarantines stays
+    cold, so the caller's :func:`run_spec` runs it in-process and raises
+    as it always did.
 
     ``then(spec, run)`` is evaluated where each run is simulated: in the
     pool worker for a cold spec (its value is pickled back with the run),
     and in this process for the rest, on a resident run's snapshot or
     through :func:`run_spec`, which simulates a spec no worker ran and
-    raises for one whose worker raised.  The result maps every spec to
-    its value; without ``then`` it is empty and nothing runs in-process.
+    raises for one the supervisor quarantined.  The result maps every
+    spec to its value; without ``then`` it is empty and nothing runs
+    in-process.
     """
     specs = list(dict.fromkeys(specs))
     values = _simulate_cold(specs, then)

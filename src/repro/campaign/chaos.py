@@ -141,7 +141,7 @@ class ChaosSchedule:
             if budget < 0
         ))
 
-    # -- wire form (campaign workers) ------------------------------------------
+    # -- JSON form -------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -2,10 +2,10 @@
 
 A *campaign* is an ordered, deduplicated list of
 :class:`~repro.campaign.spec.RunSpec`; :func:`run_campaign` executes it —
-warm specs straight from the persistent store, cold specs handed to the
-:class:`~repro.campaign.supervisor.CampaignSupervisor`, which fans them
-over a ``ProcessPoolExecutor`` (or runs serially with ``jobs=1``) with
-retries, worker-crash recovery, hung-task timeouts, and poison-spec
+warm specs straight from the persistent store, cold specs run through
+:func:`execute_spec` on the supervisor's one pool loop (the figures'
+too, see :mod:`repro.campaign.supervisor`), or serially with ``jobs=1``,
+with retries, worker-crash recovery, hung-task timeouts, and poison-spec
 quarantine — and merges results **by spec identity, never by completion
 order**, so the summary table is byte-identical whatever the worker
 interleaving (or fault history: a transient crash retried to success
@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.campaign.chaos import ChaosSchedule, corrupt_store_entry
 from repro.campaign.serialize import (
-    UncacheableRunError,
+    publish_run,
     result_from_payload,
-    run_to_payload,
     summarize_result,
 )
 from repro.campaign.spec import RunSpec
@@ -311,19 +310,13 @@ def load_campaign_file(path: str | Path) -> list[RunSpec]:
 def execute_spec(spec: RunSpec, store: ResultStore | None) -> dict[str, Any]:
     """Simulate one cold spec, publish it, and return its summary row.
 
-    Shared by the serial path and the pool workers (via
-    :mod:`repro.campaign.supervisor`).
+    The campaign's per-spec work under the supervisor, serial or in a
+    worker; the run goes to the store only, never to the memory tier.
     """
     from repro.bench.runner import run_spec
 
     run = run_spec(spec, use_cache=False)
-    if store is not None:
-        try:
-            payload = run_to_payload(run)
-        except UncacheableRunError:
-            pass  # ad-hoc rank return values: summarized, not stored
-        else:
-            store.put("run", spec.digest, spec.fingerprint, payload)
+    publish_run(spec, run, store)
     return summarize_result(run.result)
 
 
@@ -395,7 +388,7 @@ def _failure_row(spec: RunSpec, record: SpecRecord) -> CampaignRow:
         energy_joules=0.0,
         network_bytes=0.0,
         completed=False,
-        cached=record.cached,
+        cached=False,
         outcome=record.outcome,
         attempts=record.attempts,
         error=record.error,
@@ -405,7 +398,7 @@ def _failure_row(spec: RunSpec, record: SpecRecord) -> CampaignRow:
 def _row_from_record(spec: RunSpec, record: SpecRecord) -> CampaignRow:
     if record.completed:
         return _merge_row(
-            spec, record.row, record.cached,
+            spec, record.value, False,
             outcome=record.outcome, attempts=record.attempts,
             error=record.error,
         )
@@ -426,9 +419,10 @@ def run_campaign(
     """Execute *specs* under supervision, warm-starting from *store*.
 
     ``store`` defaults to the process-wide persistent store (pass ``None``
-    to run storeless).  With ``jobs > 1`` cold specs are sharded across a
-    process pool; results always merge in spec order.  Rerunning an
-    interrupted campaign warm-starts every spec that reached the store.
+    to run storeless).  Warm specs are served here, cold ones run through
+    :func:`execute_spec`, sharded with ``jobs > 1`` across the supervisor's
+    pool; results always merge in spec order.  Rerunning an interrupted
+    campaign warm-starts every spec that reached the store.
 
     Supervision: failed attempts are retried up to *retries* times with
     seeded exponential backoff; a spec that keeps failing is quarantined
@@ -493,13 +487,13 @@ def run_campaign(
         if progress is not None:
             progress(SpecRecord(
                 spec=spec, outcome=OUTCOME_OK, attempts=1,
-                row=row, cached=True,
+                value=row, cached=True,
             ))
 
     supervisor = CampaignSupervisor(
         pending,
+        partial(execute_spec, store=store),
         jobs=jobs,
-        store=store,
         retries=retries,
         task_timeout=task_timeout,
         chaos=chaos,

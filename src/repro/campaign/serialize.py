@@ -174,6 +174,18 @@ def trace_from_payload(document: dict[str, Any] | None) -> Trace | None:
     )
 
 
+def publish_run(spec, run, store) -> None:
+    """Store a fresh *run* under *spec* unless *store* is None or the run's
+    rank return values are ad hoc (:class:`UncacheableRunError`)."""
+    if store is None:
+        return
+    try:
+        payload = run_to_payload(run)
+    except UncacheableRunError:
+        return
+    store.put("run", spec.digest, spec.fingerprint, payload)
+
+
 def run_from_payload(spec, payload: dict[str, Any]):
     """Rebuild a full :class:`~repro.bench.runner.ExperimentRun` from *spec*.
 

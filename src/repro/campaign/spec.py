@@ -408,7 +408,7 @@ class RunSpec:
         """Kwargs that rebuild the workload from the canonical form."""
         return {key: value for key, value in self.workload_kwargs}
 
-    # -- wire form (campaign workers) ------------------------------------------
+    # -- JSON wire form --------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-safe form that round-trips through :meth:`from_dict`."""

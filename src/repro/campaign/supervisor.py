@@ -1,23 +1,24 @@
-"""Supervised campaign execution: retries, crash recovery, quarantine.
+"""Supervised execution: retries, crash recovery, quarantine.
 
-:func:`run_campaign <repro.campaign.runner.run_campaign>` hands its cold
-specs to a :class:`CampaignSupervisor`, which drives each one to a
-terminal outcome instead of letting one worker exception — or a worker
-process dying and taking the whole ``ProcessPoolExecutor`` down as a
-``BrokenProcessPool`` — abort the campaign:
+:func:`run_campaign <repro.campaign.runner.run_campaign>` and the figures'
+:func:`~repro.bench.runner.prefetch` hand their cold specs, each caller
+with its own per-spec work, to a :class:`CampaignSupervisor`, which
+drives each one to a terminal outcome instead of letting one worker
+exception — or a worker process dying and taking the whole
+``ProcessPoolExecutor`` down as a ``BrokenProcessPool`` — abort the batch:
 
 * **ok** — completed on the first attempt;
 * **retried** — completed after >= 1 failed attempt (seeded, deterministic
   exponential backoff between attempts, see :func:`_backoff`);
 * **quarantined** — a poison spec: every attempt raised inside the worker
-  until the retry budget ran out; the campaign completes with a
-  ``completed=False`` row naming the spec and its last error;
+  until the retry budget ran out; a campaign completes with a
+  ``completed=False`` row naming it, and a figure leaves it cold;
 * **lost-worker** — every attempt died with the worker (crash) or hit the
   per-task timeout; same terminal handling as quarantine.
 
-One pool loop supervises every worker.  It keeps at most ``width`` tasks
-in flight (``width`` starts at ``jobs``), so only tasks that hold a
-worker accrue watchdog time.  A ``BrokenProcessPool`` cannot name the
+One pool loop supervises every worker.  It keeps ``width`` tasks in
+flight (``width`` starts at ``jobs``; one more without a watchdog), so
+only tasks that hold a worker accrue watchdog time.  A ``BrokenProcessPool`` cannot name the
 culprit (every in-flight future fails at once), so the first break
 rebuilds the pool and requeues every in-flight spec uncharged; the
 second drops ``width`` to 1, where each further crash is charged to
@@ -27,8 +28,8 @@ no wall-clock reads in this module, so lint RL001/RL100 stay clean)
 kills and rebuilds the pool around a stuck task and retries it like any
 other failure.
 
-The result store is the only record of finished work: rerunning an
-interrupted campaign warm-starts every spec that reached the store and
+The result store is a campaign's only record of finished work: rerunning
+an interrupted campaign warm-starts every spec that reached the store and
 re-runs the rest, quarantined specs included.
 """
 
@@ -45,7 +46,6 @@ from typing import Any, Callable, Sequence
 
 from repro.campaign.chaos import ChaosSchedule, apply_chaos
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, WorkerLostError
 from repro.hostprof.clock import Stopwatch
 
@@ -55,7 +55,7 @@ OUTCOME_RETRIED = "retried"
 OUTCOME_QUARANTINED = "quarantined"
 OUTCOME_LOST_WORKER = "lost-worker"
 
-#: Outcomes that produced a summary row.
+#: Outcomes that produced a value.
 COMPLETED_OUTCOMES = (OUTCOME_OK, OUTCOME_RETRIED)
 
 #: Retry backoff: the n-th failure (from 0) sleeps
@@ -85,7 +85,8 @@ class SpecRecord:
     spec: RunSpec
     outcome: str
     attempts: int
-    row: dict[str, Any] | None
+    #: What the per-spec work returned (None unless completed).
+    value: Any
     cached: bool = False
     error: str | None = None
 
@@ -94,42 +95,28 @@ class SpecRecord:
         return self.outcome in COMPLETED_OUTCOMES
 
 
-def _campaign_worker(task: dict[str, Any]) -> dict[str, Any]:
-    """Pool entry point: run (or warm-load) one spec in a worker process."""
-    from repro.campaign.runner import execute_spec
-    from repro.campaign.serialize import result_from_payload, summarize_result
+def _campaign_worker(
+    work: Callable[[RunSpec], Any], spec: RunSpec, attempt: int,
+    chaos: ChaosSchedule | None, timed: bool,
+) -> tuple[Any, int, float | None]:
+    """Pool entry point: ``work(spec)``'s value, the pid, the busy time.
 
-    spec = RunSpec.from_dict(task["spec"])
-    chaos = task.get("chaos")
+    The busy time is measured only when *timed* (the campaign carries a
+    host recorder; the read stays inside the Stopwatch instance).
+    """
     if chaos is not None:
-        apply_chaos(
-            ChaosSchedule.from_dict(chaos), spec.digest,
-            task.get("attempt", 0), in_worker=True,
-        )
-    # Worker-side busy time, measured only when the campaign carries a
-    # host recorder (the read stays inside the Stopwatch instance).
-    stopwatch = Stopwatch() if task.get("host") else None
-    root = task["root"]
-    store = ResultStore(root) if root is not None else None
-    cached = False
-    if store is not None:
-        payload = store.get("run", spec.digest, spec.fingerprint)
-        if payload is not None:
-            cached = True
-            row = summarize_result(result_from_payload(payload["result"]))
-    if not cached:
-        row = execute_spec(spec, store)
-    return {
-        "digest": spec.digest,
-        "row": row,
-        "cached": cached,
-        "pid": os.getpid(),
-        "host_wall": stopwatch.elapsed() if stopwatch is not None else None,
-    }
+        apply_chaos(chaos, spec.digest, attempt, in_worker=True)
+    stopwatch = Stopwatch() if timed else None
+    value = work(spec)
+    busy = stopwatch.elapsed() if stopwatch is not None else None
+    return value, os.getpid(), busy
 
 
 class CampaignSupervisor:
     """Drive a set of cold specs to terminal outcomes, surviving workers.
+
+    *work* runs one spec and returns its value: a picklable callable (a
+    module-level function or a ``functools.partial`` of one).
 
     The watchdog never reads a clock: elapsed time is accounted in
     ``wait(timeout=tick)`` rounds that returned nothing, which
@@ -142,8 +129,8 @@ class CampaignSupervisor:
     def __init__(
         self,
         specs: Sequence[RunSpec],
+        work: Callable[[RunSpec], Any],
         jobs: int = 1,
-        store: ResultStore | None = None,
         retries: int = 2,
         task_timeout: float | None = None,
         chaos: ChaosSchedule | None = None,
@@ -152,15 +139,15 @@ class CampaignSupervisor:
         progress: Callable[[SpecRecord], None] | None = None,
     ) -> None:
         self.specs = list(specs)
+        self.work = work
         self.jobs = jobs
-        self.store = store
         self.retries = retries
         self.task_timeout = task_timeout
         self.chaos = chaos
         #: Optional CampaignHostRecorder; purely observational (advisory
         #: host timings — never steers scheduling or results).
         self.host = host
-        #: Optional per-terminal-record callback (the --progress heartbeat).
+        #: Optional per-terminal-record callback (--progress, prefetch).
         self.progress = progress
         self.sleep = sleep if sleep is not None else time.sleep
         self.records: dict[str, SpecRecord] = {}
@@ -189,14 +176,13 @@ class CampaignSupervisor:
         if self.progress is not None:
             self.progress(record)
 
-    def _succeeded(self, spec: RunSpec, row: dict[str, Any], cached: bool) -> None:
+    def _succeeded(self, spec: RunSpec, value: Any) -> None:
         failures = self._attempts(spec.digest)
         self._finalize(SpecRecord(
             spec=spec,
             outcome=OUTCOME_OK if failures == 0 else OUTCOME_RETRIED,
             attempts=failures + 1,
-            row=row,
-            cached=cached,
+            value=value,
         ))
 
     def _failed(
@@ -210,7 +196,7 @@ class CampaignSupervisor:
                 spec=spec,
                 outcome=OUTCOME_LOST_WORKER if lost else OUTCOME_QUARANTINED,
                 attempts=self._failures[digest],
-                row=None,
+                value=None,
                 error=error,
             ))
             return True
@@ -221,8 +207,6 @@ class CampaignSupervisor:
     # -- serial execution ------------------------------------------------------
 
     def _execute_serial(self, spec: RunSpec) -> None:
-        from repro.campaign.runner import execute_spec
-
         while True:
             attempt = self._attempts(spec.digest)
             if self.host is not None:
@@ -232,7 +216,7 @@ class CampaignSupervisor:
                     apply_chaos(
                         self.chaos, spec.digest, attempt, in_worker=False
                     )
-                row = execute_spec(spec, self.store)
+                value = self.work(spec)
             except Exception as exc:  # deterministic sim errors + chaos
                 if self._failed(spec, f"{type(exc).__name__}: {exc}", False):
                     return
@@ -240,19 +224,10 @@ class CampaignSupervisor:
                 self.pids.add(os.getpid())
                 if self.host is not None:
                     self.host.spec_done(spec.digest, os.getpid())
-                self._succeeded(spec, row, cached=False)
+                self._succeeded(spec, value)
                 return
 
     # -- pool execution --------------------------------------------------------
-
-    def _task(self, spec: RunSpec) -> dict[str, Any]:
-        return {
-            "spec": spec.to_dict(),
-            "root": str(self.store.root) if self.store is not None else None,
-            "attempt": self._attempts(spec.digest),
-            "chaos": self.chaos.to_dict() if self.chaos is not None else None,
-            "host": self.host is not None,
-        }
 
     def _terminate_pool(self, pool: ProcessPoolExecutor) -> None:
         """Tear a pool down without waiting on its (possibly hung) tasks."""
@@ -264,14 +239,22 @@ class CampaignSupervisor:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _run_pool(self, specs: list[RunSpec]) -> None:
-        """Run *specs* in worker processes, at most ``width`` in flight."""
+        """Run *specs* in worker processes, ``width`` (+1) in flight.
+
+        Without a watchdog (which charges every submitted task) one more
+        task waits while ``width > 1``, so a freed worker starts at once
+        instead of waiting for this loop to unpickle its result.
+        """
         queue: deque[RunSpec] = deque(specs)
         width = self.jobs
+        ahead = 1 if self.task_timeout is None else 0
         breaks = 0
         pool: ProcessPoolExecutor | None = None
         #: In-flight futures, in submission order, and their watchdog time.
         futures: dict[Any, RunSpec] = {}
         waited: dict[Any, float] = {}
+        #: Values back from workers, recorded once the freed ones refilled.
+        finished: list[tuple[RunSpec, Any]] = []
         try:
             while queue or futures:
                 if pool is None:
@@ -280,11 +263,14 @@ class CampaignSupervisor:
                     )
                 broken = False
                 lost: list[RunSpec] = []
-                while queue and len(futures) < width:
+                window = width + ahead if width > 1 else width
+                while queue and len(futures) < window:
                     spec = queue.popleft()
                     try:
                         future = pool.submit(
-                            _campaign_worker, self._task(spec)
+                            _campaign_worker, self.work, spec,
+                            self._attempts(spec.digest), self.chaos,
+                            self.host is not None,
                         )
                     except BrokenProcessPool:
                         # The pool died while we were still feeding it.
@@ -295,6 +281,9 @@ class CampaignSupervisor:
                         self.host.spec_submitted(spec.digest, spec.label)
                     futures[future] = spec
                     waited[future] = 0.0
+                for spec, value in finished:
+                    self._succeeded(spec, value)
+                finished.clear()
                 if not broken:
                     done, not_done = wait(
                         list(futures), timeout=self._tick,
@@ -330,15 +319,11 @@ class CampaignSupervisor:
                             ):
                                 queue.append(spec)
                         else:
-                            self.pids.add(outcome["pid"])
+                            value, pid, busy = outcome
+                            self.pids.add(pid)
                             if self.host is not None:
-                                self.host.spec_done(
-                                    spec.digest, outcome["pid"],
-                                    outcome.get("host_wall"),
-                                )
-                            self._succeeded(
-                                spec, outcome["row"], outcome["cached"]
-                            )
+                                self.host.spec_done(spec.digest, pid, busy)
+                            finished.append((spec, value))
                 if broken:
                     # The pool is gone and every in-flight spec with it.
                     lost.extend(futures.values())
@@ -366,6 +351,8 @@ class CampaignSupervisor:
                         breaks += 1
                         if breaks == 2:
                             width = 1
+            for spec, value in finished:
+                self._succeeded(spec, value)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)

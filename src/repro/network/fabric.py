@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import inf
 from typing import Protocol
 
 from repro.errors import (
@@ -347,11 +348,11 @@ class Fabric:
         failing with :class:`MessageLostError`, and a transfer touching a
         crashed endpoint fails with :class:`NodeFailure`.
         """
-        if not nbytes >= 0:
-            # ``not >=`` rather than ``<``: a NaN size would otherwise hold
-            # both NIC slots before the kernel's schedule check rejected it.
+        if not 0 <= nbytes < inf:
+            # Negated, so NaN fails too: it would otherwise hold both NIC
+            # slots; an infinite size would finish the flow at t=inf.
             raise ConfigurationError(
-                f"transfer size must be non-negative, got {nbytes}"
+                f"transfer size must be finite and non-negative, got {nbytes}"
             )
         try:
             src = self.nodes[src_id]

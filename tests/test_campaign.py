@@ -20,6 +20,7 @@ from repro.campaign import (
     format_campaign_table,
     load_campaign_file,
     run_campaign,
+    supervisor,
 )
 from repro.campaign.serialize import (
     result_from_payload,
@@ -756,13 +757,39 @@ def _small_curve():
     return _scalability_curves(("jacobi",), (2, 4), None, **JACOBI_SMALL)[0]
 
 
+def _small_specs():
+    """The six traced runs behind :func:`_small_curve`, by (nodes, network)."""
+    return {
+        (nodes, network): RunSpec.normalize(
+            "jacobi", nodes=nodes, network=network, traced=True, **JACOBI_SMALL)
+        for nodes in (1, 2, 4) for network in ("1G", "10G")
+    }
+
+
+def _recording_simulate(monkeypatch):
+    """Patch ``runner._simulate`` to list the specs this process simulates.
+
+    A forked worker appends to its own copy of the list, so the list ends
+    up naming only the specs simulated here.
+    """
+    simulate = runner._simulate
+    simulated_here = []
+
+    def recording(spec, telemetry):
+        simulated_here.append(spec)
+        return simulate(spec, telemetry)
+
+    monkeypatch.setattr(runner, "_simulate", recording)
+    return simulated_here
+
+
 def test_prefetch_on_one_cpu_starts_no_pool(monkeypatch):
     _usable_cpus(monkeypatch, 1)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started on one CPU")
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", no_pool)
     specs = [RunSpec.normalize("jacobi", nodes=n, **JACOBI_SMALL) for n in (1, 2)]
     runner.prefetch(specs)
     assert not any(spec.key in runner._cache for spec in specs)
@@ -776,11 +803,7 @@ def test_prefetched_curve_equals_the_serial_one_and_is_stored(monkeypatch):
     clear_cache()
     monkeypatch.delenv("REPRO_DISK_CACHE")
     _usable_cpus(monkeypatch, 2)
-    specs = [
-        RunSpec.normalize("jacobi", nodes=nodes, network=network, traced=True,
-                          **JACOBI_SMALL)
-        for nodes in (1, 2, 4) for network in ("1G", "10G")
-    ]
+    specs = list(_small_specs().values())
     runner.prefetch(specs)
     assert all(spec.key in runner._cache for spec in specs)
     assert cache_stats()["memory_hits"] == 0
@@ -825,11 +848,7 @@ def test_prefetch_runs_then_in_the_workers_as_on_one_cpu(monkeypatch):
     import os
 
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    specs = [
-        RunSpec.normalize("jacobi", nodes=nodes, network=network, traced=True,
-                          **JACOBI_SMALL)
-        for nodes in (1, 2, 4) for network in ("1G", "10G")
-    ]
+    specs = list(_small_specs().values())
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     serial = runner.prefetch(specs, then=_what_if_where)
     clear_cache()
@@ -882,20 +901,77 @@ def test_prefetch_leaves_a_spec_whose_then_raised_cold(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     bad = RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL)
     good = RunSpec.normalize("jacobi", nodes=4, **JACOBI_SMALL)
-    simulate = runner._simulate
-    simulated_here = []
-
-    def recording(spec, telemetry):
-        simulated_here.append(spec)  # a forked worker appends to its own copy
-        return simulate(spec, telemetry)
-
-    monkeypatch.setattr(runner, "_simulate", recording)
+    simulated_here = _recording_simulate(monkeypatch)
     with pytest.raises(AnalysisError, match="two-node run refused"):
         runner.prefetch([bad, good], then=_refuse_two_nodes)
     assert good.key in runner._cache  # the pool ran
     # The worker's run of *bad* was dropped: this process simulated it again.
     assert simulated_here == [bad]
     assert runner.prefetch([good], then=_refuse_two_nodes) == {good: run_spec(good).runtime}
+
+
+def test_a_dead_prefetch_worker_leaves_no_spec_to_this_process(monkeypatch, tmp_path):
+    import os
+
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    serial = _small_curve()
+    clear_cache()
+    _usable_cpus(monkeypatch, 2)
+    # Submitted second, largest first: the crash takes down the pool while
+    # the other 4-node run is in flight and four runs are still to come.
+    victim = _small_specs()[4, "10G"]
+    here = os.getpid()
+    crashed = tmp_path / "crashed"
+    simulate = runner._simulate
+
+    def crash_once(spec, telemetry):
+        if spec == victim and os.getpid() != here and not crashed.exists():
+            crashed.touch()
+            os._exit(13)
+        return simulate(spec, telemetry)
+
+    monkeypatch.setattr(runner, "_simulate", crash_once)
+    simulated_here = _recording_simulate(monkeypatch)
+    assert _small_curve() == serial
+    assert crashed.exists()  # one worker died
+    # Every run, the victim's retry included, was installed from a worker.
+    assert simulated_here == []
+
+
+def test_fig5_curves_survive_a_crash_a_hang_and_a_poison_spec(monkeypatch):
+    from repro.campaign import ChaosSchedule
+
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    clean = _small_curve()
+    clear_cache()
+    _usable_cpus(monkeypatch, 2)
+    specs = _small_specs()
+    poison = specs[1, "10G"]
+    chaos = ChaosSchedule(
+        crash={specs[4, "10G"].digest: 1},
+        hang={specs[2, "1G"].digest: 1},
+        fail={poison.digest: -1},
+        hang_seconds=0.5,
+    )
+    built = []
+
+    def chaotic(*args, **kwargs):
+        built.append(supervisor.CampaignSupervisor(*args, chaos=chaos, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "CampaignSupervisor", chaotic)
+    simulated_here = _recording_simulate(monkeypatch)
+    assert _small_curve() == clean
+    [chaotic_run] = built
+    records = chaotic_run.records
+    assert chaotic_run.counters["lost_workers"] >= 1
+    assert records[specs[4, "10G"].digest].outcome == "retried"  # the crash
+    assert records[specs[2, "1G"].digest].outcome == "retried"  # the hang
+    assert records[poison.digest].outcome == "quarantined"
+    # The quarantined spec stayed cold, so the curve body simulated it here.
+    assert simulated_here == [poison]
 
 
 # -- catalog hardware overrides -------------------------------------------------

@@ -3,11 +3,13 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import run_workload
 from repro.errors import ConfigurationError, NetworkError
 from repro.hardware import catalog
+from repro.mpi import CommWorld
 from repro.network import Fabric, Flow, SwitchSpec, iperf, ping_pong
 from repro.sim import Interrupt, Join
 from repro.telemetry import Telemetry
@@ -126,17 +128,36 @@ def test_negative_bytes_rejected(tx1_pair):
         env.run(until=env.process(fabric.transfer(0, 1, -5.0)))
 
 
-@pytest.mark.parametrize("dst", [1, 0], ids=["wire", "loopback"])
-def test_nan_bytes_rejected_before_any_nic_request(tx1_pair, dst):
-    # NaN compares false against 0, so a ``< 0`` check lets it through to
-    # the kernel's timeout, after both NIC slots were requested.
-    env, fabric, nodes = tx1_pair
-    with pytest.raises(ConfigurationError, match="non-negative"):
-        env.run(until=env.process(fabric.transfer(0, dst, float("nan"))))
+def _no_nic_claimed(fabric, nodes):
     for node in nodes:
         assert node.nic_tx.holder is None and not node.nic_tx.waiters
         assert node.nic_rx.holder is None and not node.nic_rx.waiters
     assert fabric.total_transfers == fabric.loopback_transfers == 0
+    assert fabric.total_bytes == 0
+
+
+@pytest.mark.parametrize("dst", [1, 0], ids=["wire", "loopback"])
+@pytest.mark.parametrize(
+    "nbytes", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"]
+)
+def test_bad_size_rejected_before_any_nic_request(tx1_pair, nbytes, dst):
+    # NaN compares false against 0, so a ``< 0`` check lets it through to
+    # the kernel's timeout, after both NIC slots were requested; infinity
+    # passes ``>= 0`` and would finish the transfer at t=inf.
+    env, fabric, nodes = tx1_pair
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        env.run(until=env.process(fabric.transfer(0, dst, nbytes)))
+    _no_nic_claimed(fabric, nodes)
+
+
+def test_send_of_infinite_size_rejected_before_any_nic_request(tx1_pair):
+    env, fabric, nodes = tx1_pair
+    comm = CommWorld(env, fabric, [0, 1]).communicator(0)
+    send = comm.send(np.zeros(1), dest=1, nbytes=float("inf"))
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        env.run(until=env.process(send))
+    _no_nic_claimed(fabric, nodes)
+    assert env.now == 0.0
 
 
 # -- flows over FIFO NIC slots -------------------------------------------------
